@@ -12,8 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use espresso::factor::output_expr;
 use espresso::{
-    complement, containment, cube_in_cover, legacy, minimize, tautology, with_ambient_jobs, Cover,
-    Cube, CubeSpace,
+    complement, containment, cube_in_cover, legacy, minimize, tautology, Cover, Cube, CubeSpace,
 };
 use fsm::{symbolic_cover, SplitMix64};
 use nova_bench::microbench::Harness;
@@ -134,14 +133,14 @@ fn bench_kernel_throughput(h: &mut Harness) {
     }
 }
 
-/// Steady-state allocation gate for the task-parallel paths: once the worker
-/// pool and every per-worker scratch arena are warm, a parallel dispatch must
-/// not touch the allocator at all. Warm-up is iterated because index claiming
-/// is racy — different runs can hand a worker different branch sizes, so each
-/// scratch arena only reaches its high-water capacity after a few rounds.
-fn report_parallel_allocations() {
+/// Steady-state allocation gate for the unate recursion: once the
+/// thread's scratch arena is warm, tautology and complement of a cover deep
+/// enough to branch must not touch the allocator at all. Warm-up is
+/// iterated because pooled buffers are handed out in release order, so a
+/// buffer may first meet a larger branch (and grow) on a later call.
+fn report_steady_state_allocations() {
     println!();
-    println!("heap allocations per call under ambient jobs = 4 (steady state):");
+    println!("heap allocations per call (steady state):");
     let space = CubeSpace::binary_with_output(6, 3);
     let mut rng = SplitMix64::new(0x9a11_e702);
     let cubes: Vec<Cube> = (0..80)
@@ -150,18 +149,18 @@ fn report_parallel_allocations() {
     let f = Cover::from_cubes(space, cubes);
     let (mut taut, mut comp) = (u64::MAX, u64::MAX);
     for _ in 0..50 {
-        taut = allocs_of(|| with_ambient_jobs(4, || tautology(&f)));
-        comp = allocs_of(|| with_ambient_jobs(4, || complement(&f)));
+        taut = allocs_of(|| tautology(&f));
+        comp = allocs_of(|| complement(&f));
         if taut == 0 && comp == 0 {
             break;
         }
     }
-    println!("  tautology  (jobs=4)      {taut}");
-    println!("  complement (jobs=4)      {comp}");
+    println!("  tautology                {taut}");
+    println!("  complement               {comp}");
     assert_eq!(
         (taut, comp),
         (0, 0),
-        "parallel kernel paths must reach zero steady-state allocations"
+        "unate recursion must reach zero steady-state allocations"
     );
 }
 
@@ -217,5 +216,5 @@ fn main() {
     bench_kernels(&mut h);
     bench_kernel_throughput(&mut h);
     report_allocations();
-    report_parallel_allocations();
+    report_steady_state_allocations();
 }

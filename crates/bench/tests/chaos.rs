@@ -239,10 +239,9 @@ fn seeded_chaos_runs_replay_identically() {
 #[test]
 fn disabled_fault_layer_is_invisible() {
     // The whole fault machinery must be a no-op when no plan is armed: a
-    // plain ctl reports it unarmed and never forces sequential embedding.
+    // plain ctl reports it unarmed.
     let ctl = RunCtl::unlimited();
     assert!(!ctl.fault_armed());
-    assert!(!ctl.requires_determinism());
     let fsm = machine("lion");
     let plain = run_one(&fsm, Algorithm::IHybrid, &EngineConfig::default());
     assert!(plain.outcome.result().is_some());

@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE] [FILE.kiss2 | -]
-//! nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--embed-jobs N] [--espresso-jobs N] [--json] [--trace FILE] [FILE.kiss2 | -]
-//! nova --portfolio --batch [--timeout-ms N] [--budget N] [--jobs N] [--embed-jobs N] [--espresso-jobs N] [--json] [--bench-out FILE]
+//! nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [FILE.kiss2 | -]
+//! nova --portfolio --batch [--timeout-ms N] [--budget N] [--jobs N] [--json] [--bench-out FILE]
 //! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--fault-plan SPEC]
 //! nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]
 //! nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]
@@ -21,12 +21,8 @@
 //!   --batch        sweep the embedded benchmark suite (portfolio mode)
 //!   --timeout-ms   wall-clock deadline for the whole portfolio
 //!   --budget N     deterministic node budget per algorithm
-//!   --jobs N       worker threads (default: available parallelism)
-//!   --embed-jobs N embedding-search subtree workers per run (0 = one per
-//!                  core, 1 = sequential; encodings identical either way)
-//!   --espresso-jobs N  ESPRESSO unate-recursion branch workers per run
-//!                  (0 = one per core, 1 = sequential; results are
-//!                  bit-identical either way)
+//!   --jobs N       portfolio worker threads, each running one algorithm
+//!                  at a time (default: available parallelism)
 //!   --trace FILE   write a structured trace of the run to FILE
 //!   --trace-format chrome (default; open in Perfetto / chrome://tracing)
 //!                  or jsonl (one event per line, schema nova-trace/1)
@@ -72,8 +68,8 @@
 //!                  best-so-far), at 2N ms it is quarantined. A sweep with
 //!                  quarantined machines still completes and exits 0; they
 //!                  are listed in the stream summary's quarantine section.
-//!   (--bench-out, --filter, --timeout-ms, --budget, --jobs, --embed-jobs,
-//!    --espresso-jobs, --fault-plan as in --portfolio --batch; --bench-out
+//!   (--bench-out, --filter, --timeout-ms, --budget, --jobs, --fault-plan
+//!    as in --portfolio --batch; --bench-out
 //!    accumulates nova-bench/1 in memory, so prefer --stream at scale.
 //!    Output files are created up front: an unwritable path fails fast
 //!    with exit 4 before any machine runs.)
@@ -133,7 +129,7 @@ fn usage() -> ! {
     let algs: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
     eprintln!(
         "usage: nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [--fault-plan SPEC] [--remote ADDR] [FILE.kiss2 | -]\n\
-         \u{20}      nova --portfolio [--batch [--filter A,B] [--bench-out FILE] [--batch-jobs N]] [--timeout-ms N] [--budget N] [--jobs N] [--embed-jobs N] [--espresso-jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
+         \u{20}      nova --portfolio [--batch [--filter A,B] [--bench-out FILE] [--batch-jobs N]] [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
          \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--fault-plan SPEC]\n\
          \u{20}      nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]\n\
          \u{20}      nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]\n\
@@ -169,8 +165,6 @@ struct Args {
     budget: Option<u64>,
     jobs: usize,
     batch_jobs: usize,
-    embed_jobs: usize,
-    espresso_jobs: usize,
     trace: Option<String>,
     trace_format: TraceFormat,
     bench: Option<String>,
@@ -195,8 +189,6 @@ fn parse_args() -> Args {
         budget: None,
         jobs: 0,
         batch_jobs: 1,
-        embed_jobs: 0,
-        espresso_jobs: 0,
         trace: None,
         trace_format: TraceFormat::Chrome,
         bench: None,
@@ -226,8 +218,6 @@ fn parse_args() -> Args {
             "--budget" => out.budget = Some(num(&mut args)),
             "--jobs" => out.jobs = num(&mut args) as usize,
             "--batch-jobs" => out.batch_jobs = num(&mut args) as usize,
-            "--embed-jobs" => out.embed_jobs = num(&mut args) as usize,
-            "--espresso-jobs" => out.espresso_jobs = num(&mut args) as usize,
             "--trace" => out.trace = Some(args.next().unwrap_or_else(|| usage())),
             "--trace-format" => {
                 out.trace_format = match args.next().as_deref() {
@@ -267,8 +257,6 @@ fn parse_args() -> Args {
 fn engine_config(args: &Args, tracer: &Tracer) -> EngineConfig {
     EngineConfig {
         jobs: args.jobs,
-        embed_jobs: args.embed_jobs,
-        espresso_jobs: args.espresso_jobs,
         timeout: args.timeout_ms.map(Duration::from_millis),
         node_budget: args.budget,
         target_bits: args.bits,
@@ -432,8 +420,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
     let mut timeout_ms: Option<u64> = None;
     let mut budget: Option<u64> = None;
     let mut jobs = 0usize;
-    let mut embed_jobs = 0usize;
-    let mut espresso_jobs = 0usize;
     let mut fault_plan: Option<FaultPlan> = None;
     let mut journal: Option<String> = None;
     let mut resume = false;
@@ -469,8 +455,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
             "--timeout-ms" => timeout_ms = Some(num(it.next())),
             "--budget" => budget = Some(num(it.next())),
             "--jobs" => jobs = num(it.next()) as usize,
-            "--embed-jobs" => embed_jobs = num(it.next()) as usize,
-            "--espresso-jobs" => espresso_jobs = num(it.next()) as usize,
             "--fault-plan" => {
                 let spec = it.next().cloned().unwrap_or_else(|| usage());
                 match FaultPlan::parse(&spec) {
@@ -570,8 +554,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
 
     let cfg = EngineConfig {
         jobs,
-        embed_jobs,
-        espresso_jobs,
         timeout: timeout_ms.map(Duration::from_millis),
         node_budget: budget,
         fault_plan,
@@ -987,8 +969,6 @@ fn remote_main(addr: &str, machine: &Fsm, args: &Args) -> ExitCode {
         budget: args.budget,
         timeout_ms: args.timeout_ms,
         jobs: args.jobs,
-        embed_jobs: args.embed_jobs,
-        espresso_jobs: args.espresso_jobs,
         fault_plan: args.fault_plan.clone(),
     };
     // Transient 503 pushback (full queue, tripped breaker, memory

@@ -4,7 +4,7 @@
 //! IV-4.2, Proposition 4.2.1) up to the requested code length.
 
 use crate::constraint::{InputConstraints, StateSet, WeightedConstraint};
-use crate::exact::{constraint_satisfied, min_code_length, semiexact_code_jobs_ctl};
+use crate::exact::{constraint_satisfied, min_code_length, semiexact_code_ctl};
 use espresso::{Cancelled, RunCtl};
 use fsm::Encoding;
 
@@ -14,13 +14,14 @@ pub struct HybridOptions {
     /// The `max_work` bound on each `semiexact_code` call (the paper's
     /// "magic number", Section IV-4.1).
     pub max_work: u64,
-    /// Worker threads for the embedding search's root-subtree parallelism
-    /// (`0` = one per core, `1` = sequential; results are identical either
-    /// way whenever no deadline fires).
+    /// Ignored: each `semiexact_code` call is sequential, so `max_work`
+    /// bounds it as a whole.
+    #[deprecated(note = "ignored: the embedding search is always sequential")]
     pub embed_jobs: usize,
 }
 
 impl Default for HybridOptions {
+    #[allow(deprecated)]
     fn default() -> Self {
         HybridOptions {
             max_work: 200_000,
@@ -189,8 +190,7 @@ pub fn ihybrid_code_ctl(
     for &c in &ics.constraints {
         let mut attempt: Vec<StateSet> = sic.iter().map(|w| w.set).collect();
         attempt.push(c.set);
-        match semiexact_code_jobs_ctl(n, &attempt, min_length, opts.max_work, opts.embed_jobs, ctl)?
-        {
+        match semiexact_code_ctl(n, &attempt, min_length, opts.max_work, ctl)? {
             Some(embedding) => {
                 offer_snapshot(
                     ctl,
@@ -210,7 +210,7 @@ pub fn ihybrid_code_ctl(
     // codes as a last resort.
     let mut codes = match codes {
         Some(c) => c,
-        None => semiexact_code_jobs_ctl(n, &[], min_length, opts.max_work, opts.embed_jobs, ctl)?
+        None => semiexact_code_ctl(n, &[], min_length, opts.max_work, ctl)?
             .map(|e| e.codes)
             .unwrap_or_else(|| (0..n as u64).collect()),
     };

@@ -32,7 +32,7 @@ pub struct InputGraph {
     children: Vec<Vec<usize>>,
     universe: usize,
     /// Lazily built pairwise relation cache (see [`Relations`]); shared so
-    /// clones and parallel search branches reuse one computation.
+    /// clones reuse one computation.
     relations: OnceLock<Arc<Relations>>,
 }
 

@@ -347,9 +347,7 @@ fn parse_header(line: &str) -> Result<(u64, usize, String), JournalError> {
 }
 
 fn parse_record(raw: &str) -> Option<Record> {
-    let mut parts = raw.splitn(2, ' ');
-    let kind = parts.next()?;
-    let rest = parts.next()?;
+    let (kind, rest) = raw.split_once(' ')?;
     match kind {
         "C" => {
             // C <idx> <machine-fp> <class> <fnv16> <line>

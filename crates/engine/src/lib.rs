@@ -8,7 +8,9 @@
 //! Design points:
 //!
 //! * **std-only concurrency** — `std::thread::scope` plus an atomic job
-//!   counter; no external executor.
+//!   counter; no external executor. Each algorithm run is sequential:
+//!   threads run the algorithms of one portfolio (`jobs`) or whole
+//!   machines ([`run_batch`]), never the inside of one run.
 //! * **Cooperative cancellation** — every worker runs under a
 //!   [`RunCtl`](espresso::RunCtl) carrying the wall-clock deadline
 //!   (`--timeout-ms`) and the deterministic node budget (`--budget`). The
@@ -44,7 +46,7 @@ pub use journal::{JournalReplay, JournalWriter};
 use espresso::{FaultPlan, RunCounters, RunCtl};
 use fsm::Fsm;
 use nova_core::driver::{
-    run_traced_shared_jobs, Algorithm, Degradation, EvalResult, RunStatus, StageCell, StageTimes,
+    run_traced_shared, Algorithm, Degradation, EvalResult, RunStatus, StageCell, StageTimes,
 };
 use nova_trace::json::Json;
 use nova_trace::{MetricsSnapshot, Tracer};
@@ -68,16 +70,6 @@ pub struct EngineConfig {
     pub node_budget: Option<u64>,
     /// Code-length override passed to the algorithms that accept one.
     pub target_bits: Option<u32>,
-    /// Worker threads for the embedding search inside each algorithm run
-    /// (`0` = one per core, `1` = sequential). Encodings are identical
-    /// across values whenever no deadline fires mid-search.
-    pub embed_jobs: usize,
-    /// Worker threads for the ESPRESSO unate-recursion branch fan-out
-    /// (`0` = one per core, `1` = sequential). Results are bit-identical
-    /// across values: parallel branches write disjoint slots stitched in
-    /// branch order, and the kernels never touch the run budget. Forced
-    /// sequential when a fault plan is armed, as belt and braces.
-    pub espresso_jobs: usize,
     /// Session tracer. Each algorithm run gets a [`Tracer::fork`] of it
     /// (shared clock and trace file, separate per-run metrics). Defaults to
     /// [`Tracer::disabled`], which costs one atomic load per instrumentation
@@ -85,8 +77,7 @@ pub struct EngineConfig {
     pub tracer: Tracer,
     /// Deterministic fault plan armed on every per-algorithm [`RunCtl`]
     /// (nova-chaos). `None` — the default — costs one `OnceLock` load per
-    /// charge; `Some` forces sequential embedding so replays are
-    /// byte-identical.
+    /// charge.
     pub fault_plan: Option<FaultPlan>,
     /// Optional shared stop flag attached to every per-algorithm
     /// [`RunCtl`]: a supervisor (the batch watchdog) that sets it cancels
@@ -104,8 +95,6 @@ impl Default for EngineConfig {
             timeout: None,
             node_budget: None,
             target_bits: None,
-            embed_jobs: 0,
-            espresso_jobs: 0,
             tracer: Tracer::disabled(),
             fault_plan: None,
             stop: None,
@@ -470,29 +459,12 @@ fn run_one_under(
     deadline: Option<Instant>,
 ) -> AlgoRun {
     let tracer = cfg.tracer.fork();
-    let ctl = match &cfg.stop {
-        Some(stop) => RunCtl::with_limits_traced_stop(
-            cfg.node_budget,
-            deadline,
-            tracer.clone(),
-            Arc::clone(stop),
-        ),
-        None => RunCtl::with_limits_traced(cfg.node_budget, deadline, tracer.clone()),
-    };
+    let ctl = RunCtl::new(cfg.node_budget, deadline, tracer.clone(), cfg.stop.clone());
     if let Some(plan) = &cfg.fault_plan {
         ctl.arm_faults(plan);
     }
     run_contained(algorithm, &ctl, &tracer, |ctl, cell| {
-        run_traced_shared_jobs(
-            fsm,
-            algorithm,
-            cfg.target_bits,
-            cfg.embed_jobs,
-            cfg.espresso_jobs,
-            ctl,
-            cell,
-        )
-        .status
+        run_traced_shared(fsm, algorithm, cfg.target_bits, ctl, cell).status
     })
 }
 
@@ -798,6 +770,24 @@ mod tests {
     }
 
     #[test]
+    fn iexact_work_stays_within_one_max_work_budget() {
+        // dk16 exhausts iexact's budget without a solution, so the faces it
+        // tried are the whole budget: one `max_work` per run (paper §III),
+        // not one per root face.
+        let dk16 = machine("dk16");
+        let run = run_one(&dk16, Algorithm::IExact, &EngineConfig::default());
+        assert_eq!(run.outcome.tag(), "unsolved");
+        let max_work = nova_core::ExactOptions::default()
+            .max_work
+            .expect("default budget");
+        assert!(
+            run.counters.faces_tried <= max_work + max_work / 100,
+            "{} faces tried under max_work {max_work}",
+            run.counters.faces_tried
+        );
+    }
+
+    #[test]
     fn panicked_run_keeps_pre_panic_telemetry() {
         // Drive run_contained with a body that emits counters, a span, a
         // stage time and a metric before panicking: all four must survive
@@ -805,7 +795,7 @@ mod tests {
         // to report empty telemetry).
         let tracer = Tracer::enabled();
         let fork = tracer.fork();
-        let ctl = RunCtl::with_limits_traced(None, None, fork.clone());
+        let ctl = RunCtl::new(None, None, fork.clone(), None);
         let run = run_contained(Algorithm::IExact, &ctl, &fork, |ctl, cell| {
             ctl.count_face();
             ctl.count_backtrack();

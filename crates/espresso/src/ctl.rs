@@ -151,20 +151,23 @@ pub struct RunCounters {
 }
 
 impl RunCtl {
-    fn build(fuel: Option<u64>, deadline: Option<Instant>, tracer: Tracer) -> Self {
-        RunCtl::build_with_stop(fuel, deadline, tracer, None)
-    }
-
-    fn build_with_stop(
+    /// A handle with an optional node-count budget (deterministic across
+    /// machines and thread counts), wall-clock deadline and shared external
+    /// stop flag. Every ctl-aware entry point records spans and metrics
+    /// through `tracer`; `Tracer::disabled()` opts out at near-zero cost. A
+    /// supervisor (the batch watchdog) that sets `stop` cancels the run at
+    /// its next charge with [`CancelReason::Stop`], which flows through the
+    /// normal degraded / best-so-far ladder.
+    pub fn new(
         fuel: Option<u64>,
         deadline: Option<Instant>,
         tracer: Tracer,
-        external: Option<Arc<AtomicBool>>,
+        stop: Option<Arc<AtomicBool>>,
     ) -> Self {
         RunCtl {
             inner: Arc::new(CtlInner {
                 stop: AtomicBool::new(false),
-                external,
+                external: stop,
                 fuel: AtomicU64::new(fuel.unwrap_or(u64::MAX)),
                 deadline,
                 tracer,
@@ -183,41 +186,11 @@ impl RunCtl {
 
     /// A handle that never cancels: counters only.
     pub fn unlimited() -> Self {
-        RunCtl::build(None, None, Tracer::disabled())
-    }
-
-    /// A handle with a node-count budget (deterministic across machines and
-    /// thread counts) and/or a wall-clock deadline.
-    pub fn with_limits(fuel: Option<u64>, deadline: Option<Instant>) -> Self {
-        RunCtl::build(fuel, deadline, Tracer::disabled())
-    }
-
-    /// [`RunCtl::with_limits`] plus a [`Tracer`]: every ctl-aware entry
-    /// point records spans and metrics through it. Pass `Tracer::disabled()`
-    /// (or use [`RunCtl::with_limits`]) to opt out at near-zero cost.
-    pub fn with_limits_traced(
-        fuel: Option<u64>,
-        deadline: Option<Instant>,
-        tracer: Tracer,
-    ) -> Self {
-        RunCtl::build(fuel, deadline, tracer)
-    }
-
-    /// [`RunCtl::with_limits_traced`] plus a shared external stop flag: a
-    /// supervisor (the batch watchdog) that sets `stop` cancels the run at
-    /// its next charge with [`CancelReason::Stop`], which flows through the
-    /// normal degraded / best-so-far ladder.
-    pub fn with_limits_traced_stop(
-        fuel: Option<u64>,
-        deadline: Option<Instant>,
-        tracer: Tracer,
-        stop: Arc<AtomicBool>,
-    ) -> Self {
-        RunCtl::build_with_stop(fuel, deadline, tracer, Some(stop))
+        RunCtl::new(None, None, Tracer::disabled(), None)
     }
 
     /// The tracer carried by this run (disabled unless the run was built
-    /// with [`RunCtl::with_limits_traced`]).
+    /// with an enabled one).
     pub fn tracer(&self) -> &Tracer {
         &self.inner.tracer
     }
@@ -372,13 +345,6 @@ impl RunCtl {
         self.inner.stop.load(Ordering::Relaxed) || self.external_stopped()
     }
 
-    /// Does this handle carry a finite node budget? Deterministic consumers
-    /// (the embedding search) fall back to sequential execution when it
-    /// does, so fuel is drained in a reproducible order.
-    pub fn has_fuel_limit(&self) -> bool {
-        self.inner.fuel.load(Ordering::Relaxed) != u64::MAX
-    }
-
     /// Arms `plan` on this handle: every subsequent charge/counter call is
     /// one observed operation, and the plan's points fire at their scheduled
     /// operations. A handle can be armed at most once; later calls are
@@ -390,14 +356,6 @@ impl RunCtl {
     /// Is a fault plan armed on this handle?
     pub fn fault_armed(&self) -> bool {
         self.inner.fault.get().is_some()
-    }
-
-    /// Must consumers with optional parallelism run sequentially so this
-    /// run replays deterministically? True for fuel-limited handles (fuel
-    /// drains in trial order) and fault-armed handles (operation counts
-    /// must be thread-independent).
-    pub fn requires_determinism(&self) -> bool {
-        self.has_fuel_limit() || self.fault_armed()
     }
 
     /// Announces the active pipeline stage (the driver calls this at each
@@ -507,7 +465,7 @@ mod tests {
         assert_eq!(ctl.request_id(), 0, "untagged runs report 0");
         let tracer = Tracer::enabled();
         tracer.set_request_id(0xfeed);
-        let tagged = RunCtl::with_limits_traced(None, None, tracer.fork());
+        let tagged = RunCtl::new(None, None, tracer.fork(), None);
         assert_eq!(tagged.request_id(), 0xfeed, "forks share the id");
     }
 
@@ -530,7 +488,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_cancels_deterministically() {
-        let ctl = RunCtl::with_limits(Some(10), None);
+        let ctl = RunCtl::new(Some(10), None, Tracer::disabled(), None);
         let mut charged = 0;
         while ctl.charge(1).is_ok() {
             charged += 1;
@@ -541,13 +499,14 @@ mod tests {
 
     #[test]
     fn zero_deadline_cancels_on_first_charge() {
-        let ctl = RunCtl::with_limits(None, Some(Instant::now()));
+        let ctl = RunCtl::new(None, Some(Instant::now()), Tracer::disabled(), None);
         assert_eq!(ctl.charge(1), Err(Cancelled));
     }
 
     #[test]
     fn future_deadline_allows_work_then_expires() {
-        let ctl = RunCtl::with_limits(None, Some(Instant::now() + Duration::from_millis(20)));
+        let deadline = Instant::now() + Duration::from_millis(20);
+        let ctl = RunCtl::new(None, Some(deadline), Tracer::disabled(), None);
         assert!(ctl.charge(1).is_ok());
         std::thread::sleep(Duration::from_millis(30));
         // May take up to one check period to notice; drive it past that.
@@ -564,8 +523,7 @@ mod tests {
     #[test]
     fn external_stop_cancels_with_stop_reason() {
         let flag = Arc::new(AtomicBool::new(false));
-        let ctl =
-            RunCtl::with_limits_traced_stop(None, None, Tracer::disabled(), Arc::clone(&flag));
+        let ctl = RunCtl::new(None, None, Tracer::disabled(), Some(Arc::clone(&flag)));
         assert!(ctl.charge(1).is_ok());
         assert!(!ctl.should_stop());
         flag.store(true, Ordering::Relaxed);
@@ -618,13 +576,13 @@ mod tests {
         external.cancel();
         assert_eq!(external.cancel_reason(), Some(CancelReason::Stop));
 
-        let budget = RunCtl::with_limits(Some(1), None);
+        let budget = RunCtl::new(Some(1), None, Tracer::disabled(), None);
         let _ = budget.charge(1);
         assert_eq!(budget.cancel_reason(), Some(CancelReason::Budget));
         budget.cancel(); // Later causes do not overwrite the first.
         assert_eq!(budget.cancel_reason(), Some(CancelReason::Budget));
 
-        let deadline = RunCtl::with_limits(None, Some(Instant::now()));
+        let deadline = RunCtl::new(None, Some(Instant::now()), Tracer::disabled(), None);
         let _ = deadline.charge(1);
         assert_eq!(deadline.cancel_reason(), Some(CancelReason::Deadline));
     }
@@ -633,6 +591,7 @@ mod tests {
     fn injected_cancel_fires_at_the_scheduled_charge() {
         let ctl = RunCtl::unlimited();
         ctl.arm_faults(&FaultPlan::single("*", 3, FaultKind::Cancel));
+        assert!(ctl.fault_armed());
         assert!(ctl.charge(1).is_ok());
         assert!(ctl.charge(1).is_ok());
         assert_eq!(ctl.charge(1), Err(Cancelled));
@@ -641,7 +600,7 @@ mod tests {
 
     #[test]
     fn injected_budget_fault_zeroes_fuel() {
-        let ctl = RunCtl::with_limits(Some(1_000_000), None);
+        let ctl = RunCtl::new(Some(1_000_000), None, Tracer::disabled(), None);
         ctl.arm_faults(&FaultPlan::single("*", 2, FaultKind::Budget));
         assert!(ctl.charge(1).is_ok());
         assert_eq!(ctl.charge(1), Err(Cancelled));
@@ -688,15 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_required_when_armed_or_fuel_limited() {
-        let plain = RunCtl::unlimited();
-        assert!(!plain.requires_determinism());
-        plain.arm_faults(&FaultPlan::single("*", 1, FaultKind::Cancel));
-        assert!(plain.requires_determinism());
-        assert!(RunCtl::with_limits(Some(5), None).requires_determinism());
-    }
-
-    #[test]
     fn offer_best_keeps_the_highest_score() {
         let ctl = RunCtl::unlimited();
         assert!(ctl.take_best().is_none());
@@ -711,7 +661,7 @@ mod tests {
 
     #[test]
     fn traced_ctl_carries_tracer_through_clones() {
-        let ctl = RunCtl::with_limits_traced(None, None, Tracer::enabled());
+        let ctl = RunCtl::new(None, None, Tracer::enabled(), None);
         let clone = ctl.clone();
         {
             let _s = clone.tracer().span("from-clone");

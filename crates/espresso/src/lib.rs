@@ -48,7 +48,6 @@ pub mod irredundant;
 pub mod legacy;
 pub mod matrix;
 pub mod minimize;
-pub mod parallel;
 pub mod pla;
 pub mod reduce;
 pub mod scratch;
@@ -64,7 +63,6 @@ pub use exact::{all_primes, minimize_exact, ExactLimits};
 pub use fault::{FaultKind, FaultPlan, FaultPlanError, FaultPoint, PIPELINE_STAGES};
 pub use matrix::{CubeMatrix, Sig, SIG_EXACT_VARS};
 pub use minimize::{minimize, minimize_with, minimize_with_ctl, MinimizeOptions, MinimizeStats};
-pub use parallel::{ambient_jobs, resolve_jobs, with_ambient_jobs};
 pub use scratch::{thread_stats as scratch_thread_stats, Scratch, ScratchStats};
 pub use simd::{dispatch_tier, DispatchTier};
 pub use space::{CubeSpace, VarKind};

@@ -23,16 +23,13 @@ pub struct MinimizeOptions {
     pub essentials: bool,
     /// Run the LAST_GASP escape step when the loop converges.
     pub last_gasp: bool,
-    /// Worker threads for the unate-recursion branch fan-out (`0` = all
-    /// available cores, `1` = sequential). Any value yields bit-identical
-    /// results: parallel branches write disjoint slots stitched in branch
-    /// order, and kernels never touch the [`RunCtl`] budget. Forced to 1
-    /// when the ctl [requires determinism](RunCtl::requires_determinism)
-    /// (fault injection / chaos replay), as belt and braces.
+    /// Ignored: the unate-recursion kernels always run sequentially.
+    #[deprecated(note = "ignored: the ESPRESSO kernels are always sequential")]
     pub jobs: usize,
 }
 
 impl Default for MinimizeOptions {
+    #[allow(deprecated)]
     fn default() -> Self {
         MinimizeOptions {
             max_iterations: 8,
@@ -86,30 +83,6 @@ pub fn minimize_with(f: &Cover, d: &Cover, opts: MinimizeOptions) -> (Cover, Min
     minimize_with_ctl(f, d, opts, &RunCtl::unlimited()).expect("unlimited ctl never cancels")
 }
 
-/// [`minimize_with`] under a [`RunCtl`]: the EXPAND/IRREDUNDANT/REDUCE loop
-/// charges the handle once per pass (weighted by the live cube count) and
-/// unwinds with [`Cancelled`] when the deadline or budget fires, so a
-/// portfolio deadline turns into a clean per-algorithm timeout instead of a
-/// long-running minimization. Also feeds the espresso-iteration and
-/// cubes-in/out telemetry counters.
-pub fn minimize_with_ctl(
-    f: &Cover,
-    d: &Cover,
-    opts: MinimizeOptions,
-    ctl: &RunCtl,
-) -> Result<(Cover, MinimizeStats), Cancelled> {
-    let jobs = if ctl.requires_determinism() {
-        1
-    } else {
-        crate::parallel::resolve_jobs(opts.jobs)
-    };
-    if jobs <= 1 {
-        minimize_impl(f, d, opts, ctl)
-    } else {
-        crate::parallel::with_ambient_jobs(jobs, || minimize_impl(f, d, opts, ctl))
-    }
-}
-
 /// Logs the process's SIMD dispatch decision into the tracer exactly once
 /// (the `espresso.simd.dispatch.*` counter from the tentpole spec).
 fn log_dispatch_once(t: &nova_trace::Tracer) {
@@ -120,7 +93,13 @@ fn log_dispatch_once(t: &nova_trace::Tracer) {
     });
 }
 
-fn minimize_impl(
+/// [`minimize_with`] under a [`RunCtl`]: the EXPAND/IRREDUNDANT/REDUCE loop
+/// charges the handle once per pass (weighted by the live cube count) and
+/// unwinds with [`Cancelled`] when the deadline or budget fires, so a
+/// portfolio deadline turns into a clean per-algorithm timeout instead of a
+/// long-running minimization. Also feeds the espresso-iteration and
+/// cubes-in/out telemetry counters.
+pub fn minimize_with_ctl(
     f: &Cover,
     d: &Cover,
     opts: MinimizeOptions,
