@@ -7,6 +7,7 @@
 //! budgeted iexact runs (they dominate wall-clock on the mid-size machines).
 
 use nova_bench::{report, tables, MachineReport};
+use nova_engine::{effective_jobs, run_jobs};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,36 +47,22 @@ fn main() {
     );
     // One thread per machine, capped at the core count (each report is a
     // long single-threaded pipeline; the big machines dominate wall clock).
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(4);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<MachineReport>>> = (0..all.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(all.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(b) = all.get(i) else { break };
-                eprintln!(
-                    "  {} ({} states, {} rows)",
-                    b.display_name(),
-                    b.fsm.num_states(),
-                    b.fsm.num_transitions()
-                );
-                let r = report(
-                    b,
-                    !no_exact && b.fsm.num_states() <= 20 && b.fsm.num_transitions() <= 120,
-                );
-                *slots[i].lock().expect("no poisoning") = Some(r);
-            });
-        }
-    });
-    let mut reports: Vec<MachineReport> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("no poisoning").expect("filled"))
-        .collect();
+    let mut reports: Vec<MachineReport> = run_jobs(all.len(), effective_jobs(0), |i| {
+        let b = &all[i];
+        eprintln!(
+            "  {} ({} states, {} rows)",
+            b.display_name(),
+            b.fsm.num_states(),
+            b.fsm.num_transitions()
+        );
+        report(
+            b,
+            !no_exact && b.fsm.num_states() <= 20 && b.fsm.num_transitions() <= 120,
+        )
+    })
+    .into_iter()
+    .map(|r| r.unwrap_or_else(|msg| panic!("machine report panicked: {msg}")))
+    .collect();
     // The paper's figures order machines by increasing state count.
     reports.sort_by(|a, b| a.states.cmp(&b.states).then(a.name.cmp(&b.name)));
 

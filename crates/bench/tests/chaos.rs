@@ -22,8 +22,8 @@ use fsm::simulate::check_sequence;
 use fsm::{Encoding, Fsm, StateId};
 use nova_core::driver::Algorithm;
 use nova_engine::{
-    report_fingerprint as fingerprint, run_one, run_portfolio, run_suite_filtered, suite_to_json,
-    EngineConfig, Outcome,
+    report_fingerprint as fingerprint, run_batch, run_one, run_portfolio, suite_to_json,
+    BatchConfig, EngineConfig, Outcome, SuiteSource,
 };
 use nova_trace::{json, Tracer};
 
@@ -193,7 +193,13 @@ fn suite_report_records_degraded_reason_in_nova_bench_schema() {
         fault_plan: Some(FaultPlan::single("stage.espresso", 1, FaultKind::Deadline)),
         ..EngineConfig::default()
     };
-    let reports = run_suite_filtered(&cfg, &["lion".to_string()]);
+    let mut reports = Vec::new();
+    run_batch(
+        &SuiteSource::filtered(&["lion".to_string()]),
+        &cfg,
+        &BatchConfig::default(),
+        &mut |_, rep| reports.push(rep),
+    );
     assert_eq!(reports.len(), 1);
     let text = suite_to_json(&reports).to_pretty();
     let doc = json::parse(&text).expect("well-formed bench report");

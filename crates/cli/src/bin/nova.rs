@@ -5,8 +5,7 @@
 //! ```text
 //! nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE] [FILE.kiss2 | -]
 //! nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [FILE.kiss2 | -]
-//! nova --portfolio --batch [--timeout-ms N] [--budget N] [--jobs N] [--json] [--bench-out FILE]
-//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--fault-plan SPEC]
+//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
 //! nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]
 //! nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]
 //! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [--budget N] [--timeout-ms N] [FILE.kiss2 | -]
@@ -18,7 +17,6 @@
 //!   -s             print machine statistics only
 //!   --json         emit the run report as JSON instead of text
 //!   --portfolio    race all algorithms concurrently, keep the best area
-//!   --batch        sweep the embedded benchmark suite (portfolio mode)
 //!   --timeout-ms   wall-clock deadline for the whole portfolio
 //!   --budget N     deterministic node budget per algorithm
 //!   --jobs N       portfolio worker threads, each running one algorithm
@@ -27,9 +25,6 @@
 //!   --trace-format chrome (default; open in Perfetto / chrome://tracing)
 //!                  or jsonl (one event per line, schema nova-trace/1)
 //!   --bench NAME   run on the embedded benchmark NAME instead of a file
-//!   --bench-out F  --batch: where to write the machine-readable bench
-//!                  report (default BENCH_portfolio.json)
-//!   --filter A,B   --batch: sweep only the named machines (comma-separated)
 //!   --fault-plan S arm a deterministic nova-chaos fault plan on every run:
 //!                  "STAGE:NTH:KIND[,...]" (KIND: cancel|deadline|budget|
 //!                  panic; STAGE "*" = any) or "seed:N" for a derived plan
@@ -37,7 +32,9 @@
 //!                  instead of encoding in-process; prints the service's
 //!                  nova-bench/1 JSON response
 //!
-//!   bench          sweep a corpus through the sharded batch engine:
+//!   bench          sweep a corpus (default: the embedded benchmark suite)
+//!                  through the batch engine, one portfolio per machine:
+//!   --filter A,B   sweep only the named embedded machines (comma-separated)
 //!   --synthetic S  sweep a generated scale corpus instead of the embedded
 //!                  suite; S is a comma-separated ScaleSpec, e.g.
 //!                  "machines=1000,states=16,inputs=4,outputs=4,seed=7"
@@ -49,6 +46,8 @@
 //!                  ("-" = stdout): one line per machine as it completes
 //!                  plus a throughput summary — constant memory, use this
 //!                  for large corpora
+//!   --bench-out F  write the whole sweep as one nova-bench/1 report to F
+//!                  (accumulated in memory, so prefer --stream at scale)
 //!   --scale-out F  write a small nova-bench-scale/1 throughput baseline
 //!                  (machines/sec) to F — what CI gates BENCH_SCALE.json on
 //!   --journal F    append a crash-safe completion journal (nova-journal/1,
@@ -68,11 +67,10 @@
 //!                  best-so-far), at 2N ms it is quarantined. A sweep with
 //!                  quarantined machines still completes and exits 0; they
 //!                  are listed in the stream summary's quarantine section.
-//!   (--bench-out, --filter, --timeout-ms, --budget, --jobs, --fault-plan
-//!    as in --portfolio --batch; --bench-out
-//!    accumulates nova-bench/1 in memory, so prefer --stream at scale.
-//!    Output files are created up front: an unwritable path fails fast
-//!    with exit 4 before any machine runs.)
+//!   (--timeout-ms, --budget, --jobs, --fault-plan, --trace and
+//!    --trace-format as for --portfolio, applied to every machine's
+//!    portfolio. Output files are created up front: an unwritable path
+//!    fails fast with exit 4 before any machine runs.)
 //!
 //!   serve          run the resident encoding service (see nova-serve):
 //!   --addr A       bind address (default 127.0.0.1:7171; port 0 = any)
@@ -122,15 +120,15 @@ const EXIT_USAGE: u8 = 2;
 const EXIT_PARSE: u8 = 3;
 /// An input or output file could not be read / written.
 const EXIT_IO: u8 = 4;
-/// `--bench` / `--filter` named a benchmark the suite does not embed.
+/// `--bench` / `bench --filter` named a benchmark the suite does not embed.
 const EXIT_UNKNOWN_BENCH: u8 = 5;
 
 fn usage() -> ! {
     let algs: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
     eprintln!(
         "usage: nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [--fault-plan SPEC] [--remote ADDR] [FILE.kiss2 | -]\n\
-         \u{20}      nova --portfolio [--batch [--filter A,B] [--bench-out FILE] [--batch-jobs N]] [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
-         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--fault-plan SPEC]\n\
+         \u{20}      nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
+         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
          \u{20}      nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]\n\
          \u{20}      nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]\n\
          ALG: {} (or onehot)",
@@ -140,9 +138,10 @@ fn usage() -> ! {
 }
 
 /// Trace sink format selected by `--trace-format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum TraceFormat {
     /// Chrome trace-event JSON (default): one document, Perfetto-loadable.
+    #[default]
     Chrome,
     /// `nova-trace/1` JSONL: one event per line.
     Jsonl,
@@ -150,6 +149,82 @@ enum TraceFormat {
 
 fn parse_algorithm(s: &str) -> Algorithm {
     s.parse().unwrap_or_else(|_| usage())
+}
+
+/// The value following a flag, or a usage error when it is missing.
+fn value(rest: &mut dyn Iterator<Item = String>) -> String {
+    rest.next().unwrap_or_else(|| usage())
+}
+
+/// The numeric value following a flag, or a usage error.
+fn num(rest: &mut dyn Iterator<Item = String>) -> u64 {
+    rest.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
+/// The options the single-machine parser and `nova bench` share: the
+/// engine's limits, the fault plan and the session trace.
+#[derive(Default)]
+struct RunOpts {
+    timeout_ms: Option<u64>,
+    budget: Option<u64>,
+    jobs: usize,
+    fault_plan: Option<FaultPlan>,
+    trace: Option<String>,
+    trace_format: TraceFormat,
+}
+
+impl RunOpts {
+    /// Takes `flag` (and its value from `rest`) when it is a shared option;
+    /// returns `false` to leave it to the caller's own flags.
+    fn parse_flag(&mut self, flag: &str, rest: &mut dyn Iterator<Item = String>) -> bool {
+        match flag {
+            "--timeout-ms" => self.timeout_ms = Some(num(rest)),
+            "--budget" => self.budget = Some(num(rest)),
+            "--jobs" => self.jobs = num(rest) as usize,
+            "--fault-plan" => {
+                let spec = value(rest);
+                match FaultPlan::parse(&spec) {
+                    Ok(plan) => self.fault_plan = Some(plan),
+                    Err(e) => {
+                        eprintln!("nova: bad --fault-plan {spec:?}: {e}");
+                        std::process::exit(EXIT_USAGE as i32);
+                    }
+                }
+            }
+            "--trace" => self.trace = Some(value(rest)),
+            "--trace-format" => {
+                self.trace_format = match rest.next().as_deref() {
+                    Some("chrome") => TraceFormat::Chrome,
+                    Some("jsonl") => TraceFormat::Jsonl,
+                    _ => usage(),
+                }
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// The session tracer: enabled only when `--trace` asked for a file.
+    fn tracer(&self) -> Tracer {
+        if self.trace.is_some() {
+            Tracer::enabled()
+        } else {
+            Tracer::disabled()
+        }
+    }
+
+    fn engine_config(&self, tracer: &Tracer) -> EngineConfig {
+        EngineConfig {
+            jobs: self.jobs,
+            timeout: self.timeout_ms.map(Duration::from_millis),
+            node_budget: self.budget,
+            tracer: tracer.clone(),
+            fault_plan: self.fault_plan.clone(),
+            ..EngineConfig::default()
+        }
+    }
 }
 
 struct Args {
@@ -160,22 +235,13 @@ struct Args {
     stats_only: bool,
     json: bool,
     portfolio: bool,
-    batch: bool,
-    timeout_ms: Option<u64>,
-    budget: Option<u64>,
-    jobs: usize,
-    batch_jobs: usize,
-    trace: Option<String>,
-    trace_format: TraceFormat,
+    run: RunOpts,
     bench: Option<String>,
-    bench_out: Option<String>,
-    filter: Vec<String>,
-    fault_plan: Option<FaultPlan>,
     remote: Option<String>,
     file: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: &[String]) -> Args {
     let mut out = Args {
         algorithm: Algorithm::IHybrid,
         bits: None,
@@ -184,65 +250,26 @@ fn parse_args() -> Args {
         stats_only: false,
         json: false,
         portfolio: false,
-        batch: false,
-        timeout_ms: None,
-        budget: None,
-        jobs: 0,
-        batch_jobs: 1,
-        trace: None,
-        trace_format: TraceFormat::Chrome,
+        run: RunOpts::default(),
         bench: None,
-        bench_out: None,
-        filter: Vec::new(),
-        fault_plan: None,
         remote: None,
         file: None,
     };
-    let mut args = std::env::args().skip(1);
-    let num = |args: &mut dyn Iterator<Item = String>| -> u64 {
-        args.next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| usage())
-    };
+    let mut args = argv.iter().cloned();
     while let Some(a) = args.next() {
+        if out.run.parse_flag(&a, &mut args) {
+            continue;
+        }
         match a.as_str() {
-            "-e" => out.algorithm = parse_algorithm(&args.next().unwrap_or_else(|| usage())),
+            "-e" => out.algorithm = parse_algorithm(&value(&mut args)),
             "-b" => out.bits = Some(num(&mut args) as u32),
             "-m" => out.state_minimize = true,
             "-p" => out.print_pla = true,
             "-s" => out.stats_only = true,
             "--json" => out.json = true,
             "--portfolio" => out.portfolio = true,
-            "--batch" => out.batch = true,
-            "--timeout-ms" => out.timeout_ms = Some(num(&mut args)),
-            "--budget" => out.budget = Some(num(&mut args)),
-            "--jobs" => out.jobs = num(&mut args) as usize,
-            "--batch-jobs" => out.batch_jobs = num(&mut args) as usize,
-            "--trace" => out.trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace-format" => {
-                out.trace_format = match args.next().as_deref() {
-                    Some("chrome") => TraceFormat::Chrome,
-                    Some("jsonl") => TraceFormat::Jsonl,
-                    _ => usage(),
-                }
-            }
-            "--bench" => out.bench = Some(args.next().unwrap_or_else(|| usage())),
-            "--bench-out" => out.bench_out = Some(args.next().unwrap_or_else(|| usage())),
-            "--filter" => {
-                let list = args.next().unwrap_or_else(|| usage());
-                out.filter = list.split(',').map(str::to_string).collect();
-            }
-            "--fault-plan" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                match FaultPlan::parse(&spec) {
-                    Ok(plan) => out.fault_plan = Some(plan),
-                    Err(e) => {
-                        eprintln!("nova: bad --fault-plan {spec:?}: {e}");
-                        std::process::exit(EXIT_USAGE as i32);
-                    }
-                }
-            }
-            "--remote" => out.remote = Some(args.next().unwrap_or_else(|| usage())),
+            "--bench" => out.bench = Some(value(&mut args)),
+            "--remote" => out.remote = Some(value(&mut args)),
             "-h" | "--help" => usage(),
             // An explicit `-` names stdin, so `... | nova -` and piping into
             // a remote server share one spelling.
@@ -256,28 +283,33 @@ fn parse_args() -> Args {
 
 fn engine_config(args: &Args, tracer: &Tracer) -> EngineConfig {
     EngineConfig {
-        jobs: args.jobs,
-        timeout: args.timeout_ms.map(Duration::from_millis),
-        node_budget: args.budget,
         target_bits: args.bits,
-        tracer: tracer.clone(),
-        fault_plan: args.fault_plan.clone(),
-        ..EngineConfig::default()
+        ..args.run.engine_config(tracer)
     }
+}
+
+/// Writes the session trace into `file` in `format`.
+fn write_trace_to(
+    tracer: &Tracer,
+    format: TraceFormat,
+    file: std::fs::File,
+) -> std::io::Result<()> {
+    let mut w = std::io::BufWriter::new(file);
+    match format {
+        TraceFormat::Chrome => tracer.write_chrome(&mut w)?,
+        TraceFormat::Jsonl => tracer.write_jsonl(&mut w)?,
+    }
+    w.flush()
 }
 
 /// Writes the session trace to `--trace` in the selected format. Returns
 /// `false` (after printing a diagnostic) when the file cannot be written.
 fn write_trace(args: &Args, tracer: &Tracer) -> bool {
-    let Some(path) = &args.trace else { return true };
-    let result = std::fs::File::create(path).and_then(|f| {
-        let mut w = std::io::BufWriter::new(f);
-        match args.trace_format {
-            TraceFormat::Chrome => tracer.write_chrome(&mut w),
-            TraceFormat::Jsonl => tracer.write_jsonl(&mut w),
-        }
-    });
-    match result {
+    let Some(path) = &args.run.trace else {
+        return true;
+    };
+    match std::fs::File::create(path).and_then(|f| write_trace_to(tracer, args.run.trace_format, f))
+    {
         Ok(()) => true,
         Err(e) => {
             eprintln!("nova: cannot write trace {path}: {e}");
@@ -407,9 +439,10 @@ fn read_machine(args: &Args) -> Result<Fsm, ExitCode> {
     Ok(machine)
 }
 
-/// `nova bench`: sweep a corpus (embedded suite or `--synthetic` scale
-/// spec) through the sharded batch engine, optionally streaming JSONL
-/// (`nova-bench-stream/1`) so memory stays constant at any corpus size.
+/// `nova bench`, the one sweep entry point: sweep a corpus (embedded suite,
+/// optionally `--filter`ed, or a `--synthetic` scale spec) through the batch
+/// engine, optionally streaming JSONL (`nova-bench-stream/1`) so memory
+/// stays constant at any corpus size.
 fn bench_main(argv: &[String]) -> ExitCode {
     let mut synthetic: Option<fsm::ScaleSpec> = None;
     let mut filter: Vec<String> = Vec::new();
@@ -417,21 +450,19 @@ fn bench_main(argv: &[String]) -> ExitCode {
     let mut stream: Option<String> = None;
     let mut bench_out: Option<String> = None;
     let mut scale_out: Option<String> = None;
-    let mut timeout_ms: Option<u64> = None;
-    let mut budget: Option<u64> = None;
-    let mut jobs = 0usize;
-    let mut fault_plan: Option<FaultPlan> = None;
+    let mut run = RunOpts::default();
     let mut journal: Option<String> = None;
     let mut resume = false;
     let mut retries: Option<usize> = None;
     let mut watchdog_ms: Option<u64> = None;
-    let mut it = argv.iter();
-    let num =
-        |v: Option<&String>| -> u64 { v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()) };
+    let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
+        if run.parse_flag(&a, &mut it) {
+            continue;
+        }
         match a.as_str() {
             "--synthetic" => {
-                let spec = it.next().cloned().unwrap_or_else(|| usage());
+                let spec = value(&mut it);
                 match fsm::ScaleSpec::parse(&spec) {
                     Ok(s) => synthetic = Some(s),
                     Err(e) => {
@@ -440,31 +471,15 @@ fn bench_main(argv: &[String]) -> ExitCode {
                     }
                 }
             }
-            "--filter" => {
-                let list = it.next().cloned().unwrap_or_else(|| usage());
-                filter = list.split(',').map(str::to_string).collect();
-            }
-            "--batch-jobs" => batch_jobs = num(it.next()) as usize,
-            "--stream" => stream = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--journal" => journal = Some(it.next().cloned().unwrap_or_else(|| usage())),
+            "--filter" => filter = value(&mut it).split(',').map(str::to_string).collect(),
+            "--batch-jobs" => batch_jobs = num(&mut it) as usize,
+            "--stream" => stream = Some(value(&mut it)),
+            "--journal" => journal = Some(value(&mut it)),
             "--resume" => resume = true,
-            "--retries" => retries = Some(num(it.next()) as usize),
-            "--watchdog-ms" => watchdog_ms = Some(num(it.next())),
-            "--bench-out" => bench_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--scale-out" => scale_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--timeout-ms" => timeout_ms = Some(num(it.next())),
-            "--budget" => budget = Some(num(it.next())),
-            "--jobs" => jobs = num(it.next()) as usize,
-            "--fault-plan" => {
-                let spec = it.next().cloned().unwrap_or_else(|| usage());
-                match FaultPlan::parse(&spec) {
-                    Ok(plan) => fault_plan = Some(plan),
-                    Err(e) => {
-                        eprintln!("nova: bad --fault-plan {spec:?}: {e}");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                }
-            }
+            "--retries" => retries = Some(num(&mut it) as usize),
+            "--watchdog-ms" => watchdog_ms = Some(num(&mut it)),
+            "--bench-out" => bench_out = Some(value(&mut it)),
+            "--scale-out" => scale_out = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -551,14 +566,14 @@ fn bench_main(argv: &[String]) -> ExitCode {
         Some(Err(code)) => return code,
         None => None,
     };
-
-    let cfg = EngineConfig {
-        jobs,
-        timeout: timeout_ms.map(Duration::from_millis),
-        node_budget: budget,
-        fault_plan,
-        ..EngineConfig::default()
+    let trace_file = match run.trace.as_deref().map(create) {
+        Some(Ok(f)) => Some(f),
+        Some(Err(code)) => return code,
+        None => None,
     };
+
+    let tracer = run.tracer();
+    let cfg = run.engine_config(&tracer);
     let bcfg = nova_engine::BatchConfig {
         batch_jobs,
         retries: retries.unwrap_or(nova_engine::BatchConfig::default().retries),
@@ -571,8 +586,8 @@ fn bench_main(argv: &[String]) -> ExitCode {
     // never byte-compatible.
     let canonical_opts = format!(
         "budget={:?} timeout_ms={:?} fault_plan={} retries={}",
-        budget,
-        timeout_ms,
+        run.budget,
+        run.timeout_ms,
         cfg.fault_plan
             .as_ref()
             .map(|p| p.to_spec())
@@ -676,17 +691,13 @@ fn bench_main(argv: &[String]) -> ExitCode {
     // Journaled streams drop every wall-clock field so an interrupted and
     // resumed sweep merges byte-identically with an uninterrupted one.
     let deterministic = journal.is_some();
+    let workers = nova_engine::effective_jobs(bcfg.batch_jobs);
     let mut sw = match stream_writer
         .map(|w| {
             if deterministic {
-                nova_engine::StreamWriter::deterministic(
-                    w,
-                    &src.describe(),
-                    src.len(),
-                    bcfg.effective_jobs(),
-                )
+                nova_engine::StreamWriter::deterministic(w, &src.describe(), src.len(), workers)
             } else {
-                nova_engine::StreamWriter::new(w, &src.describe(), src.len(), bcfg.effective_jobs())
+                nova_engine::StreamWriter::new(w, &src.describe(), src.len(), workers)
             }
         })
         .transpose()
@@ -711,46 +722,45 @@ fn bench_main(argv: &[String]) -> ExitCode {
         nova_engine::MachineClass::Degraded => tally.degraded += 1,
         nova_engine::MachineClass::Unresolved => tally.unresolved += 1,
     };
-    let report = nova_engine::run_batch_resumable(src, &cfg, &bcfg, &completed, &mut |i,
-                                                                                     rep,
-                                                                                     q| {
-        // Interleave replayed lines: everything the journal completed below
-        // this fresh index goes out first, keeping machine-index order.
-        while pending_replay.front().is_some_and(|m| m.index < i) {
-            let m = pending_replay.pop_front().expect("front checked");
-            bump(&mut tally, m.class);
-            if let Some(w) = &mut sw {
-                if let Err(e) = w.write_raw(&m.line, m.class) {
+    let report =
+        nova_engine::run_batch_resumable(src, &cfg, &bcfg, &completed, &mut |i, rep, q| {
+            // Interleave replayed lines: everything the journal completed below
+            // this fresh index goes out first, keeping machine-index order.
+            while pending_replay.front().is_some_and(|m| m.index < i) {
+                let m = pending_replay.pop_front().expect("front checked");
+                bump(&mut tally, m.class);
+                if let Some(w) = &mut sw {
+                    if let Err(e) = w.write_raw(&m.line, m.class) {
+                        stream_err.get_or_insert(e);
+                    }
+                }
+            }
+            let class = nova_engine::MachineClass::of(&rep);
+            bump(&mut tally, class);
+            if deterministic {
+                // Journal first, then stream: a kill between the two replays
+                // the machine as complete and rewrites the same line.
+                let line = nova_engine::StreamWriter::<std::io::Sink>::render_line(&rep, false);
+                if let Some(j) = &mut jw {
+                    let fp = fsm::fingerprint(&src.machine(i));
+                    if let Err(e) = j.record(i, &fp, class, &line, q) {
+                        journal_err.get_or_insert(e);
+                    }
+                }
+                if let Some(w) = &mut sw {
+                    if let Err(e) = w.write_raw(&line, class) {
+                        stream_err.get_or_insert(e);
+                    }
+                }
+            } else if let Some(w) = &mut sw {
+                if let Err(e) = w.report(&rep) {
                     stream_err.get_or_insert(e);
                 }
             }
-        }
-        let class = nova_engine::MachineClass::of(&rep);
-        bump(&mut tally, class);
-        if deterministic {
-            // Journal first, then stream: a kill between the two replays
-            // the machine as complete and rewrites the same line.
-            let line = nova_engine::StreamWriter::<std::io::Sink>::render_line(&rep, false);
-            if let Some(j) = &mut jw {
-                let fp = fsm::fingerprint(&src.machine(i));
-                if let Err(e) = j.record(i, &fp, class, &line, q) {
-                    journal_err.get_or_insert(e);
-                }
+            if keep {
+                kept.push(rep);
             }
-            if let Some(w) = &mut sw {
-                if let Err(e) = w.write_raw(&line, class) {
-                    stream_err.get_or_insert(e);
-                }
-            }
-        } else if let Some(w) = &mut sw {
-            if let Err(e) = w.report(&rep) {
-                stream_err.get_or_insert(e);
-            }
-        }
-        if keep {
-            kept.push(rep);
-        }
-    });
+        });
     // Replayed machines above the last fresh index.
     while let Some(m) = pending_replay.pop_front() {
         bump(&mut tally, m.class);
@@ -761,7 +771,8 @@ fn bench_main(argv: &[String]) -> ExitCode {
         }
     }
     let wall = started.elapsed();
-    let per_sec = nova_engine::throughput(src.len(), wall);
+    // Replayed machines never ran: throughput counts this run's machines.
+    let per_sec = nova_engine::throughput(report.machines, wall);
     let mut quarantine = replayed_quarantine;
     quarantine.extend(report.quarantined.iter().cloned());
     quarantine.sort_by_key(|q| q.index);
@@ -794,10 +805,7 @@ fn bench_main(argv: &[String]) -> ExitCode {
         let doc = Json::Obj(vec![
             ("schema".into(), Json::str("nova-bench-scale/1")),
             ("corpus".into(), Json::str(src.describe())),
-            (
-                "batch_jobs".into(),
-                Json::uint(bcfg.effective_jobs() as u64),
-            ),
+            ("batch_jobs".into(), Json::uint(workers as u64)),
             ("machines".into(), Json::uint(src.len() as u64)),
             ("solved".into(), Json::uint(tally.solved as u64)),
             ("degraded".into(), Json::uint(tally.degraded as u64)),
@@ -813,11 +821,25 @@ fn bench_main(argv: &[String]) -> ExitCode {
             return ExitCode::from(EXIT_IO);
         }
     }
+    if let Some(f) = trace_file {
+        if let Err(e) = write_trace_to(&tracer, run.trace_format, f) {
+            eprintln!(
+                "nova: cannot write trace {}: {e}",
+                run.trace.as_deref().unwrap_or("?")
+            );
+            return ExitCode::from(EXIT_IO);
+        }
+    }
     // The human-facing throughput line goes to stderr so `--stream -` keeps
     // stdout pure JSONL.
+    let resumed = if resume {
+        format!(" (+{} resumed)", completed.len())
+    } else {
+        String::new()
+    };
     eprintln!(
-        "nova: swept {} machines in {:.1} ms ({:.1} machines/sec): {} solved, {} degraded, {} unresolved",
-        src.len(),
+        "nova: swept {} machines{resumed} in {:.1} ms ({:.1} machines/sec): {} solved, {} degraded, {} unresolved",
+        report.machines,
         wall.as_secs_f64() * 1e3,
         per_sec,
         tally.solved,
@@ -966,10 +988,10 @@ fn remote_main(addr: &str, machine: &Fsm, args: &Args) -> ExitCode {
             vec![args.algorithm]
         },
         bits: args.bits,
-        budget: args.budget,
-        timeout_ms: args.timeout_ms,
-        jobs: args.jobs,
-        fault_plan: args.fault_plan.clone(),
+        budget: args.run.budget,
+        timeout_ms: args.run.timeout_ms,
+        jobs: args.run.jobs,
+        fault_plan: args.run.fault_plan.clone(),
     };
     // Transient 503 pushback (full queue, tripped breaker, memory
     // pressure) is retried with deterministic jitter, honoring the
@@ -1024,69 +1046,16 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("trace-report") {
         return trace_report_main(&argv[1..]);
     }
-    let args = parse_args();
-    let tracer = if args.trace.is_some() {
-        Tracer::enabled()
-    } else {
-        Tracer::disabled()
-    };
+    let args = parse_args(&argv);
+    let tracer = args.run.tracer();
 
     // Client mode: the machine is encoded by a resident nova-serve.
     if let Some(addr) = args.remote.clone() {
-        if args.batch {
-            eprintln!("nova: --remote does not support --batch (sweep on the server side instead)");
-            return ExitCode::from(EXIT_USAGE);
-        }
         let machine = match read_machine(&args) {
             Ok(m) => m,
             Err(code) => return code,
         };
         return remote_main(&addr, &machine, &args);
-    }
-
-    // Batch mode: sweep the embedded benchmark suite, no input machine.
-    if args.batch {
-        if !args.portfolio {
-            eprintln!("nova: --batch requires --portfolio");
-            return ExitCode::from(EXIT_USAGE);
-        }
-        for name in &args.filter {
-            if fsm::benchmarks::by_name(name).is_none() {
-                eprintln!("nova: unknown embedded benchmark '{name}'");
-                return ExitCode::from(EXIT_UNKNOWN_BENCH);
-            }
-        }
-        let cfg = engine_config(&args, &tracer);
-        let bcfg = nova_engine::BatchConfig {
-            batch_jobs: args.batch_jobs,
-            ..nova_engine::BatchConfig::default()
-        };
-        let started = std::time::Instant::now();
-        let reports = nova_engine::run_suite_batched(&cfg, &args.filter, &bcfg);
-        let elapsed = started.elapsed();
-        if args.json {
-            let arr = Json::Arr(reports.iter().map(|r| r.to_json()).collect());
-            println!("{}", arr.to_pretty());
-        } else {
-            for report in &reports {
-                print_portfolio_text(report);
-            }
-        }
-        let bench_path = args.bench_out.as_deref().unwrap_or("BENCH_portfolio.json");
-        if let Err(e) = std::fs::write(
-            bench_path,
-            nova_engine::suite_to_json_timed(&reports, elapsed).to_pretty(),
-        ) {
-            eprintln!("nova: cannot write {bench_path}: {e}");
-            return ExitCode::from(EXIT_IO);
-        }
-        if !args.json {
-            println!("# bench report written to {bench_path}");
-        }
-        if !write_trace(&args, &tracer) {
-            return ExitCode::from(EXIT_IO);
-        }
-        return ExitCode::SUCCESS;
     }
 
     let machine = match read_machine(&args) {

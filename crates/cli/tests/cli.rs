@@ -244,27 +244,32 @@ fn nova_bench_flag_loads_embedded_machine() {
 }
 
 #[test]
-fn nova_batch_writes_bench_report() {
+fn nova_bench_filter_writes_bench_report() {
     let path = temp_path("bench.json");
     let path_s = path.to_str().unwrap();
+    let trace = temp_path("bench-trace.jsonl");
+    let trace_s = trace.to_str().unwrap();
     // A filtered sweep over small machines with a tight budget keeps the
     // test fast; the report shape is what's under test, not the areas.
-    let (stdout, stderr, ok) = run_with_stdin(
+    let (_, stderr, ok) = run_with_stdin(
         env!("CARGO_BIN_EXE_nova"),
         &[
-            "--portfolio",
-            "--batch",
+            "bench",
             "--filter",
             "shiftreg,lion",
             "--budget",
             "2000",
             "--bench-out",
             path_s,
+            "--trace",
+            trace_s,
+            "--trace-format",
+            "jsonl",
         ],
         "",
     );
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("bench report written"), "{stdout}");
+    assert!(stderr.contains("swept 2 machines in"), "{stderr}");
     let text = std::fs::read_to_string(&path).expect("bench report written");
     std::fs::remove_file(&path).ok();
     let doc = json::parse(&text).expect("bench report parses");
@@ -273,10 +278,24 @@ fn nova_batch_writes_bench_report() {
         panic!("machines missing");
     };
     assert_eq!(machines.len(), 2, "--filter restricts the sweep");
+    // The sweep's trace covers every machine's portfolio.
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    std::fs::remove_file(&trace).ok();
+    let first = text.lines().next().expect("non-empty trace");
+    assert!(first.contains("\"schema\":\"nova-trace/1\""), "{first}");
+    let portfolios = text
+        .lines()
+        .map(|l| json::parse(l).expect("every jsonl line parses"))
+        .filter(|e| {
+            e.get("ev") == Some(&json::Json::str("B"))
+                && e.get("name") == Some(&json::Json::str("portfolio"))
+        })
+        .count();
+    assert_eq!(portfolios, 2, "one portfolio span per machine");
     // An unknown name in --filter is an error, not a silent empty sweep.
     let (_, stderr, ok) = run_with_stdin(
         env!("CARGO_BIN_EXE_nova"),
-        &["--portfolio", "--batch", "--filter", "nope"],
+        &["bench", "--filter", "nope"],
         "",
     );
     assert!(!ok);
@@ -351,11 +370,13 @@ fn nova_exit_code_unknown_benchmark() {
 }
 
 #[test]
-fn nova_exit_code_batch_without_portfolio() {
-    let (_, stderr, code) = run_with_code(env!("CARGO_BIN_EXE_nova"), &["--batch"], "");
-    assert_eq!(code, 2, "{stderr}");
-    assert_one_line_stderr(&stderr);
-    assert!(stderr.contains("--batch requires --portfolio"), "{stderr}");
+fn nova_exit_code_removed_batch_flag() {
+    // Suite sweeps run through `nova bench`; `--batch` is an unknown flag.
+    for args in [&["--batch"][..], &["--portfolio", "--batch"]] {
+        let (_, stderr, code) = run_with_code(env!("CARGO_BIN_EXE_nova"), args, "");
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -682,7 +703,7 @@ fn nova_remote_exit_codes_for_unreachable_and_misuse() {
     );
     assert_eq!(code, 4, "{stderr}");
     assert_one_line_stderr(&stderr);
-    // --remote cannot drive a --batch sweep: usage error.
+    // A bad flag is a usage error before any connection is tried.
     let (_, stderr, code) = run_with_code(
         env!("CARGO_BIN_EXE_nova"),
         &["--remote", "127.0.0.1:9", "--portfolio", "--batch"],
@@ -770,7 +791,7 @@ fn nova_bench_synthetic_streams_jsonl_and_replays_across_batch_jobs() {
 fn nova_bench_unwritable_output_fails_fast_with_io_exit() {
     // The output files are opened before the sweep: a bad path must exit 4
     // immediately (no machines run), never panic at the finish line.
-    for flag in ["--bench-out", "--stream", "--scale-out"] {
+    for flag in ["--bench-out", "--stream", "--scale-out", "--trace"] {
         let (_, stderr, code) = run_with_code(
             env!("CARGO_BIN_EXE_nova"),
             &[
@@ -881,6 +902,7 @@ fn nova_bench_journaled_resume_merges_byte_identically() {
     let base_journal = temp_path("resume-base.journal");
     let (_, stderr, code) = run(&base_stream, &base_journal, false);
     assert_eq!(code, 0, "{stderr}");
+    assert!(stderr.contains("swept 6 machines in"), "{stderr}");
     let journal_text = std::fs::read_to_string(&base_journal).expect("journal written");
     assert!(
         journal_text.starts_with("nova-journal/1 "),
@@ -905,6 +927,11 @@ fn nova_bench_journaled_resume_merges_byte_identically() {
         stderr.contains("resuming: 3 of 6 machines already complete"),
         "{stderr}"
     );
+    // Throughput counts only the machines this run executed.
+    assert!(
+        stderr.contains("swept 3 machines (+3 resumed) in"),
+        "{stderr}"
+    );
 
     let base = std::fs::read(&base_stream).expect("baseline stream");
     let merged = std::fs::read(&cut_stream).expect("merged stream");
@@ -916,6 +943,10 @@ fn nova_bench_journaled_resume_merges_byte_identically() {
     let (_, stderr, code) = run(&again_stream, &cut_journal, true);
     assert_eq!(code, 0, "{stderr}");
     assert!(stderr.contains("resuming: 6 of 6"), "{stderr}");
+    assert!(
+        stderr.contains("swept 0 machines (+6 resumed) in"),
+        "{stderr}"
+    );
     assert_eq!(base, std::fs::read(&again_stream).expect("stream"));
 
     for p in [
@@ -984,7 +1015,13 @@ fn nova_bench_journal_misuse_fails_fast_with_usage_exit() {
     let (_, stderr, code) = run_with_code(
         env!("CARGO_BIN_EXE_nova"),
         &[
-            "bench", "--synthetic", spec, "--stream", "-", "--journal", "-",
+            "bench",
+            "--synthetic",
+            spec,
+            "--stream",
+            "-",
+            "--journal",
+            "-",
         ],
         "",
     );

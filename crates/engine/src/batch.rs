@@ -1,5 +1,5 @@
-//! Sharded work-stealing batch engine: constant-memory portfolio sweeps
-//! over corpora far past the embedded MCNC suite.
+//! Batch engine: constant-memory portfolio sweeps over corpora far past
+//! the embedded MCNC suite.
 //!
 //! The pre-scale batch path walked machines one at a time and accumulated
 //! every [`PortfolioReport`] in a `Vec` — single-threaded across machines,
@@ -10,14 +10,13 @@
 //!   machine is materialized on demand by the worker that runs it, then
 //!   dropped. A 100k-machine sweep never holds more than
 //!   `workers + window` machines' worth of state.
-//! * **A chunked work-stealing scheduler** ([`run_batch`]): an atomic shard
-//!   cursor hands out contiguous index ranges; each worker keeps its shard
-//!   in a private deque, pops from the front, and — when both its deque and
-//!   the cursor are exhausted — steals the back half of a sibling's deque.
-//!   Whole portfolios run per worker (each portfolio runs its algorithms
-//!   one after another when `batch_jobs > 1`, so the thread count is
-//!   exactly `batch_jobs` and the thread-local scratch pools are reused
-//!   across every machine a worker touches).
+//! * **The portfolio's scheduler** ([`run_batch`]): workers claim machine
+//!   indices in ascending order from one atomic counter, the same claim
+//!   loop [`crate::run_portfolio`] runs its algorithms on. Whole portfolios
+//!   run per worker (each portfolio runs its algorithms one after another
+//!   when `batch_jobs > 1`, so the thread count is exactly `batch_jobs` and
+//!   the thread-local scratch pools are reused across every machine a
+//!   worker touches).
 //! * **Deterministic, bounded, in-order emission**: completed reports enter
 //!   a reorder buffer and are handed to the sink strictly in machine-index
 //!   order. The buffer is capped at `window` reports; a worker about to run
@@ -46,15 +45,14 @@
 //!   run) while emission order and the reorder-window memory bound are
 //!   preserved.
 //!
-//! Telemetry: `engine.batch.machines` / `.shards` / `.steals` /
-//! `.backpressure` / `.retry` / `.quarantine` / `.watchdog.cancel` /
-//! `.watchdog.quarantine` counters and the `engine.batch.queue.depth` gauge
-//! on the session tracer.
+//! Telemetry: `engine.batch.machines` / `.backpressure` / `.retry` /
+//! `.quarantine` / `.watchdog.cancel` / `.watchdog.quarantine` counters and
+//! the `engine.batch.queue.depth` gauge on the session tracer.
 
 use crate::{machine_summary_json_with, report_fingerprint, EngineConfig, PortfolioReport};
 use fsm::{Fsm, ScaleSpec};
 use nova_trace::json::Json;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -156,22 +154,17 @@ impl MachineSource for ScaleSpec {
     }
 }
 
-/// Shape of a sharded batch run.
+/// Shape of a batch run.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Worker threads sweeping machines; `0` = available parallelism. Each
     /// worker runs whole portfolios, so this is also the total thread count
     /// when it exceeds 1 (inner parallelism is forced sequential).
     pub batch_jobs: usize,
-    /// Machines per claimed shard; `0` = auto (corpus size over
-    /// `8 × workers`, clamped to `1..=64`). Larger shards amortize cursor
-    /// traffic, smaller ones balance ragged corpora — stealing covers the
-    /// tail either way.
-    pub shard: usize,
-    /// Reorder-buffer capacity in reports; `0` = auto
-    /// (`max(4 × workers × shard, 16)`). This is the memory bound: a worker
-    /// never runs a machine `window` or more indices ahead of the emission
-    /// cursor.
+    /// Reorder-buffer capacity in reports; `0` = auto (half the corpus,
+    /// clamped to `max(4 × workers, 16)..=256 × workers`). This is the
+    /// memory bound: a worker never starts a machine `window` or more
+    /// indices ahead of the emission cursor.
     pub window: usize,
     /// Extra attempts granted to a *crashed* machine (one that panicked, or
     /// failed every run with no usable result) before it is quarantined.
@@ -196,7 +189,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             batch_jobs: 1,
-            shard: 0,
             window: 0,
             retries: 2,
             retry_seed: 0x6e6f_7661_2d73_7631, // "nova-sv1" — any fixed value
@@ -206,30 +198,13 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// The worker count actually used.
-    pub fn effective_jobs(&self) -> usize {
-        if self.batch_jobs > 0 {
-            self.batch_jobs
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
-    fn effective_shard(&self, len: usize, workers: usize) -> usize {
-        if self.shard > 0 {
-            self.shard
-        } else {
-            (len / (8 * workers.max(1))).clamp(1, 64)
-        }
-    }
-
-    fn effective_window(&self, workers: usize, shard: usize) -> usize {
+    /// The reorder window of a `len`-machine sweep on `workers >= 1`
+    /// workers.
+    fn effective_window(&self, len: usize, workers: usize) -> usize {
         if self.window > 0 {
             self.window
         } else {
-            (4 * workers * shard).max(16)
+            (len / 2).clamp((4 * workers).max(16), 256 * workers)
         }
     }
 }
@@ -285,7 +260,7 @@ struct Emit<'s> {
 }
 
 /// Sweeps every machine of `src` through [`crate::run_portfolio`] under
-/// `cfg`, sharded across `bcfg` workers, and hands each report to `sink` in
+/// `cfg`, spread across `bcfg` workers, and hands each report to `sink` in
 /// machine-index order. Memory is bounded by the reorder window, not the
 /// corpus; report content is identical at any worker count (wall-clock
 /// deadlines excepted, as everywhere in the engine).
@@ -340,10 +315,8 @@ pub fn run_batch_resumable(
     if len == 0 {
         return BatchReport::default();
     }
-    let workers = bcfg.effective_jobs().min(len);
-    let shard = bcfg.effective_shard(len, workers);
-    let window = bcfg.effective_window(workers, shard).max(1);
-    let num_shards = len.div_ceil(shard);
+    let workers = crate::effective_jobs(bcfg.batch_jobs).min(len);
+    let window = bcfg.effective_window(len, workers);
     let tracer = &cfg.tracer;
 
     // Whole portfolios per worker: with more than one batch worker each
@@ -360,9 +333,6 @@ pub fn run_batch_resumable(
         cfg.clone()
     };
 
-    let cursor = AtomicUsize::new(0);
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     // The emission cursor starts past any already-completed prefix.
     let mut first = 0usize;
     while completed.contains(&first) {
@@ -542,49 +512,13 @@ pub fn run_batch_resumable(
                 }
             });
         }
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let deques = &deques;
-                let cursor = &cursor;
-                let run_one = &run_one;
-                s.spawn(move || loop {
-                    // 1. Own deque, front first (ascending indices keep the
-                    //    worker close to the emission cursor).
-                    if let Some(i) = lock(&deques[w]).pop_front() {
-                        run_one(w, i);
-                        continue;
-                    }
-                    // 2. Claim the next shard from the atomic cursor.
-                    let sh = cursor.fetch_add(1, Ordering::Relaxed);
-                    if sh < num_shards {
-                        tracer.incr("engine.batch.shards", 1);
-                        let start = sh * shard;
-                        let end = ((sh + 1) * shard).min(len);
-                        let mut q = lock(&deques[w]);
-                        q.extend((start..end).filter(|i| !completed.contains(i)));
-                        continue;
-                    }
-                    // 3. Cursor exhausted: steal the back half of the
-                    //    fullest sibling deque.
-                    let victim = (0..workers)
-                        .filter(|&v| v != w)
-                        .max_by_key(|&v| lock(&deques[v]).len());
-                    let stolen: VecDeque<usize> = match victim {
-                        Some(v) => {
-                            let mut q = lock(&deques[v]);
-                            let keep = q.len() - q.len() / 2;
-                            q.split_off(keep)
-                        }
-                        None => VecDeque::new(),
-                    };
-                    if stolen.is_empty() {
-                        // Nothing left anywhere reachable: done. (A machine
-                        // still *running* on a sibling is not stealable.)
-                        break;
-                    }
-                    tracer.incr("engine.batch.steals", 1);
-                    *lock(&deques[w]) = stolen;
-                });
+        // Claims are ascending, so the lowest unemitted machine has always
+        // been claimed and its worker never waits (`i < next + window`
+        // holds for `i == next`): the emission cursor keeps advancing and
+        // the window cannot deadlock.
+        crate::claim_loop(len, workers, |w, i| {
+            if !completed.contains(&i) {
+                run_one(w, i);
             }
         });
         workers_done.store(true, Ordering::Release);
@@ -792,7 +726,10 @@ impl<W: Write> StreamWriter<W> {
     /// into the summary: `quarantined` is always present, and a non-empty
     /// list adds a `quarantine` array (index / machine / attempts /
     /// reason). In deterministic mode the wall-clock fields are omitted.
-    pub fn finish_with(mut self, quarantine: &[QuarantineRecord]) -> io::Result<(StreamTally, f64)> {
+    pub fn finish_with(
+        mut self,
+        quarantine: &[QuarantineRecord],
+    ) -> io::Result<(StreamTally, f64)> {
         let wall = self.start.elapsed();
         let per_sec = throughput(self.count, wall);
         let mut pairs = vec![
@@ -803,10 +740,7 @@ impl<W: Write> StreamWriter<W> {
                 "unresolved".into(),
                 Json::uint(self.tally.unresolved as u64),
             ),
-            (
-                "quarantined".into(),
-                Json::uint(quarantine.len() as u64),
-            ),
+            ("quarantined".into(), Json::uint(quarantine.len() as u64)),
         ];
         if !quarantine.is_empty() {
             pairs.push((
@@ -877,16 +811,23 @@ mod tests {
     fn batch_config_auto_sizing_is_sane() {
         let b = BatchConfig::default();
         assert_eq!(b.batch_jobs, 1);
-        assert_eq!(b.effective_shard(100_000, 4), 64);
-        assert_eq!(b.effective_shard(10, 4), 1);
-        assert!(b.effective_window(4, 64) >= 16);
+        // The window the sharded scheduler sized from `len / (8 × workers)`
+        // shards: the auto window must never be smaller.
+        let sharded =
+            |len: usize, workers: usize| (4 * workers * (len / (8 * workers)).clamp(1, 64)).max(16);
+        for (len, workers) in [(24, 2), (200, 4), (100_000, 4), (1, 1), (10, 4)] {
+            let w = b.effective_window(len, workers);
+            assert!(
+                w >= sharded(len, workers),
+                "len {len} workers {workers}: {w}"
+            );
+            assert!(w <= 256 * workers, "len {len} workers {workers}: {w}");
+        }
         let fixed = BatchConfig {
-            shard: 7,
             window: 3,
             ..BatchConfig::default()
         };
-        assert_eq!(fixed.effective_shard(100, 4), 7);
-        assert_eq!(fixed.effective_window(4, 7), 3);
+        assert_eq!(fixed.effective_window(100, 4), 3);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! Design points:
 //!
 //! * **std-only concurrency** — `std::thread::scope` plus an atomic job
-//!   counter; no external executor. Each algorithm run is sequential:
-//!   threads run the algorithms of one portfolio (`jobs`) or whole
-//!   machines ([`run_batch`]), never the inside of one run.
+//!   counter ([`run_jobs`]); no external executor. Each algorithm run is
+//!   sequential: threads run the algorithms of one portfolio (`jobs`) or
+//!   whole machines ([`run_batch`]), never the inside of one run, and both
+//!   levels claim work through the same ascending counter loop.
 //! * **Cooperative cancellation** — every worker runs under a
 //!   [`RunCtl`](espresso::RunCtl) carrying the wall-clock deadline
 //!   (`--timeout-ms`) and the deterministic node budget (`--budget`). The
@@ -102,17 +103,14 @@ impl Default for EngineConfig {
     }
 }
 
-impl EngineConfig {
-    /// The worker count actually used: `jobs`, or the machine's available
-    /// parallelism when `jobs == 0`.
-    pub fn effective_jobs(&self) -> usize {
-        if self.jobs > 0 {
-            self.jobs
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+/// The worker count a `jobs`-style setting stands for: `jobs` itself, or
+/// the machine's available parallelism (1 if it cannot be read) when
+/// `jobs == 0`. Every worker knob in the workspace resolves through here.
+pub fn effective_jobs(jobs: usize) -> usize {
+    if jobs > 0 {
+        jobs
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 }
 
@@ -358,33 +356,48 @@ pub fn eval_to_json(r: &EvalResult) -> Json {
     ])
 }
 
-/// Runs `items` jobs over at most `jobs` scoped worker threads. Workers
-/// claim job indices from a shared atomic counter; a panicking job yields
+/// Calls `f(worker, index)` for every index in `0..items` over at most
+/// `jobs` scoped worker threads (`worker` is in `0..jobs`). Workers claim
+/// indices in ascending order from one atomic counter, so every index below
+/// the counter has been claimed — the property the batch reorder window's
+/// deadlock freedom rests on. This is the engine's only scheduler.
+pub(crate) fn claim_loop<F>(items: usize, jobs: usize, f: F)
+where
+    F: Fn(usize, usize) + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let workers = jobs.clamp(1, items.max(1));
+    std::thread::scope(|s| {
+        for w in 0..workers {
+            let (next, f) = (&next, &f);
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items {
+                    break;
+                }
+                f(w, i);
+            });
+        }
+    });
+}
+
+/// Runs `f(index)` for every index in `0..items` on [`claim_loop`] and
+/// returns the results in index order. A panicking job yields
 /// `Err(message)` in its slot without taking down its worker (the worker
 /// moves on to the next index).
-fn run_jobs<T, F>(items: usize, jobs: usize, f: F) -> Vec<Result<T, String>>
+pub fn run_jobs<T, F>(items: usize, jobs: usize, f: F) -> Vec<Result<T, String>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..items).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = jobs.clamp(1, items.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items {
-                    break;
-                }
-                let out = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
-                // A slot mutex can only be poisoned by a panic *between*
-                // catch_unwind and the store (e.g. a panicking Drop in the
-                // payload); recover the guard rather than cascade.
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-            });
-        }
+    claim_loop(items, jobs, |_, i| {
+        let out = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
+        // A slot mutex can only be poisoned by a panic *between*
+        // catch_unwind and the store (e.g. a panicking Drop in the
+        // payload); recover the guard rather than cascade.
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
     });
     slots
         .into_iter()
@@ -407,7 +420,7 @@ pub fn run_portfolio(fsm: &Fsm, machine: &str, cfg: &EngineConfig) -> PortfolioR
     let start = Instant::now();
     let deadline = cfg.timeout.map(|t| start + t);
     let _span = cfg.tracer.span("portfolio");
-    let runs = run_jobs(cfg.algorithms.len(), cfg.effective_jobs(), |i| {
+    let runs = run_jobs(cfg.algorithms.len(), effective_jobs(cfg.jobs), |i| {
         run_one_under(fsm, cfg.algorithms[i], cfg, deadline)
     })
     .into_iter()
@@ -503,37 +516,6 @@ fn run_contained(
     }
 }
 
-/// Runs the portfolio over every machine in the embedded benchmark suite
-/// (the `nova --portfolio --batch` sweep). With one batch worker (the
-/// default here) the parallelism lives inside each portfolio, keeping
-/// per-machine reports directly comparable to single-machine runs.
-pub fn run_suite(cfg: &EngineConfig) -> Vec<PortfolioReport> {
-    run_suite_filtered(cfg, &[])
-}
-
-/// [`run_suite`] restricted to the named machines; an empty `names` slice
-/// sweeps the whole suite. Unknown names are silently skipped — callers that
-/// care (the CLI) validate against [`fsm::benchmarks::by_name`] up front.
-pub fn run_suite_filtered(cfg: &EngineConfig, names: &[String]) -> Vec<PortfolioReport> {
-    run_suite_batched(cfg, names, &BatchConfig::default())
-}
-
-/// [`run_suite_filtered`] over the sharded batch engine: machines are swept
-/// by `bcfg.batch_jobs` work-stealing workers and the reports accumulate in
-/// machine order. Report content is identical at any worker count; use
-/// [`run_batch`] with a [`StreamWriter`] sink instead when the corpus is too
-/// large to accumulate.
-pub fn run_suite_batched(
-    cfg: &EngineConfig,
-    names: &[String],
-    bcfg: &BatchConfig,
-) -> Vec<PortfolioReport> {
-    let src = SuiteSource::filtered(names);
-    let mut out = Vec::with_capacity(src.len());
-    run_batch(&src, cfg, bcfg, &mut |_, rep| out.push(rep));
-    out
-}
-
 fn stages_to_json(stages: &StageTimes) -> Json {
     Json::Obj(vec![
         (
@@ -612,13 +594,13 @@ pub fn machine_summary_json_with(rep: &PortfolioReport, timings: bool) -> Json {
     Json::Obj(pairs)
 }
 
-/// Machine-readable benchmark trajectory of a suite sweep (the
-/// `BENCH_portfolio.json` the `--batch` CLI writes): one
-/// [`machine_summary_json`] entry per machine plus a throughput summary —
-/// enough to diff both area and machines/sec between PRs. The summary's
-/// wall time is the sum of per-machine portfolio walls (the sequential
-/// equivalent); use [`suite_to_json_timed`] to record a measured elapsed
-/// wall instead (shorter under `--batch-jobs N`).
+/// Machine-readable benchmark trajectory of a suite sweep (the document
+/// `nova bench --bench-out` writes): one [`machine_summary_json`] entry per
+/// machine plus a throughput summary — enough to diff both area and
+/// machines/sec between PRs. The summary's wall time is the sum of
+/// per-machine portfolio walls (the sequential equivalent); use
+/// [`suite_to_json_timed`] to record a measured elapsed wall instead
+/// (shorter under `--batch-jobs N`).
 pub fn suite_to_json(reports: &[PortfolioReport]) -> Json {
     suite_to_json_timed(reports, reports.iter().map(|r| r.wall).sum())
 }

@@ -1,18 +1,21 @@
-//! Sharded-batch determinism and ordering: at any `batch_jobs` count the
+//! Batch determinism and ordering: at any `batch_jobs` count the
 //! sweep must emit the same machines, in machine-index order, with
 //! byte-identical timing-stripped report fingerprints — including when a
-//! fault plan degrades runs mid-corpus — and the stream writer must produce
-//! a well-formed `nova-bench-stream/1` document.
+//! fault plan degrades runs mid-corpus — no worker may start a machine
+//! beyond the reorder window, and the stream writer must produce a
+//! well-formed `nova-bench-stream/1` document.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use espresso::{FaultKind, FaultPlan};
-use fsm::ScaleSpec;
+use fsm::{Fsm, ScaleSpec};
 use nova_core::driver::Algorithm;
 use nova_engine::{
     report_fingerprint, run_batch, run_batch_resumable, BatchConfig, EngineConfig, MachineClass,
-    StreamWriter, SuiteSource,
+    MachineSource, StreamWriter, SuiteSource,
 };
 use nova_trace::json::{self, Json};
 use nova_trace::Tracer;
@@ -41,21 +44,68 @@ fn sweep(cfg: &EngineConfig, bcfg: &BatchConfig) -> Vec<(usize, String, String)>
     out
 }
 
+/// A corpus that records every machine materialized `window` or more
+/// indices past the emission count — a breach of the reorder-window memory
+/// bound. (An assert inside `machine` would be caught by supervision and
+/// retried, so breaches are collected and checked after the sweep.)
+struct WindowProbe<'a> {
+    inner: ScaleSpec,
+    emitted: &'a AtomicUsize,
+    window: usize,
+    breaches: Mutex<Vec<(usize, usize)>>,
+}
+
+impl MachineSource for WindowProbe<'_> {
+    fn len(&self) -> usize {
+        self.inner.machines
+    }
+    fn name(&self, i: usize) -> String {
+        self.inner.name(i)
+    }
+    fn machine(&self, i: usize) -> Fsm {
+        let emitted = self.emitted.load(Ordering::SeqCst);
+        if i >= emitted + self.window {
+            self.breaches.lock().unwrap().push((i, emitted));
+        }
+        self.inner.machine(i)
+    }
+    fn describe(&self) -> String {
+        self.inner.spec_string()
+    }
+}
+
 #[test]
 fn batch_emits_in_machine_index_order() {
-    let got = sweep(
-        &config(),
-        &BatchConfig {
+    // Each window also pins the memory bound: no worker may start a machine
+    // `window` or more indices past the emission count.
+    for window in [1usize, 5] {
+        let emitted = AtomicUsize::new(0);
+        let src = WindowProbe {
+            inner: corpus(),
+            emitted: &emitted,
+            window,
+            breaches: Mutex::new(Vec::new()),
+        };
+        let bcfg = BatchConfig {
             batch_jobs: 4,
-            shard: 2,
-            window: 5,
+            window,
             ..BatchConfig::default()
-        },
-    );
-    assert_eq!(got.len(), 16);
-    for (k, (i, name, _)) in got.iter().enumerate() {
-        assert_eq!(*i, k, "emission order broke at {k}");
-        assert_eq!(name, &corpus().name(k));
+        };
+        let mut got = Vec::new();
+        run_batch(&src, &config(), &bcfg, &mut |i, rep| {
+            got.push((i, rep.machine));
+            emitted.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(got.len(), 16);
+        for (k, (i, name)) in got.iter().enumerate() {
+            assert_eq!(*i, k, "window {window}: emission order broke at {k}");
+            assert_eq!(name, &corpus().name(k));
+        }
+        let breaches = src.breaches.into_inner().unwrap();
+        assert!(
+            breaches.is_empty(),
+            "window {window}: (index, emitted) started past the window: {breaches:?}"
+        );
     }
 }
 
@@ -72,12 +122,11 @@ fn batch_reports_are_byte_identical_across_worker_counts() {
         );
         assert_eq!(base, par, "batch_jobs={jobs} diverged from jobs=1");
     }
-    // A degenerate window/shard must change scheduling, never results.
+    // A degenerate window must change scheduling, never results.
     let tight = sweep(
         &config(),
         &BatchConfig {
             batch_jobs: 4,
-            shard: 1,
             window: 1,
             ..BatchConfig::default()
         },
@@ -211,7 +260,6 @@ fn batch_counters_reach_the_session_tracer() {
         &cfg,
         &BatchConfig {
             batch_jobs: 4,
-            shard: 2,
             ..BatchConfig::default()
         },
         &mut |_, _| n += 1,
@@ -225,7 +273,6 @@ fn batch_counters_reach_the_session_tracer() {
             .map(|(_, v)| *v)
     };
     assert_eq!(counter("engine.batch.machines"), Some(16));
-    assert_eq!(counter("engine.batch.shards"), Some(8), "16 machines / 2");
     assert!(
         snap.gauges
             .iter()
@@ -295,7 +342,12 @@ fn always_crashing_machines_are_retried_then_quarantined() {
 
 #[test]
 fn healthy_machines_never_touch_the_supervision_ladder() {
-    let report = run_batch(&corpus(), &config(), &BatchConfig::default(), &mut |_, _| {});
+    let report = run_batch(
+        &corpus(),
+        &config(),
+        &BatchConfig::default(),
+        &mut |_, _| {},
+    );
     assert_eq!(report.machines, 16);
     assert_eq!(report.retries, 0);
     assert!(report.quarantined.is_empty());
@@ -330,7 +382,11 @@ fn watchdog_cancels_stuck_runs_into_degraded_results() {
         .find(|(n, _)| n == "engine.batch.watchdog.cancel")
         .map(|(_, v)| *v)
         .unwrap_or(0);
-    assert!(cancels >= 1, "watchdog never fired; counters: {:?}", snap.counters);
+    assert!(
+        cancels >= 1,
+        "watchdog never fired; counters: {:?}",
+        snap.counters
+    );
 }
 
 #[test]
@@ -360,7 +416,10 @@ fn resumable_sweep_skips_completed_machines_and_keeps_order() {
         .filter(|(i, _, _)| !completed.contains(i))
         .cloned()
         .collect();
-    assert_eq!(got, expect, "resumed remainder diverged from the full sweep");
+    assert_eq!(
+        got, expect,
+        "resumed remainder diverged from the full sweep"
+    );
 }
 
 #[test]

@@ -377,7 +377,7 @@ impl ScaleSpec {
 
     /// Generates machine `i` of the corpus. Depends only on `(self, i)`:
     /// any worker, on any thread, at any time produces the identical
-    /// machine — the property the sharded batch engine's byte-identical
+    /// machine — the property the batch engine's byte-identical
     /// replay rests on.
     ///
     /// # Panics

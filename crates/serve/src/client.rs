@@ -252,7 +252,14 @@ pub fn post_kiss_retry(
     query: &str,
     policy: &RetryPolicy,
 ) -> Result<RemoteResponse, ClientError> {
-    request_with_retry(addr, "POST", &encode_path(query), None, kiss.as_bytes(), policy)
+    request_with_retry(
+        addr,
+        "POST",
+        &encode_path(query),
+        None,
+        kiss.as_bytes(),
+        policy,
+    )
 }
 
 /// GETs `/counters`.

@@ -32,7 +32,7 @@ use crate::http::{parse_query, Request, RequestError, Response};
 use crate::shutdown;
 use crate::wire::{machine_from_json, EncodeOptions};
 use fsm::Fsm;
-use nova_engine::{run_portfolio, suite_to_json, Outcome};
+use nova_engine::{effective_jobs, run_portfolio, suite_to_json, Outcome};
 use nova_trace::json::Json;
 use nova_trace::sink::format_request_id;
 use nova_trace::{prom, MetricsSnapshot, Tracer};
@@ -102,18 +102,6 @@ impl Default for ServerConfig {
             trace_dir: None,
             breaker: BreakerConfig::default(),
             max_inflight_bytes: 32 << 20,
-        }
-    }
-}
-
-impl ServerConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
         }
     }
 }
@@ -277,7 +265,7 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(resolve(&cfg.addr)?)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let workers = cfg.effective_workers();
+    let workers = effective_jobs(cfg.workers);
     let shared = Arc::new(Shared {
         cache: Mutex::new(ResultCache::new(cfg.cache)),
         queue: Queue::new(cfg.queue_depth.max(1)),
@@ -528,7 +516,10 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     // large machines would otherwise force the cache LRU to thrash.
     let body_bytes = req.body.len() as u64;
     let budget = shared.cfg.max_inflight_bytes;
-    let reserved = shared.inflight_bytes.fetch_add(body_bytes, Ordering::Relaxed) + body_bytes;
+    let reserved = shared
+        .inflight_bytes
+        .fetch_add(body_bytes, Ordering::Relaxed)
+        + body_bytes;
     let _inflight = InflightReservation {
         shared,
         bytes: body_bytes,
@@ -577,7 +568,10 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     // frozen bytes is safe even with a poisoned engine pool.
     match shared.breaker.admit(Instant::now()) {
         Admission::Reject { retry_after_secs } => {
-            shared.stats.breaker_rejected.fetch_add(1, Ordering::Relaxed);
+            shared
+                .stats
+                .breaker_rejected
+                .fetch_add(1, Ordering::Relaxed);
             tracer.incr("serve.breaker.reject", 1);
             return error_response(503, "engine circuit breaker is open")
                 .with_header("Retry-After", retry_after_secs.to_string());
@@ -769,7 +763,10 @@ fn counters_json(shared: &Shared) -> Json {
         (
             "engine".into(),
             Json::Obj(vec![
-                ("runs".into(), Json::uint(s.engine_runs.load(Ordering::Relaxed))),
+                (
+                    "runs".into(),
+                    Json::uint(s.engine_runs.load(Ordering::Relaxed)),
+                ),
                 (
                     "failures".into(),
                     Json::uint(s.engine_failures.load(Ordering::Relaxed)),

@@ -47,7 +47,11 @@ fn concurrent_eviction_keeps_bounds_and_counters_reconciled() {
     let c = cache.lock().expect("cache lock");
     let stats = c.stats();
     assert!(c.len() <= cfg.max_entries && c.bytes() <= cfg.max_bytes);
-    assert_eq!(stats.insertions, (THREADS * OPS) as u64, "every insert admitted");
+    assert_eq!(
+        stats.insertions,
+        (THREADS * OPS) as u64,
+        "every insert admitted"
+    );
     assert_eq!(stats.oversize_rejects, 0);
     // Keys were globally unique, so residency is exactly the insert/evict
     // difference — a leaked or double-evicted entry breaks this.

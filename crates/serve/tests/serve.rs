@@ -470,7 +470,10 @@ fn tripped_breaker_recovers_through_a_successful_probe() {
     });
     let q = "algorithms=ihybrid&jobs=1&fault_plan=*%3A1%3Apanic";
     for _ in 0..2 {
-        assert_eq!(client::post_kiss(&addr, &kiss("lion"), q).unwrap().status, 200);
+        assert_eq!(
+            client::post_kiss(&addr, &kiss("lion"), q).unwrap().status,
+            200
+        );
     }
     // After the cooldown the next request runs as the probe; a healthy
     // engine run closes the breaker again — the service self-heals.
