@@ -5,7 +5,7 @@
 //! ```text
 //! nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE] [FILE.kiss2 | -]
 //! nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [FILE.kiss2 | -]
-//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
+//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
 //! nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]
 //! nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]
 //! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [--budget N] [--timeout-ms N] [FILE.kiss2 | -]
@@ -43,13 +43,14 @@
 //!   --batch-jobs N worker threads sweeping machines (0 = one per core;
 //!                  default 1). Report content is identical at any count.
 //!   --stream F     write the sweep as nova-bench-stream/1 JSONL to F
-//!                  ("-" = stdout): one line per machine as it completes
-//!                  plus a throughput summary — constant memory, use this
-//!                  for large corpora
+//!                  ("-" = stdout): a header line (corpus, machines,
+//!                  batch_jobs), one line per machine as it completes, and
+//!                  a throughput summary (tallies, wall_ms,
+//!                  machines_per_sec) — constant memory, use this for
+//!                  large corpora. BENCH_SCALE.jsonl is its first and last
+//!                  lines
 //!   --bench-out F  write the whole sweep as one nova-bench/1 report to F
 //!                  (accumulated in memory, so prefer --stream at scale)
-//!   --scale-out F  write a small nova-bench-scale/1 throughput baseline
-//!                  (machines/sec) to F — what CI gates BENCH_SCALE.json on
 //!   --journal F    append a crash-safe completion journal (nova-journal/1,
 //!                  fsync'd in batches) alongside --stream; implies the
 //!                  deterministic stream form (no wall-clock fields) so a
@@ -128,7 +129,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [--fault-plan SPEC] [--remote ADDR] [FILE.kiss2 | -]\n\
          \u{20}      nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
-         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--scale-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
+         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
          \u{20}      nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]\n\
          \u{20}      nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]\n\
          ALG: {} (or onehot)",
@@ -449,7 +450,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
     let mut batch_jobs = 1usize;
     let mut stream: Option<String> = None;
     let mut bench_out: Option<String> = None;
-    let mut scale_out: Option<String> = None;
     let mut run = RunOpts::default();
     let mut journal: Option<String> = None;
     let mut resume = false;
@@ -479,7 +479,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
             "--retries" => retries = Some(num(&mut it) as usize),
             "--watchdog-ms" => watchdog_ms = Some(num(&mut it)),
             "--bench-out" => bench_out = Some(value(&mut it)),
-            "--scale-out" => scale_out = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -561,11 +560,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
         Some(Err(code)) => return code,
         None => None,
     };
-    let scale_out_file = match scale_out.as_deref().map(create) {
-        Some(Ok(f)) => Some(f),
-        Some(Err(code)) => return code,
-        None => None,
-    };
     let trace_file = match run.trace.as_deref().map(create) {
         Some(Ok(f)) => Some(f),
         Some(Err(code)) => return code,
@@ -585,14 +579,15 @@ fn bench_main(argv: &[String]) -> ExitCode {
     // line): resuming under different options would merge streams that were
     // never byte-compatible.
     let canonical_opts = format!(
-        "budget={:?} timeout_ms={:?} fault_plan={} retries={}",
+        "budget={:?} timeout_ms={:?} fault_plan={} retries={} watchdog_ms={:?}",
         run.budget,
         run.timeout_ms,
         cfg.fault_plan
             .as_ref()
             .map(|p| p.to_spec())
             .unwrap_or_else(|| "-".into()),
-        bcfg.retries
+        bcfg.retries,
+        watchdog_ms
     );
     let jkey = nova_engine::journal::journal_key(&src.describe(), &canonical_opts);
 
@@ -797,26 +792,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
             eprintln!(
                 "nova: cannot write {}: {e}",
                 bench_out.as_deref().unwrap_or("?")
-            );
-            return ExitCode::from(EXIT_IO);
-        }
-    }
-    if let Some(mut f) = scale_out_file {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::str("nova-bench-scale/1")),
-            ("corpus".into(), Json::str(src.describe())),
-            ("batch_jobs".into(), Json::uint(workers as u64)),
-            ("machines".into(), Json::uint(src.len() as u64)),
-            ("solved".into(), Json::uint(tally.solved as u64)),
-            ("degraded".into(), Json::uint(tally.degraded as u64)),
-            ("unresolved".into(), Json::uint(tally.unresolved as u64)),
-            ("wall_ms".into(), Json::Float(wall.as_secs_f64() * 1e3)),
-            ("machines_per_sec".into(), Json::Float(per_sec)),
-        ]);
-        if let Err(e) = f.write_all(format!("{}\n", doc.to_pretty()).as_bytes()) {
-            eprintln!(
-                "nova: cannot write {}: {e}",
-                scale_out.as_deref().unwrap_or("?")
             );
             return ExitCode::from(EXIT_IO);
         }

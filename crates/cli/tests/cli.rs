@@ -791,7 +791,7 @@ fn nova_bench_synthetic_streams_jsonl_and_replays_across_batch_jobs() {
 fn nova_bench_unwritable_output_fails_fast_with_io_exit() {
     // The output files are opened before the sweep: a bad path must exit 4
     // immediately (no machines run), never panic at the finish line.
-    for flag in ["--bench-out", "--stream", "--scale-out", "--trace"] {
+    for flag in ["--bench-out", "--stream", "--trace"] {
         let (_, stderr, code) = run_with_code(
             env!("CARGO_BIN_EXE_nova"),
             &[
@@ -841,36 +841,47 @@ fn nova_bench_rejects_bad_spec_and_conflicting_corpora() {
 }
 
 #[test]
-fn nova_bench_scale_out_writes_throughput_baseline() {
-    let path = temp_path("scale.json");
-    let path_s = path.to_str().unwrap();
-    let (_, stderr, ok) = run_with_stdin(
+fn nova_bench_stream_carries_the_throughput_baseline() {
+    // The stream's header and summary lines are the throughput baseline
+    // (BENCH_SCALE.jsonl is exactly those two lines); no separate file.
+    let spec = "machines=3,states=5,inputs=2,outputs=2,seed=3";
+    let (stdout, stderr, code) = run_with_code(
         env!("CARGO_BIN_EXE_nova"),
         &[
             "bench",
             "--synthetic",
-            "machines=3,states=5,inputs=2,outputs=2,seed=3",
+            spec,
             "--budget",
             "5000",
             "--batch-jobs",
             "2",
-            "--scale-out",
-            path_s,
+            "--stream",
+            "-",
         ],
         "",
     );
-    assert!(ok, "{stderr}");
-    let text = std::fs::read_to_string(&path).expect("scale baseline written");
-    std::fs::remove_file(&path).ok();
-    let doc = json::parse(&text).expect("scale baseline parses");
-    assert_eq!(
-        doc.get("schema"),
-        Some(&json::Json::str("nova-bench-scale/1"))
+    assert_eq!(code, 0, "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 1 + 3 + 1, "header + machines + summary");
+    let header = json::parse(lines[0]).expect("header parses");
+    let corpus = fsm::ScaleSpec::parse(spec).unwrap().spec_string();
+    assert_eq!(header.get("corpus"), Some(&json::Json::str(corpus)));
+    assert_eq!(header.get("batch_jobs"), Some(&json::Json::uint(2)));
+    let summary = json::parse(lines[4]).expect("summary parses");
+    let s = summary.get("summary").expect("summary object");
+    assert_eq!(s.get("machines"), Some(&json::Json::uint(3)));
+    assert!(
+        matches!(s.get("machines_per_sec"), Some(json::Json::Float(r)) if *r > 0.0),
+        "{s:?}"
     );
-    assert_eq!(doc.get("machines"), Some(&json::Json::uint(3)));
-    assert_eq!(doc.get("batch_jobs"), Some(&json::Json::uint(2)));
-    assert!(doc.get("machines_per_sec").is_some());
-    assert!(doc.get("corpus").is_some());
+
+    // There is no separate baseline file, so its flag is unknown.
+    let (_, stderr, code) = run_with_code(
+        env!("CARGO_BIN_EXE_nova"),
+        &["bench", "--synthetic", spec, "--scale-out", "scale.json"],
+        "",
+    );
+    assert_eq!(code, 2, "{stderr}");
 }
 
 #[test]
@@ -1073,4 +1084,31 @@ fn nova_bench_journal_misuse_fails_fast_with_usage_exit() {
     );
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("--resume requires --journal"), "{stderr}");
+
+    // A finished journal binds every option that can turn a run degraded:
+    // resuming under another deadline or another watchdog is refused.
+    let stream = temp_path("journal-bound.jsonl");
+    let journal = temp_path("journal-bound.journal");
+    let sweep = |extra: &[&str]| {
+        let mut args = vec![
+            "bench",
+            "--synthetic",
+            spec,
+            "--stream",
+            stream.to_str().unwrap(),
+            "--journal",
+            journal.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        run_with_code(env!("CARGO_BIN_EXE_nova"), &args, "")
+    };
+    let (_, stderr, code) = sweep(&[]);
+    assert_eq!(code, 0, "{stderr}");
+    for changed in [["--timeout-ms", "100"], ["--watchdog-ms", "1"]] {
+        let (_, stderr, code) = sweep(&["--resume", changed[0], changed[1]]);
+        assert_eq!(code, 2, "{changed:?}: {stderr}");
+        assert!(stderr.contains("different encoding options"), "{stderr}");
+    }
+    std::fs::remove_file(&stream).ok();
+    std::fs::remove_file(&journal).ok();
 }

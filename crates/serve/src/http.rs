@@ -3,12 +3,17 @@
 //! (`Connection: close`), `Content-Length` bodies only (no chunked
 //! transfer), ASCII request lines, case-insensitive header lookup.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest request body accepted, in bytes. KISS2 tables for even the
 /// largest MCNC machines are a few kilobytes; a megabyte leaves two orders
 /// of magnitude of headroom while bounding a worker's memory per request.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Largest request head (request line plus headers) read, in bytes. Past
+/// it the request is answered 400 without reading further, so a client
+/// cannot grow a worker's memory with an endless header line.
+pub const MAX_HEAD_BYTES: u64 = 64 << 10;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -28,7 +33,8 @@ pub struct Request {
 /// Why a request could not be parsed, with the status code to answer with.
 #[derive(Debug)]
 pub enum RequestError {
-    /// Malformed request line / headers / length: answer 400.
+    /// Malformed request line / headers / length, or a head over
+    /// [`MAX_HEAD_BYTES`]: answer 400.
     Bad(String),
     /// Body larger than [`MAX_BODY_BYTES`]: answer 413.
     TooLarge(usize),
@@ -47,11 +53,13 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// [`RequestError::Bad`] on malformed syntax, [`RequestError::TooLarge`]
-    /// when `Content-Length` exceeds [`MAX_BODY_BYTES`], and
-    /// [`RequestError::Io`] when the socket fails mid-read.
+    /// [`RequestError::Bad`] on malformed syntax or a head over
+    /// [`MAX_HEAD_BYTES`], [`RequestError::TooLarge`] when `Content-Length`
+    /// exceeds [`MAX_BODY_BYTES`], and [`RequestError::Io`] when the socket
+    /// fails mid-read.
     pub fn read_from(r: &mut impl BufRead) -> Result<Request, RequestError> {
-        let line = read_line(r)?;
+        let mut head = r.by_ref().take(MAX_HEAD_BYTES);
+        let line = read_line(&mut head)?;
         let mut parts = line.split_whitespace();
         let (Some(method), Some(target), Some(version)) =
             (parts.next(), parts.next(), parts.next())
@@ -67,7 +75,7 @@ impl Request {
         };
         let mut headers = Vec::new();
         loop {
-            let line = read_line(r)?;
+            let line = read_line(&mut head)?;
             if line.is_empty() {
                 break;
             }
@@ -106,13 +114,18 @@ impl Request {
     }
 }
 
-/// Reads one CRLF (or bare LF) terminated line, rejecting non-UTF-8 and
-/// unterminated input.
-fn read_line(r: &mut impl BufRead) -> Result<String, RequestError> {
+/// Reads one CRLF (or bare LF) terminated line of the request head,
+/// rejecting non-UTF-8 input, unterminated input and a head that runs past
+/// the `head` reader's byte limit.
+fn read_line(head: &mut io::Take<impl BufRead>) -> Result<String, RequestError> {
     let mut buf = Vec::new();
-    r.read_until(b'\n', &mut buf)?;
+    head.read_until(b'\n', &mut buf)?;
     if buf.last() != Some(&b'\n') {
-        return Err(RequestError::Bad("truncated line".into()));
+        return Err(RequestError::Bad(if head.limit() == 0 {
+            format!("request head exceeds {MAX_HEAD_BYTES} bytes")
+        } else {
+            "truncated line".into()
+        }));
     }
     buf.pop();
     if buf.last() == Some(&b'\r') {
@@ -283,6 +296,44 @@ mod tests {
         ));
         let big = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 1 << 30);
         assert!(matches!(parse(&big), Err(RequestError::TooLarge(_))));
+    }
+
+    /// A reader that counts the bytes it hands out.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn oversized_head_is_rejected_after_the_cap() {
+        const BUF: usize = 8 << 10;
+        let mut raw = b"GET / HTTP/1.1\r\nX-Big: ".to_vec();
+        raw.resize(8 << 20, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        let mut r = BufReader::with_capacity(
+            BUF,
+            Counting {
+                inner: raw.as_slice(),
+                read: 0,
+            },
+        );
+        match Request::read_from(&mut r) {
+            Err(RequestError::Bad(msg)) => assert!(msg.contains("request head exceeds"), "{msg}"),
+            other => panic!("an 8 MiB header line must be rejected: {other:?}"),
+        }
+        let read = r.get_ref().read;
+        assert!(
+            read <= MAX_HEAD_BYTES as usize + BUF,
+            "read {read} bytes of an over-cap head"
+        );
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!
 //! * [`server`] — request lifecycle, bounded-queue admission control,
 //!   graceful drain; start one with [`serve`]. Every request gets a
-//!   deterministic id at admission (echoed as `X-Nova-Request-Id`), the
-//!   always-on latency histograms feed `GET /metrics` (Prometheus text
-//!   exposition via [`nova_trace::prom`]), and an opt-in
+//!   deterministic id at admission (echoed as `X-Nova-Request-Id`). One
+//!   always-on metrics registry counts every service event once and holds
+//!   the latency histograms; `GET /metrics` (Prometheus text exposition via
+//!   [`nova_trace::prom`]) and `GET /counters` (`nova-serve/1` JSON) render
+//!   the same snapshot of it. An opt-in
 //!   [`ServerConfig::trace_dir`] writes one `nova-trace/1` JSONL per
 //!   `/encode` request for `nova trace-report`.
 //! * [`breaker`] — the failure-rate circuit breaker in front of the
@@ -21,7 +23,8 @@
 //! * [`cache`] — the LRU byte/entry-bounded result cache.
 //! * [`wire`] — query-string options, the machine JSON shape, and the
 //!   cache-key construction over [`fsm::fingerprint`].
-//! * [`http`] — the minimal hand-rolled HTTP layer (no dependencies).
+//! * [`http`] — the minimal hand-rolled HTTP layer (no dependencies;
+//!   request heads are capped at 64 KiB, bodies at 1 MiB).
 //! * [`client`] — the tiny client the `nova --remote` flag uses.
 //! * [`shutdown`] — std-only SIGTERM/SIGINT handling for graceful drains.
 //!

@@ -19,6 +19,14 @@
 //!    plan) are frozen into the cache as exact response bytes; repeated
 //!    requests are byte-identical by construction.
 //!
+//! ## Metrics
+//!
+//! One always-on registry counts every service event once (the `serve.*`
+//! counters, registered at 0 on start) and holds the latency histograms.
+//! `metrics_snapshot` adds the cache's own counters and the gauges read at
+//! scrape time; `GET /metrics` renders that snapshot as Prometheus text
+//! and `GET /counters` maps it onto the `nova-serve/1` JSON document.
+//!
 //! ## Shutdown
 //!
 //! SIGTERM/ctrl-c (via [`crate::shutdown`]) or [`ServerHandle::shutdown`]
@@ -64,13 +72,8 @@ pub struct ServerConfig {
     /// Bounds of the result cache.
     pub cache: CacheConfig,
     /// Admission bound: connections waiting beyond the ones being served.
-    /// A full queue answers `503` with `Retry-After`.
+    /// A full queue answers `503` with `Retry-After`. `0` is served as 1.
     pub queue_depth: usize,
-    /// Session tracer: `serve.*` counters land here (and per-run engine
-    /// telemetry via forks). Defaults to disabled, which costs one atomic
-    /// load per counter — the `/counters` endpoint is fed by the always-on
-    /// plain atomics below, so a disabled tracer loses nothing.
-    pub tracer: Tracer,
     /// Seed for request-id minting (SplitMix64 over the admission ordinal).
     /// The default is fixed, so a test that restarts a server sees the same
     /// id sequence.
@@ -97,7 +100,6 @@ impl Default for ServerConfig {
             workers: 0,
             cache: CacheConfig::default(),
             queue_depth: 64,
-            tracer: Tracer::disabled(),
             seed: 0x6e6f_7661_2d37_0001, // "nova-7" — any fixed value works
             trace_dir: None,
             breaker: BreakerConfig::default(),
@@ -106,23 +108,19 @@ impl Default for ServerConfig {
     }
 }
 
-/// Always-on service counters (the `/counters` endpoint and the smoke
-/// tests read these; the tracer carries the same names when enabled).
-#[derive(Debug, Default)]
-struct ServeStats {
-    requests: AtomicU64,
-    engine_runs: AtomicU64,
-    rejected: AtomicU64,
-    bad_requests: AtomicU64,
-    degraded: AtomicU64,
-    /// Engine runs that produced a `Failed` outcome (what feeds the
-    /// breaker's failure window).
-    engine_failures: AtomicU64,
-    /// `/encode` requests shed by the open breaker.
-    breaker_rejected: AtomicU64,
-    /// `/encode` requests shed by the in-flight byte budget.
-    shed_bytes: AtomicU64,
-}
+/// The service's event counters: each event is one `incr` on the registry.
+/// They are registered at 0 on start, so both count endpoints list every
+/// one of them before its first event.
+const COUNTERS: [&str; 8] = [
+    "serve.requests",
+    "serve.bad_requests",
+    "serve.degraded",
+    "serve.engine.runs",
+    "serve.engine.failures",
+    "serve.queue.rejected",
+    "serve.breaker.rejected",
+    "serve.shed.bytes",
+];
 
 /// One admitted connection: the stream plus the request id minted at the
 /// door and the admission timestamp (queue wait = admission → pop).
@@ -136,6 +134,8 @@ struct Admitted {
 struct Queue {
     inner: Mutex<VecDeque<Admitted>>,
     ready: Condvar,
+    /// The admission bound in force: every view of the queue's capacity
+    /// reads this, never the configured value it was clamped from.
     depth: usize,
     closing: AtomicBool,
 }
@@ -145,22 +145,21 @@ impl Queue {
         Queue {
             inner: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
-            depth,
+            depth: depth.max(1),
             closing: AtomicBool::new(false),
         }
     }
 
     /// Admits a connection, or returns it back when the queue is full.
-    fn push(&self, adm: Admitted) -> Result<usize, Admitted> {
+    fn push(&self, adm: Admitted) -> Result<(), Admitted> {
         let mut q = lock(&self.inner);
         if q.len() >= self.depth {
             return Err(adm);
         }
         q.push_back(adm);
-        let depth = q.len();
         drop(q);
         self.ready.notify_one();
-        Ok(depth)
+        Ok(())
     }
 
     /// Pops the next connection; `None` once the queue is closing *and*
@@ -197,17 +196,15 @@ struct Shared {
     cfg: ServerConfig,
     cache: Mutex<ResultCache>,
     queue: Queue,
-    stats: ServeStats,
     stop: AtomicBool,
     /// Service start time, for `/healthz` uptime.
     started: Instant,
     /// Admission ordinal feeding the request-id mint.
     admissions: AtomicU64,
-    /// Always-enabled metrics-only tracer behind `/metrics`: the latency
-    /// histograms land here regardless of the session tracer (which stays
-    /// disabled by default). No spans are ever recorded on it, so its cost
-    /// is one short mutex lock per observation.
-    expo: Tracer,
+    /// The service's one metrics registry: an always-enabled tracer that
+    /// holds the [`COUNTERS`] and the latency histograms. No spans are ever
+    /// recorded on it, so its cost is one short mutex lock per event.
+    metrics: Tracer,
     /// Circuit breaker gating engine runs (not cache hits).
     breaker: CircuitBreaker,
     /// Request-body bytes currently held by workers, for the
@@ -248,12 +245,6 @@ impl ServerHandle {
             let _ = t.join();
         }
     }
-
-    /// Snapshot of the `/counters` document (also what the endpoint
-    /// serves), for in-process tests and embedders.
-    pub fn counters(&self) -> Json {
-        counters_json(&self.shared)
-    }
 }
 
 /// Binds and starts the service; returns once the listener is live.
@@ -266,14 +257,17 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let workers = effective_jobs(cfg.workers);
+    let metrics = Tracer::enabled();
+    for name in COUNTERS {
+        metrics.incr(name, 0);
+    }
     let shared = Arc::new(Shared {
         cache: Mutex::new(ResultCache::new(cfg.cache)),
-        queue: Queue::new(cfg.queue_depth.max(1)),
-        stats: ServeStats::default(),
+        queue: Queue::new(cfg.queue_depth),
         stop: AtomicBool::new(false),
         started: Instant::now(),
         admissions: AtomicU64::new(0),
-        expo: Tracer::enabled(),
+        metrics,
         breaker: CircuitBreaker::new(cfg.breaker.clone()),
         inflight_bytes: AtomicU64::new(0),
         cfg,
@@ -336,52 +330,38 @@ fn mint_request_id(seed: u64, n: u64) -> u64 {
 }
 
 fn admit(stream: TcpStream, shared: &Shared) {
-    let tracer = &shared.cfg.tracer;
     let n = shared.admissions.fetch_add(1, Ordering::Relaxed);
     let adm = Admitted {
         stream,
         id: mint_request_id(shared.cfg.seed, n),
         at: Instant::now(),
     };
-    match shared.queue.push(adm) {
-        Ok(depth) => {
-            tracer.gauge("serve.queue.depth", depth as i64);
+    if let Err(adm) = shared.queue.push(adm) {
+        // Overload: shed at the door with a hint to come back. The request
+        // is drained first (under a short timeout) so the close does not
+        // RST the client before it reads the 503.
+        shared.metrics.incr("serve.queue.rejected", 1);
+        let mut stream = adm.stream;
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+        if let Ok(reader) = stream.try_clone() {
+            let _ = Request::read_from(&mut BufReader::new(reader));
         }
-        Err(adm) => {
-            // Overload: shed at the door with a hint to come back. The
-            // request is drained first (under a short timeout) so the
-            // close does not RST the client before it reads the 503.
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            tracer.incr("serve.reject", 1);
-            let mut stream = adm.stream;
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-            if let Ok(reader) = stream.try_clone() {
-                let _ = Request::read_from(&mut BufReader::new(reader));
-            }
-            let body = Json::Obj(vec![
-                ("error".into(), Json::str("overloaded")),
-                (
-                    "queue_depth".into(),
-                    Json::uint(shared.cfg.queue_depth as u64),
-                ),
-            ]);
-            let _ = Response::json(503, body.to_pretty())
-                .with_header("Retry-After", "1")
-                .with_header("X-Nova-Request-Id", format_request_id(adm.id))
-                .write_to(&mut stream);
-        }
+        let body = Json::Obj(vec![
+            ("error".into(), Json::str("overloaded")),
+            ("queue_depth".into(), Json::uint(shared.queue.depth as u64)),
+        ]);
+        let _ = Response::json(503, body.to_pretty())
+            .with_header("Retry-After", "1")
+            .with_header("X-Nova-Request-Id", format_request_id(adm.id))
+            .write_to(&mut stream);
     }
 }
 
 fn worker_loop(shared: &Shared) {
     while let Some(adm) = shared.queue.pop() {
         shared
-            .cfg
-            .tracer
-            .gauge("serve.queue.depth", shared.queue.len() as i64);
-        shared
-            .expo
+            .metrics
             .observe("serve.queue.wait_us", adm.at.elapsed().as_micros() as u64);
         handle_connection(adm, shared);
     }
@@ -396,15 +376,15 @@ fn handle_connection(adm: Admitted, shared: &Shared) {
         Err(_) => return,
     });
     let mut stream = stream;
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.incr("serve.requests", 1);
     let response = match Request::read_from(&mut reader) {
         Ok(req) => Some(route(&req, shared, id)),
         Err(RequestError::Bad(msg)) => {
-            shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.incr("serve.bad_requests", 1);
             Some(error_response(400, &msg))
         }
         Err(RequestError::TooLarge(n)) => {
-            shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.incr("serve.bad_requests", 1);
             Some(error_response(
                 413,
                 &format!("body of {n} bytes exceeds the limit"),
@@ -418,7 +398,7 @@ fn handle_connection(adm: Admitted, shared: &Shared) {
             .write_to(&mut stream);
     }
     shared
-        .expo
+        .metrics
         .observe("serve.request.latency_us", at.elapsed().as_micros() as u64);
 }
 
@@ -454,7 +434,7 @@ fn health_state(shared: &Shared) -> &'static str {
         "draining"
     } else if shared.breaker.tripped() {
         "tripped"
-    } else if shared.queue.len() >= shared.cfg.queue_depth {
+    } else if shared.queue.len() >= shared.queue.depth {
         "overloaded"
     } else {
         "ok"
@@ -509,8 +489,6 @@ impl Drop for InflightReservation<'_> {
 }
 
 fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
-    let tracer = &shared.cfg.tracer;
-
     // Memory-pressure tier: reserve this request's body bytes against the
     // global in-flight budget and shed *before* parsing when a burst of
     // large machines would otherwise force the cache LRU to thrash.
@@ -525,8 +503,7 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
         bytes: body_bytes,
     };
     if budget > 0 && reserved > budget {
-        shared.stats.shed_bytes.fetch_add(1, Ordering::Relaxed);
-        tracer.incr("serve.shed.bytes", 1);
+        shared.metrics.incr("serve.shed.bytes", 1);
         return error_response(503, "memory pressure: too many request bytes in flight")
             .with_header("Retry-After", "1");
     }
@@ -534,14 +511,14 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     let options = match EncodeOptions::from_query(&parse_query(&req.query)) {
         Ok(o) => o,
         Err(e) => {
-            shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.incr("serve.bad_requests", 1);
             return error_response(400, &e.to_string());
         }
     };
     let machine = match parse_machine(req) {
         Ok(m) => m,
         Err(msg) => {
-            shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.incr("serve.bad_requests", 1);
             return error_response(400, &msg);
         }
     };
@@ -552,15 +529,13 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
         let lookup = Instant::now();
         let hit = lock(&shared.cache).get(&key);
         shared
-            .expo
+            .metrics
             .observe("serve.cache.lookup_us", lookup.elapsed().as_micros() as u64);
         if let Some(body) = hit {
-            tracer.incr("serve.cache.hit", 1);
             return Response::json(200, body.as_slice().to_vec())
                 .with_header("X-Nova-Cache", "hit")
                 .with_header("X-Nova-Fingerprint", fp);
         }
-        tracer.incr("serve.cache.miss", 1);
     }
 
     // Miss (or uncacheable): this request needs an engine run, so it goes
@@ -568,11 +543,7 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     // frozen bytes is safe even with a poisoned engine pool.
     match shared.breaker.admit(Instant::now()) {
         Admission::Reject { retry_after_secs } => {
-            shared
-                .stats
-                .breaker_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            tracer.incr("serve.breaker.reject", 1);
+            shared.metrics.incr("serve.breaker.rejected", 1);
             return error_response(503, "engine circuit breaker is open")
                 .with_header("Retry-After", retry_after_secs.to_string());
         }
@@ -581,24 +552,25 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
 
     // With a trace dir configured, the run gets its own request-scoped
     // session tracer — every span in the emitted JSONL carries this
-    // request's id — otherwise it forks off the (usually disabled)
-    // session tracer as before.
-    shared.stats.engine_runs.fetch_add(1, Ordering::Relaxed);
-    tracer.incr("serve.engine.run", 1);
-    let request_tracer = shared.cfg.trace_dir.as_ref().map(|_| {
-        let t = Tracer::enabled();
-        t.set_request_id(id);
-        t
-    });
-    let cfg = options.engine_config(request_tracer.as_ref().unwrap_or(tracer));
+    // request's id — otherwise it runs untraced.
+    shared.metrics.incr("serve.engine.runs", 1);
+    let tracer = match &shared.cfg.trace_dir {
+        Some(_) => {
+            let t = Tracer::enabled();
+            t.set_request_id(id);
+            t
+        }
+        None => Tracer::disabled(),
+    };
+    let cfg = options.engine_config(&tracer);
     let run_started = Instant::now();
     let report = run_portfolio(&machine, machine.name(), &cfg);
-    shared.expo.observe(
+    shared.metrics.observe(
         "serve.engine.run_us",
         run_started.elapsed().as_micros() as u64,
     );
-    if let (Some(dir), Some(rt)) = (&shared.cfg.trace_dir, &request_tracer) {
-        write_request_trace(dir, id, rt);
+    if let Some(dir) = &shared.cfg.trace_dir {
+        write_request_trace(dir, id, &tracer);
     }
     // Feed the breaker: a `Failed` run means the engine itself broke (a
     // panic contained by the portfolio, not a timeout or degradation).
@@ -607,8 +579,7 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
         .iter()
         .any(|r| matches!(r.outcome, Outcome::Failed(_)));
     if failed {
-        shared.stats.engine_failures.fetch_add(1, Ordering::Relaxed);
-        tracer.incr("serve.engine.failure", 1);
+        shared.metrics.incr("serve.engine.failures", 1);
     }
     shared.breaker.record(!failed, Instant::now());
     let deterministic = report
@@ -620,8 +591,7 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
         .iter()
         .any(|r| matches!(r.outcome, Outcome::Degraded(_)))
     {
-        shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
-        tracer.incr("serve.degraded", 1);
+        shared.metrics.incr("serve.degraded", 1);
     }
     let body = Arc::new(suite_to_json(&[report]).to_pretty().into_bytes());
 
@@ -650,167 +620,109 @@ fn write_request_trace(dir: &std::path::Path, id: u64, tracer: &Tracer) {
     }
 }
 
-/// The Prometheus exposition source: the always-on latency histograms from
-/// the exposition tracer, plus every `/counters` atomic re-expressed as a
-/// properly named counter or gauge.
+/// The one source of both count endpoints: the registry (the [`COUNTERS`]
+/// and the latency histograms), the result cache's own counters, and the
+/// gauges read at scrape time.
 fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
-    let mut snap = shared.expo.metrics_snapshot();
-    let (cache_stats, entries, bytes) = {
+    let mut snap = shared.metrics.metrics_snapshot();
+    let (cache, entries, bytes) = {
         let cache = lock(&shared.cache);
         (cache.stats(), cache.len(), cache.bytes())
     };
-    let s = &shared.stats;
-    snap.counters.extend([
+    for (name, v) in [
+        ("serve.cache.hits", cache.hits),
+        ("serve.cache.misses", cache.misses),
+        ("serve.cache.insertions", cache.insertions),
+        ("serve.cache.evictions", cache.evictions),
+        ("serve.cache.oversize_rejects", cache.oversize_rejects),
+    ] {
+        snap.counters.push((name.to_string(), v));
+    }
+    for (name, v) in [
+        ("serve.cache.entries", entries as i64),
+        ("serve.cache.bytes", bytes as i64),
+        ("serve.queue.depth", shared.queue.len() as i64),
+        ("serve.queue.capacity", shared.queue.depth as i64),
         (
-            "serve.requests".to_string(),
-            s.requests.load(Ordering::Relaxed),
-        ),
-        (
-            "serve.bad_requests".to_string(),
-            s.bad_requests.load(Ordering::Relaxed),
-        ),
-        (
-            "serve.engine.runs".to_string(),
-            s.engine_runs.load(Ordering::Relaxed),
-        ),
-        (
-            "serve.degraded".to_string(),
-            s.degraded.load(Ordering::Relaxed),
-        ),
-        (
-            "serve.queue.rejected".to_string(),
-            s.rejected.load(Ordering::Relaxed),
-        ),
-        (
-            "serve.engine.failures".to_string(),
-            s.engine_failures.load(Ordering::Relaxed),
-        ),
-        (
-            "serve.breaker.rejected".to_string(),
-            s.breaker_rejected.load(Ordering::Relaxed),
-        ),
-        (
-            "serve.shed.bytes".to_string(),
-            s.shed_bytes.load(Ordering::Relaxed),
-        ),
-        ("serve.cache.hits".to_string(), cache_stats.hits),
-        ("serve.cache.misses".to_string(), cache_stats.misses),
-        ("serve.cache.insertions".to_string(), cache_stats.insertions),
-        ("serve.cache.evictions".to_string(), cache_stats.evictions),
-        (
-            "serve.cache.oversize_rejects".to_string(),
-            cache_stats.oversize_rejects,
-        ),
-    ]);
-    snap.gauges.extend([
-        ("serve.cache.entries".to_string(), entries as i64),
-        ("serve.cache.bytes".to_string(), bytes as i64),
-        ("serve.queue.depth".to_string(), shared.queue.len() as i64),
-        (
-            "serve.queue.capacity".to_string(),
-            shared.cfg.queue_depth as i64,
-        ),
-        (
-            "serve.uptime_ms".to_string(),
+            "serve.uptime_ms",
             shared.started.elapsed().as_millis() as i64,
         ),
+        ("serve.breaker.tripped", shared.breaker.tripped() as i64),
         (
-            "serve.breaker.tripped".to_string(),
-            shared.breaker.tripped() as i64,
-        ),
-        (
-            "serve.inflight.bytes".to_string(),
+            "serve.inflight.bytes",
             shared.inflight_bytes.load(Ordering::Relaxed) as i64,
         ),
-    ]);
+    ] {
+        snap.gauges.push((name.to_string(), v));
+    }
     snap
 }
 
+/// Where a `/counters` leaf takes its value from.
+enum Leaf {
+    /// A counter or gauge of [`metrics_snapshot`].
+    Metric(&'static str),
+    /// The breaker's state tag (`closed`, `open`, `half-open`).
+    BreakerState,
+    /// The configured [`ServerConfig::max_inflight_bytes`].
+    MaxInflightBytes,
+}
+
+/// The `nova-serve/1` document as a view of [`metrics_snapshot`]: one
+/// (JSON path → source) row per leaf, in document order. A path is
+/// `group.key`, or a bare top-level key.
+const COUNTERS_VIEW: [(&str, Leaf); 20] = [
+    ("cache.hits", Leaf::Metric("serve.cache.hits")),
+    ("cache.misses", Leaf::Metric("serve.cache.misses")),
+    ("cache.insertions", Leaf::Metric("serve.cache.insertions")),
+    ("cache.evictions", Leaf::Metric("serve.cache.evictions")),
+    (
+        "cache.oversize_rejects",
+        Leaf::Metric("serve.cache.oversize_rejects"),
+    ),
+    ("cache.entries", Leaf::Metric("serve.cache.entries")),
+    ("cache.bytes", Leaf::Metric("serve.cache.bytes")),
+    ("queue.depth", Leaf::Metric("serve.queue.depth")),
+    ("queue.capacity", Leaf::Metric("serve.queue.capacity")),
+    ("queue.rejected", Leaf::Metric("serve.queue.rejected")),
+    ("engine.runs", Leaf::Metric("serve.engine.runs")),
+    ("engine.failures", Leaf::Metric("serve.engine.failures")),
+    ("breaker.state", Leaf::BreakerState),
+    ("breaker.rejected", Leaf::Metric("serve.breaker.rejected")),
+    ("shed.bytes_rejected", Leaf::Metric("serve.shed.bytes")),
+    ("shed.inflight_bytes", Leaf::Metric("serve.inflight.bytes")),
+    ("shed.max_inflight_bytes", Leaf::MaxInflightBytes),
+    ("requests", Leaf::Metric("serve.requests")),
+    ("bad_requests", Leaf::Metric("serve.bad_requests")),
+    ("degraded", Leaf::Metric("serve.degraded")),
+];
+
+/// `GET /counters`: [`COUNTERS_VIEW`] applied to one [`metrics_snapshot`].
 fn counters_json(shared: &Shared) -> Json {
-    let (cache_stats, entries, bytes) = {
-        let cache = lock(&shared.cache);
-        (cache.stats(), cache.len(), cache.bytes())
+    let snap = metrics_snapshot(shared);
+    let metric = |name: &str| {
+        let counter = snap.counters.iter().find(|(n, _)| n == name);
+        let gauge = snap.gauges.iter().find(|(n, _)| n == name);
+        counter
+            .map(|&(_, v)| Json::uint(v))
+            .or(gauge.map(|&(_, v)| Json::Int(v.into())))
+            .unwrap_or(Json::Null)
     };
-    let s = &shared.stats;
-    Json::Obj(vec![
-        ("schema".into(), Json::str("nova-serve/1")),
-        (
-            "cache".into(),
-            Json::Obj(vec![
-                ("hits".into(), Json::uint(cache_stats.hits)),
-                ("misses".into(), Json::uint(cache_stats.misses)),
-                ("insertions".into(), Json::uint(cache_stats.insertions)),
-                ("evictions".into(), Json::uint(cache_stats.evictions)),
-                (
-                    "oversize_rejects".into(),
-                    Json::uint(cache_stats.oversize_rejects),
-                ),
-                ("entries".into(), Json::uint(entries as u64)),
-                ("bytes".into(), Json::uint(bytes as u64)),
-            ]),
-        ),
-        (
-            "queue".into(),
-            Json::Obj(vec![
-                ("depth".into(), Json::uint(shared.queue.len() as u64)),
-                ("capacity".into(), Json::uint(shared.cfg.queue_depth as u64)),
-                (
-                    "rejected".into(),
-                    Json::uint(s.rejected.load(Ordering::Relaxed)),
-                ),
-            ]),
-        ),
-        (
-            "engine".into(),
-            Json::Obj(vec![
-                (
-                    "runs".into(),
-                    Json::uint(s.engine_runs.load(Ordering::Relaxed)),
-                ),
-                (
-                    "failures".into(),
-                    Json::uint(s.engine_failures.load(Ordering::Relaxed)),
-                ),
-            ]),
-        ),
-        (
-            "breaker".into(),
-            Json::Obj(vec![
-                ("state".into(), Json::str(shared.breaker.state_tag())),
-                (
-                    "rejected".into(),
-                    Json::uint(s.breaker_rejected.load(Ordering::Relaxed)),
-                ),
-            ]),
-        ),
-        (
-            "shed".into(),
-            Json::Obj(vec![
-                (
-                    "bytes_rejected".into(),
-                    Json::uint(s.shed_bytes.load(Ordering::Relaxed)),
-                ),
-                (
-                    "inflight_bytes".into(),
-                    Json::uint(shared.inflight_bytes.load(Ordering::Relaxed)),
-                ),
-                (
-                    "max_inflight_bytes".into(),
-                    Json::uint(shared.cfg.max_inflight_bytes),
-                ),
-            ]),
-        ),
-        (
-            "requests".into(),
-            Json::uint(s.requests.load(Ordering::Relaxed)),
-        ),
-        (
-            "bad_requests".into(),
-            Json::uint(s.bad_requests.load(Ordering::Relaxed)),
-        ),
-        (
-            "degraded".into(),
-            Json::uint(s.degraded.load(Ordering::Relaxed)),
-        ),
-    ])
+    let mut doc = vec![("schema".to_string(), Json::str("nova-serve/1"))];
+    for (path, leaf) in COUNTERS_VIEW {
+        let value = match leaf {
+            Leaf::Metric(name) => metric(name),
+            Leaf::BreakerState => Json::str(shared.breaker.state_tag()),
+            Leaf::MaxInflightBytes => Json::uint(shared.cfg.max_inflight_bytes),
+        };
+        let Some((group, key)) = path.split_once('.') else {
+            doc.push((path.to_string(), value));
+            continue;
+        };
+        match doc.last_mut() {
+            Some((g, Json::Obj(leaves))) if g == group => leaves.push((key.to_string(), value)),
+            _ => doc.push((group.to_string(), Json::Obj(vec![(key.to_string(), value)]))),
+        }
+    }
+    Json::Obj(doc)
 }

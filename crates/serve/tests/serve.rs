@@ -275,13 +275,51 @@ fn overload_sheds_with_503_and_retry_after() {
     handle.join();
 }
 
+/// Each numeric `nova-serve/1` leaf and the `/metrics` sample carrying the
+/// same number. `shed.max_inflight_bytes` is a config value, not a metric.
+const COUNTERS_AS_SAMPLES: [(&str, &str); 18] = [
+    ("cache.hits", "nova_serve_cache_hits_total"),
+    ("cache.misses", "nova_serve_cache_misses_total"),
+    ("cache.insertions", "nova_serve_cache_insertions_total"),
+    ("cache.evictions", "nova_serve_cache_evictions_total"),
+    (
+        "cache.oversize_rejects",
+        "nova_serve_cache_oversize_rejects_total",
+    ),
+    ("cache.entries", "nova_serve_cache_entries"),
+    ("cache.bytes", "nova_serve_cache_bytes"),
+    ("queue.depth", "nova_serve_queue_depth"),
+    ("queue.capacity", "nova_serve_queue_capacity"),
+    ("queue.rejected", "nova_serve_queue_rejected_total"),
+    ("engine.runs", "nova_serve_engine_runs_total"),
+    ("engine.failures", "nova_serve_engine_failures_total"),
+    ("breaker.rejected", "nova_serve_breaker_rejected_total"),
+    ("shed.bytes_rejected", "nova_serve_shed_bytes_total"),
+    ("shed.inflight_bytes", "nova_serve_inflight_bytes"),
+    ("requests", "nova_serve_requests_total"),
+    ("bad_requests", "nova_serve_bad_requests_total"),
+    ("degraded", "nova_serve_degraded_total"),
+];
+
+/// The `/counters` leaf at a `group.key` (or top-level) path.
+fn leaf<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
+    match path.split_once('.') {
+        Some((group, key)) => doc.get(group)?.get(key),
+        None => doc.get(path),
+    }
+}
+
 #[test]
 fn metrics_endpoint_exposes_prometheus_text() {
     let (handle, addr) = start(ServerConfig::default());
     let body = kiss("lion");
     client::post_kiss(&addr, &body, "algorithms=ihybrid").expect("post");
     client::post_kiss(&addr, &body, "algorithms=ihybrid").expect("post");
+    let bad = client::post_kiss(&addr, "this is not kiss2\n", "").expect("post");
+    assert_eq!(bad.status, 400);
 
+    let counters =
+        json::parse(&client::get_counters(&addr).expect("counters").body).expect("counters JSON");
     let resp = client::request(&addr, "GET", "/metrics", None, &[]).expect("scrape");
     assert_eq!(resp.status, 200);
     assert_eq!(
@@ -300,6 +338,7 @@ fn metrics_endpoint_exposes_prometheus_text() {
     assert!(text.contains("nova_serve_cache_misses_total 1"), "{text}");
     assert!(text.contains("# TYPE nova_serve_queue_depth gauge"));
     // Every sample line parses as `name[{labels}] value`.
+    let mut samples = std::collections::BTreeMap::new();
     for line in text
         .lines()
         .filter(|l| !l.starts_with('#') && !l.is_empty())
@@ -307,7 +346,70 @@ fn metrics_endpoint_exposes_prometheus_text() {
         let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("{line}"));
         assert!(series.starts_with("nova_"), "{line}");
         value.parse::<f64>().unwrap_or_else(|_| panic!("{line}"));
+        samples.insert(series.to_string(), value.to_string());
     }
+
+    // Both views come from one snapshot: every /counters number that
+    // /metrics also exposes is the same number. The only difference is
+    // `requests`, since the /counters fetch was itself a request.
+    assert_eq!(leaf(&counters, "requests"), Some(&Json::Int(4)));
+    assert_eq!(leaf(&counters, "bad_requests"), Some(&Json::Int(1)));
+    for (path, sample) in COUNTERS_AS_SAMPLES {
+        let Some(&Json::Int(n)) = leaf(&counters, path) else {
+            panic!("/counters {path} is not a number: {counters:?}");
+        };
+        let expected = if path == "requests" { n + 1 } else { n };
+        assert_eq!(
+            samples.get(sample).map(String::as_str),
+            Some(expected.to_string().as_str()),
+            "/counters {path} vs /metrics {sample}"
+        );
+    }
+    // ...and the table covers every numeric leaf but the config value.
+    let Json::Obj(groups) = &counters else {
+        panic!("/counters is not an object");
+    };
+    for (group, value) in groups {
+        let leaves = match value {
+            Json::Obj(leaves) => leaves
+                .iter()
+                .map(|(k, v)| (format!("{group}.{k}"), v))
+                .collect(),
+            v => vec![(group.clone(), v)],
+        };
+        for (path, v) in leaves {
+            if matches!(v, Json::Int(_)) && path != "shed.max_inflight_bytes" {
+                assert!(
+                    COUNTERS_AS_SAMPLES.iter().any(|(p, _)| *p == path),
+                    "/counters {path} has no /metrics sample"
+                );
+            }
+        }
+    }
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn queue_depth_zero_serves_as_depth_one_and_reports_healthy() {
+    let (handle, addr) = start(ServerConfig {
+        queue_depth: 0,
+        ..ServerConfig::default()
+    });
+    let health = client::request(&addr, "GET", "/healthz", None, &[]).expect("healthz");
+    let doc = json::parse(&health.body).expect("healthz JSON");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{doc:?}");
+    assert_eq!(doc.get("state"), Some(&Json::str("ok")));
+    let resp = client::post_kiss(&addr, &kiss("lion"), "algorithms=ihybrid").expect("post");
+    assert_bench_schema(&resp);
+    let counters = json::parse(&client::get_counters(&addr).unwrap().body).unwrap();
+    assert_eq!(counter(&counters, "queue", "capacity"), 1);
+    let metrics = client::request(&addr, "GET", "/metrics", None, &[]).expect("scrape");
+    assert!(
+        metrics.body.contains("\nnova_serve_queue_capacity 1\n"),
+        "{}",
+        metrics.body
+    );
     handle.shutdown();
     handle.join();
 }
