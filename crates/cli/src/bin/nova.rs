@@ -877,6 +877,13 @@ fn serve_main(args: &[String]) -> ExitCode {
         "#   POST /encode (KISS2 or machine JSON) | GET /counters | GET /metrics | GET /healthz"
     );
     let _ = out.flush();
+    // The server stops only through its handle, so this otherwise idle
+    // thread watches the SIGTERM/SIGINT flag; the poll is off the request
+    // path.
+    while !nova_serve::shutdown::signalled() {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    handle.shutdown();
     handle.join();
     eprintln!("nova: serve drained cleanly");
     ExitCode::SUCCESS

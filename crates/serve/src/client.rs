@@ -83,17 +83,19 @@ pub fn request(
     let stream = TcpStream::connect(authority)?;
     stream.set_read_timeout(Some(Duration::from_secs(300)))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let mut w = stream.try_clone()?;
+    // The whole request goes out in one write: on a socket, each separate
+    // write is a system call.
+    let mut message = Vec::with_capacity(256 + body.len());
     write!(
-        w,
+        message,
         "{method} {path_and_query} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n"
     )?;
     if let Some(t) = content_type {
-        write!(w, "Content-Type: {t}\r\n")?;
+        write!(message, "Content-Type: {t}\r\n")?;
     }
-    write!(w, "Content-Length: {}\r\n\r\n", body.len())?;
-    w.write_all(body)?;
-    w.flush()?;
+    write!(message, "Content-Length: {}\r\n\r\n", body.len())?;
+    message.extend_from_slice(body);
+    (&stream).write_all(&message)?;
 
     let mut r = BufReader::new(stream);
     let status_line = read_line(&mut r)?;

@@ -175,21 +175,28 @@ impl Response {
         self
     }
 
-    /// Serializes the response to `w` (status line, headers, body).
+    /// Serializes the response to `w` (status line, headers, body) in one
+    /// `write_all`: on a socket, each separate write is a system call.
     ///
     /// # Errors
     ///
     /// Propagates socket write failures.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        write!(w, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status))?;
-        write!(w, "Content-Type: {}\r\n", self.content_type)?;
-        write!(w, "Content-Length: {}\r\n", self.body.len())?;
-        write!(w, "Connection: close\r\n")?;
+        let mut message = Vec::with_capacity(256 + self.body.len());
+        write!(
+            message,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+            self.status,
+            reason(self.status),
+            self.content_type,
+            self.body.len()
+        )?;
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(message, "{name}: {value}\r\n")?;
         }
-        write!(w, "\r\n")?;
-        w.write_all(&self.body)?;
+        message.extend_from_slice(b"\r\n");
+        message.extend_from_slice(&self.body);
+        w.write_all(&message)?;
         w.flush()
     }
 }
@@ -336,18 +343,40 @@ mod tests {
         );
     }
 
+    /// A writer that counts its `write` calls, as a socket would count
+    /// system calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn response_wire_format() {
-        let mut buf = Vec::new();
+        let mut w = CountingWriter::default();
         Response::json(200, "{}")
             .with_header("X-Nova-Cache", "hit")
-            .write_to(&mut buf)
+            .with_header("X-Nova-Request-Id", "00000000000000ff")
+            .write_to(&mut w)
             .unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = String::from_utf8(w.bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("X-Nova-Cache: hit\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+        assert_eq!(w.writes, 1, "one write per response");
     }
 
     #[test]

@@ -26,14 +26,19 @@
 //! * [`http`] — the minimal hand-rolled HTTP layer (no dependencies;
 //!   request heads are capped at 64 KiB, bodies at 1 MiB).
 //! * [`client`] — the tiny client the `nova --remote` flag uses.
-//! * [`shutdown`] — std-only SIGTERM/SIGINT handling for graceful drains.
+//! * [`shutdown`] — std-only SIGTERM/SIGINT flag for a process that wants
+//!   signals to drain its server.
 //!
 //! ```no_run
 //! use nova_serve::{serve, ServerConfig};
 //!
 //! let handle = serve(ServerConfig::default())?;
 //! println!("listening on {}", handle.addr());
-//! // ... SIGTERM or handle.shutdown() ...
+//! nova_serve::shutdown::install();
+//! while !nova_serve::shutdown::signalled() {
+//!     std::thread::sleep(std::time::Duration::from_millis(50));
+//! }
+//! handle.shutdown(); // stop accepting, drain what was admitted
 //! handle.join();
 //! # Ok::<(), std::io::Error>(())
 //! ```

@@ -2,10 +2,11 @@
 //!
 //! ## Request lifecycle
 //!
-//! 1. The **accept loop** (one thread) polls a non-blocking listener. Each
-//!    accepted connection is admitted into a bounded queue; when the queue
-//!    is full the connection is answered `503` + `Retry-After` immediately
-//!    — overload sheds load at the door instead of stacking latency.
+//! 1. The **accept loop** (one thread) blocks in `accept`. Each accepted
+//!    connection is admitted into a bounded queue; when the queue is full
+//!    the connection is answered `503` + `Retry-After` immediately —
+//!    overload sheds load at the door instead of stacking latency. No timer
+//!    paces a request: a worker parks until a push wakes it.
 //! 2. A **worker** (one of `--workers` threads) pops the connection, parses
 //!    the HTTP request, and routes it. `POST /encode` bodies are parsed
 //!    into an [`fsm::Fsm`] (KISS2 or machine JSON), fingerprinted
@@ -29,15 +30,18 @@
 //!
 //! ## Shutdown
 //!
-//! SIGTERM/ctrl-c (via [`crate::shutdown`]) or [`ServerHandle::shutdown`]
-//! stops the accept loop, wakes the workers, and lets them drain every
-//! already-admitted connection before exiting; [`ServerHandle::join`]
-//! returns once the last in-flight run has been answered.
+//! [`ServerHandle::shutdown`] is the only way to stop a server. It sets
+//! the stop flag and wakes the blocked `accept` with one connection to the
+//! server's own address; the accept loop drops that connection unadmitted,
+//! closes the queue and exits. The workers drain every already-admitted
+//! connection before exiting; [`ServerHandle::join`] returns once the last
+//! in-flight run has been answered. A process that wants SIGTERM/ctrl-c to
+//! drain watches [`crate::shutdown`] itself and calls the handle, as
+//! `nova serve` does.
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::cache::{CacheConfig, ResultCache};
 use crate::http::{parse_query, Request, RequestError, Response};
-use crate::shutdown;
 use crate::wire::{machine_from_json, EncodeOptions};
 use fsm::Fsm;
 use nova_engine::{effective_jobs, run_portfolio, suite_to_json, Outcome};
@@ -45,8 +49,10 @@ use nova_trace::json::Json;
 use nova_trace::sink::format_request_id;
 use nova_trace::{prom, MetricsSnapshot, Tracer};
 use std::collections::VecDeque;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufReader, Read};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -130,33 +136,40 @@ struct Admitted {
     at: Instant,
 }
 
+/// What the queue's lock guards. The close flag lives under the same lock
+/// as the connections, so `close` cannot slip its wake-up in between a
+/// worker's check of the flag and its park: workers wait untimed.
+#[derive(Default)]
+struct Pending {
+    conns: VecDeque<Admitted>,
+    closing: bool,
+}
+
 /// The bounded connection queue: admission control for the whole service.
 struct Queue {
-    inner: Mutex<VecDeque<Admitted>>,
+    inner: Mutex<Pending>,
     ready: Condvar,
     /// The admission bound in force: every view of the queue's capacity
     /// reads this, never the configured value it was clamped from.
     depth: usize,
-    closing: AtomicBool,
 }
 
 impl Queue {
     fn new(depth: usize) -> Queue {
         Queue {
-            inner: Mutex::new(VecDeque::new()),
+            inner: Mutex::new(Pending::default()),
             ready: Condvar::new(),
             depth: depth.max(1),
-            closing: AtomicBool::new(false),
         }
     }
 
     /// Admits a connection, or returns it back when the queue is full.
     fn push(&self, adm: Admitted) -> Result<(), Admitted> {
         let mut q = lock(&self.inner);
-        if q.len() >= self.depth {
+        if q.conns.len() >= self.depth {
             return Err(adm);
         }
-        q.push_back(adm);
+        q.conns.push_back(adm);
         drop(q);
         self.ready.notify_one();
         Ok(())
@@ -167,27 +180,23 @@ impl Queue {
     fn pop(&self) -> Option<Admitted> {
         let mut q = lock(&self.inner);
         loop {
-            if let Some(s) = q.pop_front() {
+            if let Some(s) = q.conns.pop_front() {
                 return Some(s);
             }
-            if self.closing.load(Ordering::Acquire) {
+            if q.closing {
                 return None;
             }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
+            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn close(&self) {
-        self.closing.store(true, Ordering::Release);
+        lock(&self.inner).closing = true;
         self.ready.notify_all();
     }
 
     fn len(&self) -> usize {
-        lock(&self.inner).len()
+        lock(&self.inner).conns.len()
     }
 }
 
@@ -213,14 +222,16 @@ struct Shared {
 }
 
 impl Shared {
+    /// Pairs with the `Release` store in [`ServerHandle::shutdown`], so the
+    /// accept loop that the wake-up connection unblocks sees the flag.
     fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed) || shutdown::signalled()
+        self.stop.load(Ordering::Acquire)
     }
 }
 
 /// A running server. Dropping the handle does *not* stop the server; call
-/// [`ServerHandle::shutdown`] then [`ServerHandle::join`] (or send the
-/// process SIGTERM) for a graceful drain.
+/// [`ServerHandle::shutdown`] then [`ServerHandle::join`] for a graceful
+/// drain.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -234,9 +245,19 @@ impl ServerHandle {
     }
 
     /// Requests a graceful drain: stop accepting, finish everything
-    /// already admitted.
+    /// already admitted. Sets the stop flag, then wakes the accept loop out
+    /// of its blocking `accept` with one connection to the bound address.
+    /// A failed connect is ignored: it means the listener is already gone.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        self.shared.stop.store(true, Ordering::Release);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     /// Waits for the accept loop and every worker to finish draining.
@@ -255,7 +276,6 @@ impl ServerHandle {
 pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(resolve(&cfg.addr)?)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let workers = effective_jobs(cfg.workers);
     let metrics = Tracer::enabled();
     for name in COUNTERS {
@@ -305,15 +325,29 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
     })
 }
 
-/// Non-blocking accept with a shutdown poll every 10 ms: the only way a
-/// std-only server can watch a signal flag while accepting.
+/// Read timeout while a refused connection's request is read and thrown
+/// away, so that closing it does not reset the client before it reads the
+/// answer: the door-503 path and the staged 413 close.
+const DISCARD_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Most bytes of an unread body the staged 413 close discards before it
+/// drops the connection regardless.
+const DISCARD_CAP: u64 = 4 << 20;
+
+/// Blocks in `accept` and admits each connection. The stop flag is read
+/// after every return, so the wake-up connection of
+/// [`ServerHandle::shutdown`], or any connection that races it, is dropped
+/// before admission: it mints no request id and bumps no counter.
 fn accept_loop(listener: TcpListener, shared: &Shared) {
-    while !shared.stopping() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stopping() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => admit(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A persistent error (out of file descriptors, say) must not
+            // spin the thread: back off before the next accept.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -342,7 +376,7 @@ fn admit(stream: TcpStream, shared: &Shared) {
         // RST the client before it reads the 503.
         shared.metrics.incr("serve.queue.rejected", 1);
         let mut stream = adm.stream;
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+        let _ = stream.set_read_timeout(Some(DISCARD_TIMEOUT));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
         if let Ok(reader) = stream.try_clone() {
             let _ = Request::read_from(&mut BufReader::new(reader));
@@ -377,6 +411,7 @@ fn handle_connection(adm: Admitted, shared: &Shared) {
     });
     let mut stream = stream;
     shared.metrics.incr("serve.requests", 1);
+    let mut body_unread = false;
     let response = match Request::read_from(&mut reader) {
         Ok(req) => Some(route(&req, shared, id)),
         Err(RequestError::Bad(msg)) => {
@@ -385,6 +420,7 @@ fn handle_connection(adm: Admitted, shared: &Shared) {
         }
         Err(RequestError::TooLarge(n)) => {
             shared.metrics.incr("serve.bad_requests", 1);
+            body_unread = true;
             Some(error_response(
                 413,
                 &format!("body of {n} bytes exceeds the limit"),
@@ -400,6 +436,20 @@ fn handle_connection(adm: Admitted, shared: &Shared) {
     shared
         .metrics
         .observe("serve.request.latency_us", at.elapsed().as_micros() as u64);
+    if body_unread {
+        discard_unread_body(&stream, reader);
+    }
+}
+
+/// The staged close of RFC 9112 §9.6, once the answer is written: stop
+/// sending, then read and discard what the client still sends, within
+/// [`DISCARD_TIMEOUT`] per read and [`DISCARD_CAP`] bytes. Dropping the
+/// socket with the body unread would make the kernel reset the connection,
+/// often before the client has read the answer.
+fn discard_unread_body(stream: &TcpStream, reader: BufReader<TcpStream>) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(DISCARD_TIMEOUT));
+    let _ = std::io::copy(&mut reader.take(DISCARD_CAP), &mut std::io::sink());
 }
 
 fn error_response(status: u16, message: &str) -> Response {

@@ -4,8 +4,9 @@
 //! into every binary, so the classic `signal(2)` registration is available
 //! through a one-line FFI declaration — no new dependency. The handler does
 //! the only async-signal-safe thing there is to do: it stores into a static
-//! atomic, which the server's accept loop polls between (non-blocking)
-//! accepts.
+//! atomic. The server never reads it: a library server stops only through
+//! `ServerHandle::shutdown`. The process that installed the handler watches
+//! [`signalled`] and calls the handle, as `nova serve`'s main thread does.
 //!
 //! Repeated SIGTERM/SIGINT simply re-store `true` — an impatient second
 //! `kill` stays idempotent instead of dropping in-flight work; a user who
@@ -20,8 +21,9 @@ pub fn signalled() -> bool {
     SIGNALLED.load(Ordering::Relaxed)
 }
 
-/// Marks the process-wide shutdown flag (what the signal handler does).
-/// Public so tests and embedders can trigger the drain path directly.
+/// Marks the process-wide shutdown flag (what the signal handler does),
+/// as if SIGTERM had arrived. It stops no server by itself: it is seen by
+/// whatever watches [`signalled`].
 pub fn request() {
     SIGNALLED.store(true, Ordering::Relaxed);
 }

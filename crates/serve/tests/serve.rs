@@ -750,3 +750,73 @@ fn shutdown_drains_admitted_work() {
     // The listener is gone: new connections are refused.
     assert!(client::post_kiss(&addr, &kiss("lion"), "").is_err());
 }
+
+#[test]
+fn oversized_bodies_are_answered_413_not_reset() {
+    // The server refuses the body after reading only the head; a staged
+    // close (answer, half-close, discard the rest) lets the client read
+    // the 413 instead of meeting a connection reset.
+    let (handle, addr) = start(ServerConfig::default());
+    let body = vec![b'#'; nova_serve::http::MAX_BODY_BYTES + 1024];
+    for i in 0..20 {
+        let resp = client::request(&addr, "POST", "/encode", None, &body)
+            .unwrap_or_else(|e| panic!("request {i}: {e}"));
+        assert_eq!(resp.status, 413, "request {i}: {}", resp.body);
+        assert!(
+            resp.header("x-nova-request-id").is_some(),
+            "request {i} carries its id"
+        );
+    }
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn closed_loop_requests_wait_on_no_timer() {
+    // 50 sequential requests on one connection-per-request client: with
+    // a blocking accept and parked workers, each costs well under a
+    // millisecond. A 10 ms poll anywhere on the path costs ~500 ms.
+    let (handle, addr) = start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let t = std::time::Instant::now();
+    for _ in 0..50 {
+        let resp = client::request(&addr, "GET", "/healthz", None, &[]).expect("healthz");
+        assert_eq!(resp.status, 200);
+    }
+    let elapsed = t.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(250),
+        "50 closed-loop requests took {elapsed:?}"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn idle_servers_shut_down_promptly_on_both_binds() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    // The wake-up connection must reach the blocked accept on a loopback
+    // bind and on an unspecified one (connected through loopback), and
+    // every parked worker must see the close. A join runs on a helper
+    // thread so that a lost wake-up fails the test instead of hanging it.
+    for i in 0..50 {
+        let bind = ["127.0.0.1:0", "0.0.0.0:0"][i % 2];
+        let (handle, _) = start(ServerConfig {
+            addr: bind.into(),
+            workers: 4,
+            ..ServerConfig::default()
+        });
+        handle.shutdown();
+        let (done, joined) = mpsc::channel();
+        std::thread::spawn(move || {
+            handle.join();
+            let _ = done.send(());
+        });
+        joined
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("cycle {i} ({bind}): join did not return within 1 s"));
+    }
+}
