@@ -5,7 +5,7 @@
 //! ```text
 //! nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE] [FILE.kiss2 | -]
 //! nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [FILE.kiss2 | -]
-//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
+//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
 //! nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]
 //! nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]
 //! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [--budget N] [--timeout-ms N] [FILE.kiss2 | -]
@@ -61,17 +61,13 @@
 //!                  into the stream at their original positions; the merged
 //!                  output is byte-identical to an uninterrupted run. The
 //!                  journal must match this invocation's corpus and options.
-//!   --retries N    supervised retry budget per machine before quarantine
-//!                  (default 2); retries use deterministic seeded backoff
-//!   --watchdog-ms N  wall-clock watchdog per machine attempt: at N ms the
-//!                  run is cooperatively cancelled (keeping its degraded
-//!                  best-so-far), at 2N ms it is quarantined. A sweep with
-//!                  quarantined machines still completes and exits 0; they
-//!                  are listed in the stream summary's quarantine section.
 //!   (--timeout-ms, --budget, --jobs, --fault-plan, --trace and
 //!    --trace-format as for --portfolio, applied to every machine's
-//!    portfolio. Output files are created up front: an unwritable path
-//!    fails fast with exit 4 before any machine runs.)
+//!    portfolio; --timeout-ms is the only wall-clock limit. Each machine
+//!    runs once: one whose portfolio crashes is quarantined, and the sweep
+//!    still completes and exits 0, listing it in the stream summary's
+//!    quarantine section. Output files are created up front: an unwritable
+//!    path fails fast with exit 4 before any machine runs.)
 //!
 //!   serve          run the resident encoding service (see nova-serve):
 //!   --addr A       bind address (default 127.0.0.1:7171; port 0 = any)
@@ -129,7 +125,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [--fault-plan SPEC] [--remote ADDR] [FILE.kiss2 | -]\n\
          \u{20}      nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
-         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--retries N] [--watchdog-ms N] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
+         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
          \u{20}      nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]\n\
          \u{20}      nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]\n\
          ALG: {} (or onehot)",
@@ -453,8 +449,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
     let mut run = RunOpts::default();
     let mut journal: Option<String> = None;
     let mut resume = false;
-    let mut retries: Option<usize> = None;
-    let mut watchdog_ms: Option<u64> = None;
     let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
         if run.parse_flag(&a, &mut it) {
@@ -476,8 +470,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
             "--stream" => stream = Some(value(&mut it)),
             "--journal" => journal = Some(value(&mut it)),
             "--resume" => resume = true,
-            "--retries" => retries = Some(num(&mut it) as usize),
-            "--watchdog-ms" => watchdog_ms = Some(num(&mut it)),
             "--bench-out" => bench_out = Some(value(&mut it)),
             _ => usage(),
         }
@@ -570,8 +562,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
     let cfg = run.engine_config(&tracer);
     let bcfg = nova_engine::BatchConfig {
         batch_jobs,
-        retries: retries.unwrap_or(nova_engine::BatchConfig::default().retries),
-        watchdog: watchdog_ms.map(Duration::from_millis),
         ..nova_engine::BatchConfig::default()
     };
 
@@ -579,15 +569,13 @@ fn bench_main(argv: &[String]) -> ExitCode {
     // line): resuming under different options would merge streams that were
     // never byte-compatible.
     let canonical_opts = format!(
-        "budget={:?} timeout_ms={:?} fault_plan={} retries={} watchdog_ms={:?}",
+        "budget={:?} timeout_ms={:?} fault_plan={}",
         run.budget,
         run.timeout_ms,
         cfg.fault_plan
             .as_ref()
             .map(|p| p.to_spec())
             .unwrap_or_else(|| "-".into()),
-        bcfg.retries,
-        watchdog_ms
     );
     let jkey = nova_engine::journal::journal_key(&src.describe(), &canonical_opts);
 
@@ -826,9 +814,8 @@ fn bench_main(argv: &[String]) -> ExitCode {
     // stays 0 so long sweeps don't lose their output to one bad machine.
     if !quarantine.is_empty() {
         eprintln!(
-            "nova: quarantined {} machine(s) after {} retry attempt(s); see the stream's quarantine section",
-            quarantine.len(),
-            report.retries
+            "nova: quarantined {} machine(s); see the stream's quarantine section",
+            quarantine.len()
         );
     }
     ExitCode::SUCCESS

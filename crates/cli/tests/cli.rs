@@ -973,9 +973,8 @@ fn nova_bench_journaled_resume_merges_byte_identically() {
 
 #[test]
 fn nova_bench_quarantines_always_crashing_machines_and_exits_zero() {
-    // An injected always-panic fault plan (satellite of the supervision
-    // ladder): every machine exhausts its retries, lands in quarantine,
-    // and the sweep still completes with exit 0.
+    // An injected always-panic fault plan: every machine crashes on its one
+    // run, lands in quarantine, and the sweep still completes with exit 0.
     let (stdout, stderr, code) = run_with_code(
         env!("CARGO_BIN_EXE_nova"),
         &[
@@ -984,8 +983,6 @@ fn nova_bench_quarantines_always_crashing_machines_and_exits_zero() {
             "machines=3,states=6,inputs=2,outputs=2,seed=9",
             "--fault-plan",
             "*:1:panic",
-            "--retries",
-            "1",
             "--batch-jobs",
             "2",
             "--stream",
@@ -995,6 +992,7 @@ fn nova_bench_quarantines_always_crashing_machines_and_exits_zero() {
     );
     assert_eq!(code, 0, "quarantine is not a failure: {stderr}");
     assert!(stderr.contains("quarantined 3 machine(s)"), "{stderr}");
+    assert!(!stderr.contains("retry"), "nothing is retried: {stderr}");
 
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 1 + 3 + 1, "header + machines + summary");
@@ -1007,15 +1005,27 @@ fn nova_bench_quarantines_always_crashing_machines_and_exits_zero() {
     assert_eq!(q.len(), 3);
     for (i, entry) in q.iter().enumerate() {
         assert_eq!(entry.get("index"), Some(&json::Json::uint(i as u64)));
-        assert_eq!(
-            entry.get("attempts"),
-            Some(&json::Json::uint(2)),
-            "first try + one retry"
-        );
+        assert_eq!(entry.get("attempts"), None, "each machine runs once");
         assert!(
             matches!(entry.get("reason"), Some(json::Json::Str(r)) if r.contains("injected panic")),
             "{entry:?}"
         );
+    }
+
+    // The flags of the removed retry ladder are usage errors.
+    for gone in [["--retries", "1"], ["--watchdog-ms", "5"]] {
+        let (_, stderr, code) = run_with_code(
+            env!("CARGO_BIN_EXE_nova"),
+            &[
+                "bench",
+                "--synthetic",
+                "machines=1,states=4,inputs=1,outputs=1,seed=9",
+                gone[0],
+                gone[1],
+            ],
+            "",
+        );
+        assert_eq!(code, 2, "{gone:?}: {stderr}");
     }
 }
 
@@ -1085,8 +1095,8 @@ fn nova_bench_journal_misuse_fails_fast_with_usage_exit() {
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("--resume requires --journal"), "{stderr}");
 
-    // A finished journal binds every option that can turn a run degraded:
-    // resuming under another deadline or another watchdog is refused.
+    // A finished journal binds every option that can change a report line:
+    // resuming under another deadline or another node budget is refused.
     let stream = temp_path("journal-bound.jsonl");
     let journal = temp_path("journal-bound.journal");
     let sweep = |extra: &[&str]| {
@@ -1104,7 +1114,7 @@ fn nova_bench_journal_misuse_fails_fast_with_usage_exit() {
     };
     let (_, stderr, code) = sweep(&[]);
     assert_eq!(code, 0, "{stderr}");
-    for changed in [["--timeout-ms", "100"], ["--watchdog-ms", "1"]] {
+    for changed in [["--timeout-ms", "100"], ["--budget", "1"]] {
         let (_, stderr, code) = sweep(&["--resume", changed[0], changed[1]]);
         assert_eq!(code, 2, "{changed:?}: {stderr}");
         assert!(stderr.contains("different encoding options"), "{stderr}");

@@ -20,7 +20,7 @@ fn machine(name: &str) -> fsm::Fsm {
 fn run_with_fault(name: &str, algorithm: Algorithm, stage: &str) -> (RunStatus, String, RunCtl) {
     let fsm = machine(name);
     let tracer = Tracer::enabled();
-    let ctl = RunCtl::new(None, None, tracer.clone(), None);
+    let ctl = RunCtl::new(None, None, tracer.clone());
     ctl.arm_faults(&FaultPlan::single(stage, 1, FaultKind::Cancel));
     let run = run_traced(&fsm, algorithm, None, &ctl);
     let mut buf = Vec::new();
@@ -63,7 +63,7 @@ fn cancel_in_first_stage_leaves_later_stages_untimed() {
     assert!(ctl.cancelled());
     let fsm = machine("lion");
     let tracer = Tracer::enabled();
-    let ctl = RunCtl::new(None, None, tracer.clone(), None);
+    let ctl = RunCtl::new(None, None, tracer.clone());
     ctl.arm_faults(&FaultPlan::single(
         "stage.constraints",
         1,
@@ -99,7 +99,7 @@ fn cancel_in_espresso_degrades_with_the_completed_encoding() {
 fn cancel_in_embed_still_closes_constraint_stage_telemetry() {
     let fsm = machine("bbara");
     let tracer = Tracer::enabled();
-    let ctl = RunCtl::new(None, None, tracer.clone(), None);
+    let ctl = RunCtl::new(None, None, tracer.clone());
     ctl.arm_faults(&FaultPlan::single("stage.embed", 1, FaultKind::Cancel));
     let run = run_traced(&fsm, Algorithm::IHybrid, None, &ctl);
     assert!(

@@ -30,24 +30,20 @@
 //!   summary, so the accumulated `nova-bench/1` document is only needed for
 //!   the small committed baselines.
 //!
-//! * **Supervision** (`nova-sentinel`): a machine whose portfolio crashes
-//!   (panics, or fails every run with nothing usable) is retried a bounded
-//!   number of times with deterministic seeded backoff; a machine that
-//!   exhausts its retries is *quarantined* — recorded in the returned
-//!   [`BatchReport`] and the stream summary's `quarantine` section — instead
-//!   of aborting the sweep. An optional wall-clock watchdog escalates stuck
-//!   runs through the [`RunCtl`](espresso::RunCtl) ladder: cooperative
-//!   cancel at the limit (the run unwinds to its `Degraded` best-so-far),
-//!   quarantine at twice the limit.
+//! * **Quarantine** (`nova-sentinel`): each machine runs once. One whose
+//!   portfolio crashes (panics, or fails every run with nothing usable) is
+//!   *quarantined* — recorded in the returned [`BatchReport`] and the stream
+//!   summary's `quarantine` section — instead of aborting the sweep. It is
+//!   not retried: the engine is deterministic, so a retry would crash the
+//!   same way. Wall time is bounded by [`EngineConfig::timeout`] alone.
 //! * **Crash-safe resume** ([`run_batch_resumable`]): a journal-driven
 //!   caller passes the set of machine indices already completed by a prior
 //!   interrupted sweep; they are skipped entirely (never generated, never
 //!   run) while emission order and the reorder-window memory bound are
 //!   preserved.
 //!
-//! Telemetry: `engine.batch.machines` / `.backpressure` / `.retry` /
-//! `.quarantine` / `.watchdog.cancel` / `.watchdog.quarantine` counters and
-//! the `engine.batch.queue.depth` gauge on the session tracer.
+//! Telemetry: `engine.batch.machines` / `.backpressure` / `.quarantine`
+//! counters and the `engine.batch.queue.depth` gauge on the session tracer.
 
 use crate::{machine_summary_json_with, report_fingerprint, EngineConfig, PortfolioReport};
 use fsm::{Fsm, ScaleSpec};
@@ -55,13 +51,13 @@ use nova_trace::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Locks a mutex, recovering the guard from a poisoned lock instead of
-/// cascading the panic. Every batch-layer mutex holds plain data (queues,
-/// reorder buffers, watchdog slots) whose invariants hold between
+/// cascading the panic. Every batch-layer mutex holds plain data (the
+/// reorder buffer, the quarantine list) whose invariants hold between
 /// statements, so a panic elsewhere never leaves them half-updated.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -81,11 +77,10 @@ pub trait MachineSource: Sync {
     }
     /// Name of machine `i` (report key; stable across calls).
     fn name(&self, i: usize) -> String;
-    /// Materializes machine `i`. Usually called once per sweep by whichever
-    /// worker claimed the index (the machine is dropped after its
-    /// portfolio), but supervision may call it again — once per retry of a
-    /// crashed machine, and once per completed machine when a resume
-    /// validates journal fingerprints.
+    /// Materializes machine `i`. The batch engine calls it once per sweep,
+    /// on whichever worker claimed the index, and drops the machine after
+    /// its portfolio. A journaling caller may call it again to fingerprint
+    /// machines.
     fn machine(&self, i: usize) -> Fsm;
     /// One-line corpus description for stream headers and scale baselines.
     fn describe(&self) -> String;
@@ -166,23 +161,6 @@ pub struct BatchConfig {
     /// memory bound: a worker never starts a machine `window` or more
     /// indices ahead of the emission cursor.
     pub window: usize,
-    /// Extra attempts granted to a *crashed* machine (one that panicked, or
-    /// failed every run with no usable result) before it is quarantined.
-    /// The default of 2 gives every machine up to three attempts; `0`
-    /// quarantines on the first crash.
-    pub retries: usize,
-    /// Seed of the deterministic retry-backoff stream ([`fsm::rng::mix`]):
-    /// attempt `a` of machine `i` sleeps `mix(seed, 8·i + a) mod 16` ms
-    /// before re-running. Fixed by default so replays are reproducible.
-    pub retry_seed: u64,
-    /// Wall-clock watchdog limit per machine attempt. `None` (the default)
-    /// spawns no watchdog. With `Some(limit)`, a supervisor thread
-    /// escalates a stuck attempt through the ladder: cooperative
-    /// [`RunCtl`](espresso::RunCtl) cancel at `limit` (the run unwinds to
-    /// its `Degraded` best-so-far), quarantine at `2 × limit`. A run that
-    /// never charges its ctl cannot be killed — only flagged — so the
-    /// ladder is cooperative by design.
-    pub watchdog: Option<Duration>,
 }
 
 impl Default for BatchConfig {
@@ -190,9 +168,6 @@ impl Default for BatchConfig {
         BatchConfig {
             batch_jobs: 1,
             window: 0,
-            retries: 2,
-            retry_seed: 0x6e6f_7661_2d73_7631, // "nova-sv1" — any fixed value
-            watchdog: None,
         }
     }
 }
@@ -209,43 +184,29 @@ impl BatchConfig {
     }
 }
 
-/// One machine that exhausted its supervision ladder: the sweep completed
-/// without it ever producing a usable result.
+/// One machine that crashed: the sweep completed without it producing a
+/// usable result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantineRecord {
     /// Machine index in the corpus.
     pub index: usize,
     /// Machine name (report key).
     pub machine: String,
-    /// Attempts consumed (first run + retries).
-    pub attempts: usize,
-    /// Why it was quarantined: the crash message of the last attempt, or
-    /// the watchdog's escalation note.
+    /// Why it was quarantined: the crash message.
     pub reason: String,
 }
 
-/// What a batch sweep did beyond the per-machine reports: supervision
-/// telemetry for the caller (the CLI folds `quarantined` into the stream
-/// summary and the journal).
+/// What a batch sweep did beyond the per-machine reports (the CLI folds
+/// `quarantined` into the stream summary and the journal).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// Machines actually run this sweep (excludes resumed skips).
     pub machines: usize,
-    /// Retry attempts taken across the sweep.
+    /// Always 0: machines are never retried.
+    #[deprecated(note = "always 0: each machine runs once")]
     pub retries: u64,
-    /// Machines that exhausted the ladder, in index order.
+    /// Machines that crashed, in index order.
     pub quarantined: Vec<QuarantineRecord>,
-}
-
-/// One machine attempt being watched by the watchdog thread.
-struct RunningSlot {
-    started: Instant,
-    /// The attempt's shared stop flag (wired into every per-algorithm
-    /// `RunCtl` via [`EngineConfig::stop`]).
-    stop: Arc<AtomicBool>,
-    /// Escalation ladder position: 0 running, 1 cancelled at the limit,
-    /// 2 marked for quarantine at twice the limit.
-    phase: u8,
 }
 
 /// Shared in-order emission state: the reorder buffer plus the sink.
@@ -253,7 +214,7 @@ struct Emit<'s> {
     /// Next machine index to hand to the sink.
     next: usize,
     /// Completed reports waiting for their prefix, with the quarantine
-    /// record of machines that exhausted supervision.
+    /// record of machines that crashed.
     pending: BTreeMap<usize, (PortfolioReport, Option<QuarantineRecord>)>,
     /// Receives `(index, report, quarantine)` strictly in index order.
     sink: &'s mut (dyn FnMut(usize, PortfolioReport, Option<&QuarantineRecord>) + Send),
@@ -265,12 +226,11 @@ struct Emit<'s> {
 /// corpus; report content is identical at any worker count (wall-clock
 /// deadlines excepted, as everywhere in the engine).
 ///
-/// A machine whose generation or portfolio crashes is retried and — when
-/// retries run out — quarantined (its last report, possibly empty, is still
-/// emitted so the stream stays complete); see [`BatchConfig::retries`] and
-/// [`BatchConfig::watchdog`]. The engine's panic-free guarantee extends to
-/// the batch layer: the sweep always completes and reports what happened in
-/// the returned [`BatchReport`].
+/// Each machine runs once. One whose generation or portfolio crashes is
+/// quarantined (its report, possibly empty, is still emitted so the stream
+/// stays complete). The engine's panic-free guarantee extends to the batch
+/// layer: the sweep always completes and reports what happened in the
+/// returned [`BatchReport`].
 pub fn run_batch(
     src: &dyn MachineSource,
     cfg: &EngineConfig,
@@ -345,110 +305,48 @@ pub fn run_batch_resumable(
     });
     let emitted = Condvar::new();
 
-    // Supervision bookkeeping shared across workers and the watchdog.
     let ran = AtomicUsize::new(0);
-    let retries_taken = AtomicU64::new(0);
     let quarantined: Mutex<Vec<QuarantineRecord>> = Mutex::new(Vec::new());
-    let watch_slots: Option<Vec<Mutex<Option<RunningSlot>>>> = bcfg
-        .watchdog
-        .map(|_| (0..workers).map(|_| Mutex::new(None)).collect());
-    let workers_done = AtomicBool::new(false);
 
-    // Runs machine `i` on worker `w` under supervision: bounded retries on
-    // crash, watchdog registration, quarantine on exhaustion. Always
-    // returns a report (possibly empty) so the stream stays complete.
-    let supervise = |w: usize, i: usize| -> (PortfolioReport, Option<QuarantineRecord>) {
+    // Runs machine `i` once. A crash (an unwind out of machine generation or
+    // the portfolio, or a portfolio with nothing usable) quarantines it; a
+    // report, possibly empty, is always returned so the stream stays
+    // complete.
+    let run_machine = |i: usize| -> (PortfolioReport, Option<QuarantineRecord>) {
         let name = src.name(i);
-        let max_attempts = 1 + bcfg.retries;
-        let mut attempt = 0usize;
-        loop {
-            attempt += 1;
-            let stop = Arc::new(AtomicBool::new(false));
-            let attempt_cfg = EngineConfig {
-                stop: Some(Arc::clone(&stop)),
-                ..inner.clone()
-            };
-            if let Some(slots) = &watch_slots {
-                *lock(&slots[w]) = Some(RunningSlot {
-                    started: Instant::now(),
-                    stop,
-                    phase: 0,
-                });
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            crate::run_portfolio(&src.machine(i), &name, &inner)
+        }));
+        let (report, crash) = match outcome {
+            Ok(rep) => {
+                let crash = crash_reason(&rep);
+                (rep, crash)
             }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let machine = src.machine(i);
-                crate::run_portfolio(&machine, &name, &attempt_cfg)
-            }));
-            let wd_phase = watch_slots
-                .as_ref()
-                .and_then(|slots| lock(&slots[w]).take().map(|s| s.phase))
-                .unwrap_or(0);
-            let (report, crash) = match outcome {
-                Ok(rep) => {
-                    let crash = crash_reason(&rep);
-                    (rep, crash)
-                }
-                // The whole portfolio (or machine generation) unwound:
-                // containment failed below us, treat as a crash.
-                Err(e) => (
-                    PortfolioReport {
-                        machine: name.clone(),
-                        runs: Vec::new(),
-                        wall: Duration::default(),
-                    },
-                    Some(crate::panic_message(e)),
-                ),
-            };
-            if wd_phase >= 2 {
-                // The attempt blew through twice the wall limit even after
-                // a cooperative cancel: quarantine without retrying (a
-                // machine this stuck would eat the retry budget in wall
-                // time, and the cancelled report may still hold a usable
-                // degraded result).
-                tracer.incr("engine.batch.quarantine", 1);
-                let limit = bcfg.watchdog.unwrap_or_default();
-                return (
-                    report,
-                    Some(QuarantineRecord {
-                        index: i,
-                        machine: name,
-                        attempts: attempt,
-                        reason: format!(
-                            "watchdog: still running at 2x the {}ms wall limit",
-                            limit.as_millis()
-                        ),
-                    }),
-                );
-            }
-            let Some(reason) = crash else {
-                return (report, None);
-            };
-            if attempt >= max_attempts {
-                tracer.incr("engine.batch.quarantine", 1);
-                return (
-                    report,
-                    Some(QuarantineRecord {
-                        index: i,
-                        machine: name,
-                        attempts: attempt,
-                        reason,
-                    }),
-                );
-            }
-            retries_taken.fetch_add(1, Ordering::Relaxed);
-            tracer.incr("engine.batch.retry", 1);
-            // Deterministic seeded backoff: cheap jitter that de-clusters
-            // retries without making replays timing-dependent.
-            let ms = fsm::rng::mix(bcfg.retry_seed, 8 * i as u64 + attempt as u64) % 16;
-            if ms > 0 {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-        }
+            // Containment failed below us: treat the unwind as a crash.
+            Err(e) => (
+                PortfolioReport {
+                    machine: name.clone(),
+                    runs: Vec::new(),
+                    wall: Duration::default(),
+                },
+                Some(crate::panic_message(e)),
+            ),
+        };
+        let Some(reason) = crash else {
+            return (report, None);
+        };
+        tracer.incr("engine.batch.quarantine", 1);
+        let quarantine = QuarantineRecord {
+            index: i,
+            machine: name,
+            reason,
+        };
+        (report, Some(quarantine))
     };
 
     // Blocks until `i` is inside the reorder window, then runs machine `i`
-    // under supervision and pushes its report through the in-order emitter.
-    let run_one = |w: usize, i: usize| {
+    // and pushes its report through the in-order emitter.
+    let run_one = |i: usize| {
         {
             let mut g = lock(&emit);
             while i >= g.next + window {
@@ -456,7 +354,7 @@ pub fn run_batch_resumable(
                 g = emitted.wait(g).unwrap_or_else(PoisonError::into_inner);
             }
         }
-        let (report, quarantine) = supervise(w, i);
+        let (report, quarantine) = run_machine(i);
         if let Some(q) = &quarantine {
             lock(&quarantined).push(q.clone());
         }
@@ -480,48 +378,14 @@ pub fn run_batch_resumable(
         emitted.notify_all();
     };
 
-    std::thread::scope(|outer| {
-        // The watchdog lives in an outer scope so it can observe the
-        // workers' slots for the whole sweep, then exit once they drain.
-        if let (Some(limit), Some(slots)) = (bcfg.watchdog, &watch_slots) {
-            let workers_done = &workers_done;
-            outer.spawn(move || {
-                let poll = (limit / 4).clamp(Duration::from_millis(1), Duration::from_millis(25));
-                while !workers_done.load(Ordering::Acquire) {
-                    std::thread::sleep(poll);
-                    for slot in slots {
-                        let mut g = lock(slot);
-                        if let Some(r) = g.as_mut() {
-                            let elapsed = r.started.elapsed();
-                            if r.phase == 0 && elapsed >= limit {
-                                // Rung 1: cooperative cancel. The run
-                                // unwinds at its next ctl charge and keeps
-                                // its Degraded best-so-far.
-                                r.stop.store(true, Ordering::Relaxed);
-                                r.phase = 1;
-                                tracer.incr("engine.batch.watchdog.cancel", 1);
-                            } else if r.phase == 1 && elapsed >= limit + limit {
-                                // Rung 2: the cancel was not honored in
-                                // another full limit — mark for quarantine
-                                // when (if) the attempt returns.
-                                r.phase = 2;
-                                tracer.incr("engine.batch.watchdog.quarantine", 1);
-                            }
-                        }
-                    }
-                }
-            });
+    // Claims are ascending, so the lowest unemitted machine has always been
+    // claimed and its worker never waits (`i < next + window` holds for
+    // `i == next`): the emission cursor keeps advancing and the window
+    // cannot deadlock.
+    crate::claim_loop(len, workers, |i| {
+        if !completed.contains(&i) {
+            run_one(i);
         }
-        // Claims are ascending, so the lowest unemitted machine has always
-        // been claimed and its worker never waits (`i < next + window`
-        // holds for `i == next`): the emission cursor keeps advancing and
-        // the window cannot deadlock.
-        crate::claim_loop(len, workers, |w, i| {
-            if !completed.contains(&i) {
-                run_one(w, i);
-            }
-        });
-        workers_done.store(true, Ordering::Release);
     });
 
     // Every machine completed or was skipped, so the reorder buffer fully
@@ -539,8 +403,8 @@ pub fn run_batch_resumable(
     quarantined.sort_by_key(|q| q.index);
     BatchReport {
         machines: ran.load(Ordering::Relaxed),
-        retries: retries_taken.load(Ordering::Relaxed),
         quarantined,
+        ..BatchReport::default()
     }
 }
 
@@ -724,8 +588,8 @@ impl<W: Write> StreamWriter<W> {
 
     /// [`StreamWriter::finish`] with the sweep's quarantine list folded
     /// into the summary: `quarantined` is always present, and a non-empty
-    /// list adds a `quarantine` array (index / machine / attempts /
-    /// reason). In deterministic mode the wall-clock fields are omitted.
+    /// list adds a `quarantine` array (index / machine / reason). In
+    /// deterministic mode the wall-clock fields are omitted.
     pub fn finish_with(
         mut self,
         quarantine: &[QuarantineRecord],
@@ -752,7 +616,6 @@ impl<W: Write> StreamWriter<W> {
                             Json::Obj(vec![
                                 ("index".into(), Json::uint(q.index as u64)),
                                 ("machine".into(), Json::str(&q.machine)),
-                                ("attempts".into(), Json::uint(q.attempts as u64)),
                                 ("reason".into(), Json::str(&q.reason)),
                             ])
                         })

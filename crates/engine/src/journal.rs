@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! nova-journal/1 key=<16 hex> machines=<N> corpus=<corpus>
-//! Q <idx> <attempts> <fnv16-of-reason> <pct-encoded-reason>
+//! Q <idx> <fnv16-of-reason> <pct-encoded-reason>
 //! C <idx> <machine-fp> <class> <fnv16-of-line> <line>
 //! ```
 //!
@@ -16,9 +16,9 @@
 //!   [`MachineClass`](crate::MachineClass) tag, and `<line>` is the verbatim
 //!   `nova-bench-stream/1` machine line (JSON contains no raw newlines, so a
 //!   record is always exactly one journal line).
-//! * `Q` records carry the quarantine entry for a machine that exhausted its
-//!   retries. They are written immediately *before* their machine's `C`
-//!   record so that a kill between the two can only lose the pair together.
+//! * `Q` records carry the quarantine entry for a machine that crashed.
+//!   They are written immediately *before* their machine's `C` record so
+//!   that a kill between the two can only lose the pair together.
 //! * Every record embeds an fnv64-derived 16-hex checksum of its payload; a
 //!   torn tail (partial last line, bad checksum) is dropped on load rather
 //!   than failing the resume.
@@ -113,7 +113,7 @@ pub struct ReplayedMachine {
     pub class: MachineClass,
     /// Verbatim `nova-bench-stream/1` machine line (no trailing newline).
     pub line: String,
-    /// Quarantine entry, when the machine exhausted its retries.
+    /// Quarantine entry, when the machine crashed.
     pub quarantine: Option<QuarantineRecord>,
 }
 
@@ -163,14 +163,7 @@ impl JournalWriter {
         debug_assert!(!line.contains('\n'), "stream lines are single-line JSON");
         if let Some(q) = quarantine {
             let reason = pct_encode(&q.reason);
-            writeln!(
-                self.out,
-                "Q {} {} {} {}",
-                q.index,
-                q.attempts,
-                fnv16(&reason),
-                reason
-            )?;
+            writeln!(self.out, "Q {} {} {}", q.index, fnv16(&reason), reason)?;
             self.since_sync += 1;
         }
         writeln!(
@@ -372,10 +365,9 @@ fn parse_record(raw: &str) -> Option<Record> {
             })
         }
         "Q" => {
-            // Q <idx> <attempts> <fnv16> <pct-encoded-reason>
-            let mut f = rest.splitn(4, ' ');
+            // Q <idx> <fnv16> <pct-encoded-reason>
+            let mut f = rest.splitn(3, ' ');
             let index = f.next()?.parse::<usize>().ok()?;
-            let attempts = f.next()?.parse::<usize>().ok()?;
             let sum = f.next()?;
             let encoded = f.next()?;
             if fnv16(encoded) != sum {
@@ -385,7 +377,6 @@ fn parse_record(raw: &str) -> Option<Record> {
             Some(Record::Quarantine(QuarantineRecord {
                 index,
                 machine: String::new(), // filled from the stream line on merge
-                attempts,
                 reason,
             }))
         }
@@ -414,7 +405,6 @@ mod tests {
         let q = QuarantineRecord {
             index: 1,
             machine: "m1".into(),
-            attempts: 3,
             reason: "panic: boom with spaces\nand newline".into(),
         };
         w.record(
@@ -440,7 +430,7 @@ mod tests {
         assert!(m0.quarantine.is_none());
         let m1 = &replay.completed[&1];
         let rq = m1.quarantine.as_ref().unwrap();
-        assert_eq!(rq.attempts, 3);
+        assert_eq!(rq.index, 1);
         assert_eq!(rq.reason, "panic: boom with spaces\nand newline");
         fs::remove_file(&path).ok();
     }
@@ -455,7 +445,7 @@ mod tests {
         w.finish().unwrap();
         // Simulate a crash mid-write: orphan Q then a torn C line.
         let mut text = fs::read_to_string(&path).unwrap();
-        text.push_str("Q 5 2 0000000000000000 lost\n");
+        text.push_str("Q 5 0000000000000000 lost\n");
         text.push_str("C 1 ee s 00000000"); // no newline, truncated
         fs::write(&path, &text).unwrap();
 

@@ -17,7 +17,9 @@
 //!   (`--timeout-ms`) and the deterministic node budget (`--budget`). The
 //!   backtracking loops, `project_code` steps and the ESPRESSO improvement
 //!   loop all check it, so an expired deadline yields a clean
-//!   [`Outcome::Timeout`] instead of a hung worker.
+//!   [`Outcome::Timeout`] instead of a hung worker. The deadline is the
+//!   only wall-clock limit; each run under one records how far past it the
+//!   run ended ([`AlgoRun::overshoot`]).
 //! * **Determinism** — identical algorithm lists, seeds and node budgets
 //!   produce identical winning encodings regardless of `--jobs`: every
 //!   algorithm computes in isolation and the winner is picked by minimum
@@ -52,8 +54,8 @@ use nova_core::driver::{
 use nova_trace::json::Json;
 use nova_trace::{MetricsSnapshot, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Configuration of a portfolio run.
@@ -80,12 +82,6 @@ pub struct EngineConfig {
     /// (nova-chaos). `None` — the default — costs one `OnceLock` load per
     /// charge.
     pub fault_plan: Option<FaultPlan>,
-    /// Optional shared stop flag attached to every per-algorithm
-    /// [`RunCtl`]: a supervisor (the batch watchdog) that sets it cancels
-    /// the whole portfolio cooperatively, flowing through the normal
-    /// `Degraded` best-so-far ladder. `None` (the default) costs one
-    /// `Option` branch per charge.
-    pub stop: Option<Arc<AtomicBool>>,
 }
 
 impl Default for EngineConfig {
@@ -98,7 +94,6 @@ impl Default for EngineConfig {
             target_bits: None,
             tracer: Tracer::disabled(),
             fault_plan: None,
-            stop: None,
         }
     }
 }
@@ -177,6 +172,9 @@ pub struct AlgoRun {
     pub metrics: MetricsSnapshot,
     /// Total wall time of this algorithm's worker.
     pub wall: Duration,
+    /// How far past its deadline the run ended (zero when it ended in
+    /// time); `None` when the run had no deadline.
+    pub overshoot: Option<Duration>,
 }
 
 /// The full report of one portfolio run over one machine.
@@ -321,6 +319,9 @@ impl AlgoRun {
         }
         pairs.push(("wall_ms".into(), Json::Float(millis(self.wall))));
         pairs.push(("stages_ms".into(), stages_to_json(&self.stages)));
+        if let Some(o) = self.overshoot {
+            pairs.push(("overshoot_ms".into(), Json::Float(millis(o))));
+        }
         pairs.push((
             "counters".into(),
             Json::Obj(vec![
@@ -356,26 +357,26 @@ pub fn eval_to_json(r: &EvalResult) -> Json {
     ])
 }
 
-/// Calls `f(worker, index)` for every index in `0..items` over at most
-/// `jobs` scoped worker threads (`worker` is in `0..jobs`). Workers claim
-/// indices in ascending order from one atomic counter, so every index below
-/// the counter has been claimed — the property the batch reorder window's
-/// deadlock freedom rests on. This is the engine's only scheduler.
+/// Calls `f(index)` for every index in `0..items` over at most `jobs`
+/// scoped worker threads. Workers claim indices in ascending order from one
+/// atomic counter, so every index below the counter has been claimed — the
+/// property the batch reorder window's deadlock freedom rests on. This is
+/// the engine's only scheduler.
 pub(crate) fn claim_loop<F>(items: usize, jobs: usize, f: F)
 where
-    F: Fn(usize, usize) + Sync,
+    F: Fn(usize) + Sync,
 {
     let next = AtomicUsize::new(0);
     let workers = jobs.clamp(1, items.max(1));
     std::thread::scope(|s| {
-        for w in 0..workers {
+        for _ in 0..workers {
             let (next, f) = (&next, &f);
             s.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= items {
                     break;
                 }
-                f(w, i);
+                f(i);
             });
         }
     });
@@ -392,7 +393,7 @@ where
 {
     let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..items).map(|_| Mutex::new(None)).collect();
-    claim_loop(items, jobs, |_, i| {
+    claim_loop(items, jobs, |i| {
         let out = catch_unwind(AssertUnwindSafe(|| f(i))).map_err(panic_message);
         // A slot mutex can only be poisoned by a panic *between*
         // catch_unwind and the store (e.g. a panicking Drop in the
@@ -437,6 +438,7 @@ pub fn run_portfolio(fsm: &Fsm, machine: &str, cfg: &EngineConfig) -> PortfolioR
             counters: RunCounters::default(),
             metrics: MetricsSnapshot::default(),
             wall: Duration::default(),
+            overshoot: None,
         },
     })
     .collect();
@@ -472,11 +474,11 @@ fn run_one_under(
     deadline: Option<Instant>,
 ) -> AlgoRun {
     let tracer = cfg.tracer.fork();
-    let ctl = RunCtl::new(cfg.node_budget, deadline, tracer.clone(), cfg.stop.clone());
+    let ctl = RunCtl::new(cfg.node_budget, deadline, tracer.clone());
     if let Some(plan) = &cfg.fault_plan {
         ctl.arm_faults(plan);
     }
-    run_contained(algorithm, &ctl, &tracer, |ctl, cell| {
+    run_contained(algorithm, &ctl, &tracer, deadline, |ctl, cell| {
         run_traced_shared(fsm, algorithm, cfg.target_bits, ctl, cell).status
     })
 }
@@ -484,10 +486,13 @@ fn run_one_under(
 /// Runs `body` under the engine's panic containment. The ctl, tracer fork
 /// and stage cell live *outside* the guard: a panicking worker still reports
 /// every counter, span and completed-stage time it produced before dying.
+/// A run under a `deadline` records how far past it the run ended, in
+/// [`AlgoRun::overshoot`] and the `engine.deadline.overshoot_ms` histogram.
 fn run_contained(
     algorithm: Algorithm,
     ctl: &RunCtl,
     tracer: &Tracer,
+    deadline: Option<Instant>,
     body: impl FnOnce(&RunCtl, &StageCell) -> RunStatus,
 ) -> AlgoRun {
     let cell = StageCell::new();
@@ -499,6 +504,10 @@ fn run_contained(
     };
     let status = catch_unwind(AssertUnwindSafe(|| body(ctl, &cell)));
     drop(span);
+    let overshoot = deadline.map(|d| Instant::now().saturating_duration_since(d));
+    if let Some(o) = overshoot {
+        tracer.observe("engine.deadline.overshoot_ms", o.as_millis() as u64);
+    }
     let outcome = match status {
         Ok(RunStatus::Done(r)) => Outcome::Done(r),
         Ok(RunStatus::Unsolved) => Outcome::Unsolved,
@@ -513,6 +522,7 @@ fn run_contained(
         counters: ctl.counters(),
         metrics: tracer.metrics_snapshot(),
         wall: t.elapsed(),
+        overshoot,
     }
 }
 
@@ -537,9 +547,10 @@ pub fn machine_summary_json(rep: &PortfolioReport) -> Json {
 }
 
 /// [`machine_summary_json`] with the wall-clock fields (`wall_ms`,
-/// `stages_ms`) optional: `timings: false` emits only the deterministic
-/// fields, so two sweeps of the same corpus — interrupted, resumed, or run
-/// end to end — produce byte-identical lines. Journaled streams use this.
+/// `stages_ms`, `overshoot_ms`) optional: `timings: false` emits only the
+/// deterministic fields, so two sweeps of the same corpus — interrupted,
+/// resumed, or run end to end — produce byte-identical lines. Journaled
+/// streams use this.
 pub fn machine_summary_json_with(rep: &PortfolioReport, timings: bool) -> Json {
     let mut pairs = vec![("machine".into(), Json::str(&rep.machine))];
     match rep.best() {
@@ -584,6 +595,9 @@ pub fn machine_summary_json_with(rep: &PortfolioReport, timings: bool) -> Json {
                     if timings {
                         rp.push(("wall_ms".into(), Json::Float(millis(run.wall))));
                         rp.push(("stages_ms".into(), stages_to_json(&run.stages)));
+                        if let Some(o) = run.overshoot {
+                            rp.push(("overshoot_ms".into(), Json::Float(millis(o))));
+                        }
                     }
                     rp
                 })
@@ -777,8 +791,8 @@ mod tests {
         // to report empty telemetry).
         let tracer = Tracer::enabled();
         let fork = tracer.fork();
-        let ctl = RunCtl::new(None, None, fork.clone(), None);
-        let run = run_contained(Algorithm::IExact, &ctl, &fork, |ctl, cell| {
+        let ctl = RunCtl::new(None, None, fork.clone());
+        let run = run_contained(Algorithm::IExact, &ctl, &fork, None, |ctl, cell| {
             ctl.count_face();
             ctl.count_backtrack();
             ctl.tracer().incr("test.partial", 7);
@@ -972,6 +986,50 @@ mod tests {
         assert!(j.contains("\"best\":null"));
         assert!(j.contains("\"degraded\""));
         assert!(j.contains("\"outcome\":\"degraded\""));
+    }
+
+    #[test]
+    fn deadline_runs_report_their_overshoot() {
+        // IExact on this 12-state machine runs far past 20 ms, so the run
+        // ends after its deadline and says by how much, in the run record,
+        // the per-run summary and the run's own metrics.
+        let spec = fsm::ScaleSpec::parse("machines=1,states=12,inputs=3,outputs=3,seed=33")
+            .expect("valid spec");
+        let m = spec.machine(0);
+        let cfg = EngineConfig {
+            algorithms: vec![Algorithm::IExact],
+            timeout: Some(Duration::from_millis(20)),
+            tracer: Tracer::enabled(),
+            ..EngineConfig::default()
+        };
+        let report = run_portfolio(&m, "m", &cfg);
+        let run = &report.runs[0];
+        assert!(run.overshoot.is_some(), "a run under a deadline records it");
+        assert!(run.to_json().to_compact().contains("\"overshoot_ms\""));
+        assert!(machine_summary_json(&report)
+            .to_compact()
+            .contains("\"overshoot_ms\""));
+        assert!(!machine_summary_json_with(&report, false)
+            .to_compact()
+            .contains("overshoot_ms"));
+        assert!(run
+            .metrics
+            .histograms
+            .iter()
+            .any(|(n, h)| n == "engine.deadline.overshoot_ms" && h.count == 1));
+
+        // No deadline, no overshoot: a node budget bounds the same run.
+        let cfg = EngineConfig {
+            algorithms: vec![Algorithm::IExact],
+            node_budget: Some(20_000),
+            ..EngineConfig::default()
+        };
+        let report = run_portfolio(&m, "m", &cfg);
+        assert_eq!(report.runs[0].overshoot, None);
+        assert!(!report.to_json().to_compact().contains("overshoot_ms"));
+        assert!(!machine_summary_json(&report)
+            .to_compact()
+            .contains("overshoot_ms"));
     }
 
     #[test]

@@ -46,8 +46,8 @@ fn sweep(cfg: &EngineConfig, bcfg: &BatchConfig) -> Vec<(usize, String, String)>
 
 /// A corpus that records every machine materialized `window` or more
 /// indices past the emission count — a breach of the reorder-window memory
-/// bound. (An assert inside `machine` would be caught by supervision and
-/// retried, so breaches are collected and checked after the sweep.)
+/// bound. (An assert inside `machine` would be caught and quarantined, so
+/// breaches are collected and checked after the sweep.)
 struct WindowProbe<'a> {
     inner: ScaleSpec,
     emitted: &'a AtomicUsize,
@@ -89,7 +89,6 @@ fn batch_emits_in_machine_index_order() {
         let bcfg = BatchConfig {
             batch_jobs: 4,
             window,
-            ..BatchConfig::default()
         };
         let mut got = Vec::new();
         run_batch(&src, &config(), &bcfg, &mut |i, rep| {
@@ -128,7 +127,6 @@ fn batch_reports_are_byte_identical_across_worker_counts() {
         &BatchConfig {
             batch_jobs: 4,
             window: 1,
-            ..BatchConfig::default()
         },
     );
     assert_eq!(base, tight, "window=1 sweep diverged");
@@ -292,13 +290,39 @@ fn empty_corpus_is_a_clean_no_op() {
     assert_eq!(calls, 0);
 }
 
+/// A corpus that counts how often each machine is materialized.
+struct CallCounter {
+    inner: ScaleSpec,
+    calls: Vec<AtomicUsize>,
+}
+
+impl MachineSource for CallCounter {
+    fn len(&self) -> usize {
+        self.inner.machines
+    }
+    fn name(&self, i: usize) -> String {
+        self.inner.name(i)
+    }
+    fn machine(&self, i: usize) -> Fsm {
+        self.calls[i].fetch_add(1, Ordering::SeqCst);
+        self.inner.machine(i)
+    }
+    fn describe(&self) -> String {
+        self.inner.spec_string()
+    }
+}
+
 #[test]
-fn always_crashing_machines_are_retried_then_quarantined() {
-    // `*:1:panic` fires on the first ctl charge of every attempt, so every
-    // machine crashes every attempt: the supervisor must burn the retry
-    // budget, quarantine all of them, and still complete the sweep with one
+fn crashing_machines_run_once_and_are_quarantined() {
+    // `*:1:panic` fires on the first ctl charge of every run, so every
+    // machine crashes. The engine is deterministic, so a second attempt
+    // would crash the same way: each machine must be materialized and run
+    // exactly once, quarantined, and the sweep must still complete with one
     // emission per machine, in order.
-    let spec = ScaleSpec::parse("machines=5,states=6,inputs=2,outputs=2,seed=9").unwrap();
+    let src = CallCounter {
+        inner: ScaleSpec::parse("machines=5,states=6,inputs=2,outputs=2,seed=9").unwrap(),
+        calls: (0..5).map(|_| AtomicUsize::new(0)).collect(),
+    };
     let tracer = Tracer::enabled();
     let cfg = EngineConfig {
         algorithms: vec![Algorithm::IHybrid],
@@ -308,13 +332,14 @@ fn always_crashing_machines_are_retried_then_quarantined() {
     };
     let bcfg = BatchConfig {
         batch_jobs: 2,
-        retries: 2,
         ..BatchConfig::default()
     };
     let mut emitted = Vec::new();
-    let report = run_batch(&spec, &cfg, &bcfg, &mut |i, rep| {
+    let report = run_batch(&src, &cfg, &bcfg, &mut |i, rep| {
         emitted.push((i, MachineClass::of(&rep)));
     });
+    let calls: Vec<usize> = src.calls.iter().map(|c| c.load(Ordering::SeqCst)).collect();
+    assert_eq!(calls, [1; 5], "each machine is materialized exactly once");
     assert_eq!(emitted.len(), 5, "sweep must complete despite the crashes");
     for (k, (i, class)) in emitted.iter().enumerate() {
         assert_eq!(*i, k);
@@ -322,12 +347,10 @@ fn always_crashing_machines_are_retried_then_quarantined() {
     }
     assert_eq!(report.machines, 5);
     assert_eq!(report.quarantined.len(), 5, "every machine quarantined");
-    assert_eq!(report.retries, 10, "2 retries per machine");
     for (k, q) in report.quarantined.iter().enumerate() {
         assert_eq!(q.index, k, "quarantine list sorted by index");
-        assert_eq!(q.machine, spec.name(k));
-        assert_eq!(q.attempts, 3, "first run + 2 retries");
-        assert!(!q.reason.is_empty(), "quarantine carries a reason");
+        assert_eq!(q.machine, src.name(k));
+        assert!(q.reason.contains("injected panic"), "{}", q.reason);
     }
     let snap = tracer.merged_metrics();
     let counter = |name: &str| {
@@ -336,12 +359,12 @@ fn always_crashing_machines_are_retried_then_quarantined() {
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
     };
-    assert_eq!(counter("engine.batch.retry"), Some(10));
     assert_eq!(counter("engine.batch.quarantine"), Some(5));
+    assert_eq!(counter("engine.batch.retry"), None, "nothing is retried");
 }
 
 #[test]
-fn healthy_machines_never_touch_the_supervision_ladder() {
+fn healthy_machines_are_never_quarantined() {
     let report = run_batch(
         &corpus(),
         &config(),
@@ -349,44 +372,36 @@ fn healthy_machines_never_touch_the_supervision_ladder() {
         &mut |_, _| {},
     );
     assert_eq!(report.machines, 16);
-    assert_eq!(report.retries, 0);
     assert!(report.quarantined.is_empty());
 }
 
 #[test]
-fn watchdog_cancels_stuck_runs_into_degraded_results() {
+fn deadline_cancels_stuck_runs_into_timeout_or_degraded_results() {
     // IExact on 12-state machines with no node budget runs far longer than
-    // the 20ms wall limit; the watchdog's cooperative cancel must land and
-    // the sweep complete without wedging, each run keeping whatever
-    // best-so-far it had (possibly nothing — but never still running).
+    // the 20ms deadline; the deadline must cancel every run and the sweep
+    // complete without wedging, each run keeping whatever best-so-far it had
+    // (possibly nothing — but never still running, and never a crash).
     let spec = ScaleSpec::parse("machines=2,states=12,inputs=3,outputs=3,seed=33").unwrap();
-    let tracer = Tracer::enabled();
     let cfg = EngineConfig {
         algorithms: vec![Algorithm::IExact],
-        tracer: tracer.clone(),
+        timeout: Some(Duration::from_millis(20)),
         ..EngineConfig::default()
     };
     let bcfg = BatchConfig {
         batch_jobs: 2,
-        retries: 0,
-        watchdog: Some(Duration::from_millis(20)),
         ..BatchConfig::default()
     };
     let mut emitted = 0usize;
-    run_batch(&spec, &cfg, &bcfg, &mut |_, _| emitted += 1);
-    assert_eq!(emitted, 2, "watchdog-cancelled sweep still completes");
-    let snap = tracer.merged_metrics();
-    let cancels = snap
-        .counters
-        .iter()
-        .find(|(n, _)| n == "engine.batch.watchdog.cancel")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    assert!(
-        cancels >= 1,
-        "watchdog never fired; counters: {:?}",
-        snap.counters
-    );
+    let mut outcomes = Vec::new();
+    let report = run_batch(&spec, &cfg, &bcfg, &mut |_, rep| {
+        emitted += 1;
+        outcomes.extend(rep.runs.iter().map(|r| r.outcome.tag()));
+    });
+    assert_eq!(emitted, 2, "deadline-cancelled sweep still completes");
+    for tag in outcomes {
+        assert!(tag == "timeout" || tag == "degraded", "run ended {tag}");
+    }
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
 }
 
 #[test]

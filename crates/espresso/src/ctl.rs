@@ -98,11 +98,6 @@ pub struct BestSoFar {
 struct CtlInner {
     /// External / latched stop flag. Once set it never clears.
     stop: AtomicBool,
-    /// Optional *shared* stop flag owned by a supervisor (the batch
-    /// watchdog): setting it from outside cancels the run on its next
-    /// charge. Unlike `stop`, the supervisor may reuse the `Arc` across
-    /// observation points; this handle only ever reads it.
-    external: Option<Arc<AtomicBool>>,
     /// Remaining work units; `u64::MAX` means unlimited.
     fuel: AtomicU64,
     /// Wall-clock deadline, checked every [`DEADLINE_CHECK_PERIOD`] charges.
@@ -152,22 +147,13 @@ pub struct RunCounters {
 
 impl RunCtl {
     /// A handle with an optional node-count budget (deterministic across
-    /// machines and thread counts), wall-clock deadline and shared external
-    /// stop flag. Every ctl-aware entry point records spans and metrics
-    /// through `tracer`; `Tracer::disabled()` opts out at near-zero cost. A
-    /// supervisor (the batch watchdog) that sets `stop` cancels the run at
-    /// its next charge with [`CancelReason::Stop`], which flows through the
-    /// normal degraded / best-so-far ladder.
-    pub fn new(
-        fuel: Option<u64>,
-        deadline: Option<Instant>,
-        tracer: Tracer,
-        stop: Option<Arc<AtomicBool>>,
-    ) -> Self {
+    /// machines and thread counts) and wall-clock deadline. Every ctl-aware
+    /// entry point records spans and metrics through `tracer`;
+    /// `Tracer::disabled()` opts out at near-zero cost.
+    pub fn new(fuel: Option<u64>, deadline: Option<Instant>, tracer: Tracer) -> Self {
         RunCtl {
             inner: Arc::new(CtlInner {
                 stop: AtomicBool::new(false),
-                external: stop,
                 fuel: AtomicU64::new(fuel.unwrap_or(u64::MAX)),
                 deadline,
                 tracer,
@@ -186,7 +172,7 @@ impl RunCtl {
 
     /// A handle that never cancels: counters only.
     pub fn unlimited() -> Self {
-        RunCtl::new(None, None, Tracer::disabled(), None)
+        RunCtl::new(None, None, Tracer::disabled())
     }
 
     /// The tracer carried by this run (disabled unless the run was built
@@ -229,9 +215,6 @@ impl RunCtl {
         if self.inner.stop.load(Ordering::Relaxed) {
             return true;
         }
-        if self.external_stopped() {
-            return true;
-        }
         if let Some(d) = self.inner.deadline {
             if Instant::now() >= d {
                 self.cancel_with(CancelReason::Deadline);
@@ -239,20 +222,6 @@ impl RunCtl {
             }
         }
         false
-    }
-
-    /// Latches the stop flag if the supervisor's external flag is set. One
-    /// `Option` branch on the fast path (`None` for every non-supervised
-    /// run); the external load itself is a relaxed atomic read.
-    #[inline]
-    fn external_stopped(&self) -> bool {
-        match &self.inner.external {
-            Some(ext) if ext.load(Ordering::Relaxed) => {
-                self.cancel_with(CancelReason::Stop);
-                true
-            }
-            _ => false,
-        }
     }
 
     /// One operation observed by the armed fault plan, if any. Kept to a
@@ -299,9 +268,6 @@ impl RunCtl {
         if self.inner.stop.load(Ordering::Relaxed) {
             return Err(Cancelled);
         }
-        if self.external_stopped() {
-            return Err(Cancelled);
-        }
         let before = self.inner.work.fetch_add(units, Ordering::Relaxed);
         // Deadline: check on the first charge and then periodically.
         if let Some(d) = self.inner.deadline {
@@ -335,14 +301,6 @@ impl RunCtl {
                 Err(actual) => fuel = actual,
             }
         }
-    }
-
-    /// Cheapest possible cancellation probe: a relaxed load of the stop
-    /// flag (plus the supervisor's external flag when one is attached), no
-    /// clock read, no fuel traffic. Hot loops that batch their
-    /// [`RunCtl::charge`] calls may use this between batches.
-    pub fn should_stop(&self) -> bool {
-        self.inner.stop.load(Ordering::Relaxed) || self.external_stopped()
     }
 
     /// Arms `plan` on this handle: every subsequent charge/counter call is
@@ -465,7 +423,7 @@ mod tests {
         assert_eq!(ctl.request_id(), 0, "untagged runs report 0");
         let tracer = Tracer::enabled();
         tracer.set_request_id(0xfeed);
-        let tagged = RunCtl::new(None, None, tracer.fork(), None);
+        let tagged = RunCtl::new(None, None, tracer.fork());
         assert_eq!(tagged.request_id(), 0xfeed, "forks share the id");
     }
 
@@ -488,7 +446,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_cancels_deterministically() {
-        let ctl = RunCtl::new(Some(10), None, Tracer::disabled(), None);
+        let ctl = RunCtl::new(Some(10), None, Tracer::disabled());
         let mut charged = 0;
         while ctl.charge(1).is_ok() {
             charged += 1;
@@ -499,14 +457,14 @@ mod tests {
 
     #[test]
     fn zero_deadline_cancels_on_first_charge() {
-        let ctl = RunCtl::new(None, Some(Instant::now()), Tracer::disabled(), None);
+        let ctl = RunCtl::new(None, Some(Instant::now()), Tracer::disabled());
         assert_eq!(ctl.charge(1), Err(Cancelled));
     }
 
     #[test]
     fn future_deadline_allows_work_then_expires() {
         let deadline = Instant::now() + Duration::from_millis(20);
-        let ctl = RunCtl::new(None, Some(deadline), Tracer::disabled(), None);
+        let ctl = RunCtl::new(None, Some(deadline), Tracer::disabled());
         assert!(ctl.charge(1).is_ok());
         std::thread::sleep(Duration::from_millis(30));
         // May take up to one check period to notice; drive it past that.
@@ -518,23 +476,6 @@ mod tests {
             }
         }
         assert!(cancelled);
-    }
-
-    #[test]
-    fn external_stop_cancels_with_stop_reason() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let ctl = RunCtl::new(None, None, Tracer::disabled(), Some(Arc::clone(&flag)));
-        assert!(ctl.charge(1).is_ok());
-        assert!(!ctl.should_stop());
-        flag.store(true, Ordering::Relaxed);
-        assert!(ctl.should_stop());
-        assert_eq!(ctl.charge(1), Err(Cancelled));
-        assert!(ctl.cancelled());
-        assert_eq!(ctl.cancel_reason(), Some(CancelReason::Stop));
-        // The supervisor flag is read-only from the ctl side: clearing it
-        // does not un-cancel the latched run.
-        flag.store(false, Ordering::Relaxed);
-        assert!(ctl.cancelled());
     }
 
     #[test]
@@ -576,13 +517,13 @@ mod tests {
         external.cancel();
         assert_eq!(external.cancel_reason(), Some(CancelReason::Stop));
 
-        let budget = RunCtl::new(Some(1), None, Tracer::disabled(), None);
+        let budget = RunCtl::new(Some(1), None, Tracer::disabled());
         let _ = budget.charge(1);
         assert_eq!(budget.cancel_reason(), Some(CancelReason::Budget));
         budget.cancel(); // Later causes do not overwrite the first.
         assert_eq!(budget.cancel_reason(), Some(CancelReason::Budget));
 
-        let deadline = RunCtl::new(None, Some(Instant::now()), Tracer::disabled(), None);
+        let deadline = RunCtl::new(None, Some(Instant::now()), Tracer::disabled());
         let _ = deadline.charge(1);
         assert_eq!(deadline.cancel_reason(), Some(CancelReason::Deadline));
     }
@@ -600,7 +541,7 @@ mod tests {
 
     #[test]
     fn injected_budget_fault_zeroes_fuel() {
-        let ctl = RunCtl::new(Some(1_000_000), None, Tracer::disabled(), None);
+        let ctl = RunCtl::new(Some(1_000_000), None, Tracer::disabled());
         ctl.arm_faults(&FaultPlan::single("*", 2, FaultKind::Budget));
         assert!(ctl.charge(1).is_ok());
         assert_eq!(ctl.charge(1), Err(Cancelled));
@@ -661,7 +602,7 @@ mod tests {
 
     #[test]
     fn traced_ctl_carries_tracer_through_clones() {
-        let ctl = RunCtl::new(None, None, Tracer::enabled(), None);
+        let ctl = RunCtl::new(None, None, Tracer::enabled());
         let clone = ctl.clone();
         {
             let _s = clone.tracer().span("from-clone");

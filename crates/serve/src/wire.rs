@@ -141,7 +141,6 @@ impl EncodeOptions {
             target_bits: self.bits,
             tracer: tracer.clone(),
             fault_plan: self.fault_plan.clone(),
-            stop: None,
         }
     }
 
