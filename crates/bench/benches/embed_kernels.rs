@@ -11,9 +11,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nova_core::driver::input_constraints;
 use nova_core::exact::{iexact_code, pos_equiv_covers_ctl, ExactOptions};
-use nova_core::{mincube_dim, InputGraph, RunCtl};
+use nova_core::{extract_input_constraints, mincube_dim, InputGraph, RunCtl};
 
 /// Counts every allocation and reallocation (frees are not counted: the
 /// interesting number is how often the search goes to the allocator at all).
@@ -50,7 +49,7 @@ fn allocs_of<R>(f: impl FnOnce() -> R) -> u64 {
 /// Input graph of a named suite machine, as the encoders see it.
 fn graph_of(name: &str) -> InputGraph {
     let b = fsm::benchmarks::by_name(name).expect("embedded");
-    let ics = input_constraints(&b.fsm);
+    let ics = extract_input_constraints(&b.fsm);
     let sets: Vec<_> = ics.constraints.iter().map(|c| c.set).collect();
     InputGraph::build(ics.num_states, &sets)
 }

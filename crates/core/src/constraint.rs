@@ -1,7 +1,7 @@
 //! Input constraints: subsets of states that multiple-valued minimization
 //! groups together, and their extraction from a minimized symbolic cover.
 
-use espresso::{minimize, Cover};
+use espresso::Cover;
 use fsm::{symbolic_cover, Fsm, StateId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -172,9 +172,8 @@ pub struct InputConstraints {
 /// Extracts weighted input constraints from `fsm` by multiple-valued
 /// minimization of its symbolic cover (the KISS front-end step).
 pub fn extract_input_constraints(fsm: &Fsm) -> InputConstraints {
-    let sc = symbolic_cover(fsm);
-    let min = minimize(&sc.on, &sc.dc);
-    constraints_from_cover(&sc, &min)
+    extract_input_constraints_ctl(fsm, &espresso::RunCtl::unlimited())
+        .expect("unlimited ctl never cancels")
 }
 
 /// [`extract_input_constraints`] under a [`RunCtl`]: the multiple-valued

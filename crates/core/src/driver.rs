@@ -2,21 +2,19 @@
 //! encode, minimize with ESPRESSO and report the paper's metrics
 //! (#bits, #cubes, PLA area, factored literals).
 
-use crate::constraint::{
-    extract_input_constraints, extract_input_constraints_ctl, InputConstraints,
-};
+use crate::constraint::{extract_input_constraints_ctl, InputConstraints};
 use crate::greedy::igreedy_code_ctl;
 use crate::hybrid::{ihybrid_code_ctl, kiss_code_ctl, HybridOptions};
 use crate::iohybrid::{iohybrid_code_ctl, iovariant_code_ctl};
 use crate::mustang::{mustang_code, MustangMode};
-use crate::symbolic_min::{symbolic_minimize_ctl, SymbolicMinOptions};
+use crate::symbolic_min::{symbolic_minimize_ctl, SymbolicMin, SymbolicMinOptions};
 use crate::{exact, poset};
 use espresso::factor::cover_factored_literals;
 use espresso::{minimize, minimize_with_ctl, CancelReason, Cancelled, MinimizeOptions, RunCtl};
 use fsm::encode::encode;
 use fsm::generator::SplitMix64;
 use fsm::{Encoding, Fsm};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// The state-assignment algorithms of the paper plus its baselines.
@@ -246,6 +244,73 @@ impl StageCell {
     }
 }
 
+/// The machine-level front end of NOVA (paper steps 2–3), derived once and
+/// shared by every algorithm run of one portfolio: the input constraints of
+/// one ESPRESSO-MV minimization (iexact, ihybrid, igreedy, kiss) and one
+/// symbolic minimization (iohybrid, iovariant).
+///
+/// The first run to need a derivation computes it under its own [`RunCtl`]
+/// while holding the cell's lock, so a concurrent run waits rather than
+/// derives twice. The result is published only when the derivation
+/// returned `Ok` with no stop latched on the ctl; a later run then replays
+/// it as one [`RunCtl::charge`] of the units the derivation charged. Every
+/// run enters its constraints stage with a fresh ctl under the same limits,
+/// so a published derivation is one every run would have completed, and
+/// the replay leaves the budget where deriving would have: outcomes and
+/// `work` are those of the run alone, at any worker count.
+#[derive(Debug, Default)]
+pub struct FrontEnd {
+    inputs: Derivation<InputConstraints>,
+    symbolic: Derivation<SymbolicMin>,
+}
+
+impl FrontEnd {
+    /// An empty front end: the next run to need a derivation computes it.
+    pub fn new() -> FrontEnd {
+        FrontEnd::default()
+    }
+}
+
+/// One shared derivation: the value plus the work units charged deriving it.
+#[derive(Debug)]
+struct Derivation<T>(Mutex<Option<(Arc<T>, u64)>>);
+
+impl<T> Default for Derivation<T> {
+    fn default() -> Self {
+        Derivation(Mutex::new(None))
+    }
+}
+
+impl<T> Derivation<T> {
+    /// The published value replayed onto `ctl`, or `derive()` run under it.
+    fn get_or_derive(
+        &self,
+        ctl: &RunCtl,
+        derive: impl FnOnce() -> Result<T, Cancelled>,
+    ) -> Result<Arc<T>, Cancelled> {
+        // A panic mid-derivation poisons the lock with the cell still empty.
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((value, units)) = slot.as_ref() {
+            let (value, units) = (Arc::clone(value), *units);
+            drop(slot);
+            ctl.tracer().incr("engine.constraints.reused", 1);
+            // A derivation that charged nothing made no ctl operation either
+            // (every ESPRESSO pass opens with a charge), so neither does its
+            // replay: fault plans count the same operations.
+            if units > 0 {
+                ctl.charge(units)?;
+            }
+            return Ok(value);
+        }
+        let before = ctl.counters().work;
+        let value = Arc::new(derive()?);
+        if ctl.cancel_reason().is_none() {
+            *slot = Some((Arc::clone(&value), ctl.counters().work - before));
+        }
+        Ok(value)
+    }
+}
+
 /// Runs one pipeline stage: wall time flows through the tracer
 /// ([`nova_trace::Tracer::scope_timed`] always measures; the span is only
 /// recorded when tracing is enabled) and into the shared cell — one
@@ -274,20 +339,23 @@ pub fn run_traced(
     ctl: &RunCtl,
 ) -> TracedRun {
     let cell = StageCell::new();
-    run_traced_shared(fsm, algorithm, target_bits, ctl, &cell)
+    run_traced_shared(fsm, algorithm, target_bits, ctl, &cell, &FrontEnd::new())
 }
 
-/// [`run_traced`] with the stage-time accumulator owned by the caller: the
-/// engine passes a cell it keeps *outside* its `catch_unwind`, so stage
-/// times recorded before a worker panic are still reported.
+/// [`run_traced`] with the stage-time accumulator and the [`FrontEnd`]
+/// owned by the caller: the engine passes a cell it keeps *outside* its
+/// `catch_unwind`, so stage times recorded before a worker panic are still
+/// reported, and one front end per portfolio, so the algorithms of a
+/// machine share its constraint derivations.
 pub fn run_traced_shared(
     fsm: &Fsm,
     algorithm: Algorithm,
     target_bits: Option<u32>,
     ctl: &RunCtl,
     cell: &StageCell,
+    front: &FrontEnd,
 ) -> TracedRun {
-    let status = match run_traced_inner(fsm, algorithm, target_bits, ctl, cell) {
+    let status = match run_traced_inner(fsm, algorithm, target_bits, ctl, cell, front) {
         Ok(Some(result)) => RunStatus::Done(result),
         Ok(None) => RunStatus::Unsolved,
         Err(Cancelled) => match degrade(fsm, ctl) {
@@ -323,17 +391,38 @@ fn run_traced_inner(
     target_bits: Option<u32>,
     ctl: &RunCtl,
     cell: &StageCell,
+    front: &FrontEnd,
 ) -> Result<Option<EvalResult>, Cancelled> {
     let opts = HybridOptions::default();
+    let input_constraints = || {
+        stage(
+            ctl,
+            cell,
+            "stage.constraints",
+            |s| &mut s.constraints,
+            || {
+                front
+                    .inputs
+                    .get_or_derive(ctl, || extract_input_constraints_ctl(fsm, ctl))
+            },
+        )
+    };
+    let symbolic = || {
+        stage(
+            ctl,
+            cell,
+            "stage.constraints",
+            |s| &mut s.constraints,
+            || {
+                front.symbolic.get_or_derive(ctl, || {
+                    symbolic_minimize_ctl(fsm, SymbolicMinOptions::default(), ctl)
+                })
+            },
+        )
+    };
     let enc = match algorithm {
         Algorithm::IExact => {
-            let ics = stage(
-                ctl,
-                cell,
-                "stage.constraints",
-                |s| &mut s.constraints,
-                || extract_input_constraints_ctl(fsm, ctl),
-            )?;
+            let ics = input_constraints()?;
             let sets: Vec<_> = ics.constraints.iter().map(|c| c.set).collect();
             let ig = poset::InputGraph::build(ics.num_states, &sets);
             let embedding = stage(
@@ -355,13 +444,7 @@ fn run_traced_inner(
             }
         }
         Algorithm::IHybrid => {
-            let ics = stage(
-                ctl,
-                cell,
-                "stage.constraints",
-                |s| &mut s.constraints,
-                || extract_input_constraints_ctl(fsm, ctl),
-            )?;
+            let ics = input_constraints()?;
             stage(
                 ctl,
                 cell,
@@ -372,13 +455,7 @@ fn run_traced_inner(
             .encoding
         }
         Algorithm::IGreedy => {
-            let ics = stage(
-                ctl,
-                cell,
-                "stage.constraints",
-                |s| &mut s.constraints,
-                || extract_input_constraints_ctl(fsm, ctl),
-            )?;
+            let ics = input_constraints()?;
             stage(
                 ctl,
                 cell,
@@ -389,13 +466,7 @@ fn run_traced_inner(
             .encoding
         }
         Algorithm::IoHybrid => {
-            let sym = stage(
-                ctl,
-                cell,
-                "stage.constraints",
-                |s| &mut s.constraints,
-                || symbolic_minimize_ctl(fsm, SymbolicMinOptions::default(), ctl),
-            )?;
+            let sym = symbolic()?;
             stage(
                 ctl,
                 cell,
@@ -407,13 +478,7 @@ fn run_traced_inner(
             .encoding
         }
         Algorithm::IoVariant => {
-            let sym = stage(
-                ctl,
-                cell,
-                "stage.constraints",
-                |s| &mut s.constraints,
-                || symbolic_minimize_ctl(fsm, SymbolicMinOptions::default(), ctl),
-            )?;
+            let sym = symbolic()?;
             stage(
                 ctl,
                 cell,
@@ -425,13 +490,7 @@ fn run_traced_inner(
             .encoding
         }
         Algorithm::Kiss => {
-            let ics = stage(
-                ctl,
-                cell,
-                "stage.constraints",
-                |s| &mut s.constraints,
-                || extract_input_constraints_ctl(fsm, ctl),
-            )?;
+            let ics = input_constraints()?;
             stage(
                 ctl,
                 cell,
@@ -555,12 +614,6 @@ pub fn random_baseline(fsm: &Fsm, trials: usize, seed: u64) -> RandomStats {
         best,
         trials,
     }
-}
-
-/// Convenience: the `InputConstraints` of a machine (re-exported path used
-/// by benches and examples).
-pub fn input_constraints(fsm: &Fsm) -> InputConstraints {
-    extract_input_constraints(fsm)
 }
 
 #[cfg(test)]

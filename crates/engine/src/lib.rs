@@ -22,9 +22,13 @@
 //!   run ended ([`AlgoRun::overshoot`]).
 //! * **Determinism** — identical algorithm lists, seeds and node budgets
 //!   produce identical winning encodings regardless of `--jobs`: every
-//!   algorithm computes in isolation and the winner is picked by minimum
-//!   area with ties broken by position in the configured list (the paper's
-//!   fixed order for [`Algorithm::ALL`]).
+//!   algorithm computes under its own [`RunCtl`](espresso::RunCtl) and the
+//!   winner is picked by minimum area with ties broken by position in the
+//!   configured list (the paper's fixed order for [`Algorithm::ALL`]). The
+//!   runs share only the machine's constraint derivations
+//!   ([`FrontEnd`]): one derives, the rest replay its charge, and a
+//!   derivation stopped part-way is never shared, so each run ends as it
+//!   would alone.
 //! * **Containment** — a panicking worker degrades to
 //!   [`Outcome::Failed`] for that algorithm only.
 //!
@@ -49,7 +53,8 @@ pub use journal::{JournalReplay, JournalWriter};
 use espresso::{FaultPlan, RunCounters, RunCtl};
 use fsm::Fsm;
 use nova_core::driver::{
-    run_traced_shared, Algorithm, Degradation, EvalResult, RunStatus, StageCell, StageTimes,
+    run_traced_shared, Algorithm, Degradation, EvalResult, FrontEnd, RunStatus, StageCell,
+    StageTimes,
 };
 use nova_trace::json::Json;
 use nova_trace::{MetricsSnapshot, Tracer};
@@ -416,13 +421,15 @@ where
 ///
 /// Every algorithm runs under its own [`RunCtl`] carrying the shared
 /// wall-clock deadline and the per-algorithm node budget; its counters are
-/// snapshotted into the report when the run ends, however it ends.
+/// snapshotted into the report when the run ends, however it ends. The runs
+/// share one [`FrontEnd`], so the machine's constraints are derived once.
 pub fn run_portfolio(fsm: &Fsm, machine: &str, cfg: &EngineConfig) -> PortfolioReport {
     let start = Instant::now();
     let deadline = cfg.timeout.map(|t| start + t);
     let _span = cfg.tracer.span("portfolio");
+    let front = FrontEnd::new();
     let runs = run_jobs(cfg.algorithms.len(), effective_jobs(cfg.jobs), |i| {
-        run_one_under(fsm, cfg.algorithms[i], cfg, deadline)
+        run_one_under(fsm, cfg.algorithms[i], cfg, deadline, &front)
     })
     .into_iter()
     .enumerate()
@@ -453,7 +460,7 @@ pub fn run_portfolio(fsm: &Fsm, machine: &str, cfg: &EngineConfig) -> PortfolioR
 /// `nova --json` single-run path).
 pub fn run_one(fsm: &Fsm, algorithm: Algorithm, cfg: &EngineConfig) -> AlgoRun {
     let deadline = cfg.timeout.map(|t| Instant::now() + t);
-    run_one_under(fsm, algorithm, cfg, deadline)
+    run_one_under(fsm, algorithm, cfg, deadline, &FrontEnd::new())
 }
 
 /// Extracts a human-readable message from a caught panic payload.
@@ -472,6 +479,7 @@ fn run_one_under(
     algorithm: Algorithm,
     cfg: &EngineConfig,
     deadline: Option<Instant>,
+    front: &FrontEnd,
 ) -> AlgoRun {
     let tracer = cfg.tracer.fork();
     let ctl = RunCtl::new(cfg.node_budget, deadline, tracer.clone());
@@ -479,7 +487,7 @@ fn run_one_under(
         ctl.arm_faults(plan);
     }
     run_contained(algorithm, &ctl, &tracer, deadline, |ctl, cell| {
-        run_traced_shared(fsm, algorithm, cfg.target_bits, ctl, cell).status
+        run_traced_shared(fsm, algorithm, cfg.target_bits, ctl, cell, front).status
     })
 }
 

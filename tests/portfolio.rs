@@ -1,8 +1,11 @@
 //! Integration tests of the portfolio engine against the sequential driver:
 //! the acceptance criteria of the engine subsystem.
 
+use espresso::{FaultKind, FaultPlan};
 use nova_core::driver::{run, Algorithm};
-use nova_engine::{run_portfolio, EngineConfig, Outcome};
+use nova_engine::{
+    report_fingerprint, run_one, run_portfolio, EngineConfig, Outcome, PortfolioReport,
+};
 use std::time::Duration;
 
 const SMALL_MACHINES: [&str; 5] = ["lion", "bbtas", "shiftreg", "dk27", "tav"];
@@ -136,6 +139,68 @@ fn traced_pipeline_matches_untraced_runs() {
                 got.tag(),
                 want.map(|r| r.area)
             ),
+        }
+    }
+}
+
+/// Each run of a portfolio ends exactly as that algorithm run alone under
+/// the same limits: same outcome, codes and degradation (the fingerprint),
+/// and the same `work`, whichever run derived the shared front end. Budgets
+/// and fault plans that stop a run mid-derivation are the cases where a
+/// published derivation would diverge.
+#[test]
+fn portfolio_runs_match_their_solo_runs() {
+    let mut configs: Vec<(String, EngineConfig)> =
+        vec![("unlimited".into(), EngineConfig::default())];
+    for budget in [50, 500, 20_000] {
+        configs.push((
+            format!("budget {budget}"),
+            EngineConfig {
+                node_budget: Some(budget),
+                ..EngineConfig::default()
+            },
+        ));
+    }
+    let plans = [
+        FaultPlan::single("stage.constraints", 5, FaultKind::Cancel),
+        FaultPlan::single("*", 5, FaultKind::Budget),
+        FaultPlan::single("stage.constraints", 3, FaultKind::Panic),
+    ];
+    for plan in plans.into_iter().chain((0..4).map(FaultPlan::from_seed)) {
+        configs.push((
+            format!("faults {plan}"),
+            EngineConfig {
+                fault_plan: Some(plan),
+                ..EngineConfig::default()
+            },
+        ));
+    }
+    for name in ["lion", "bbtas", "dk27"] {
+        let m = machine(name);
+        for (label, cfg) in &configs {
+            let solo = PortfolioReport {
+                machine: name.to_string(),
+                runs: Algorithm::ALL
+                    .into_iter()
+                    .map(|alg| run_one(&m, alg, cfg))
+                    .collect(),
+                wall: Duration::ZERO,
+            };
+            let solo_work: Vec<u64> = solo.runs.iter().map(|r| r.counters.work).collect();
+            for jobs in [1, 4] {
+                let cfg = EngineConfig {
+                    jobs,
+                    ..cfg.clone()
+                };
+                let report = run_portfolio(&m, name, &cfg);
+                assert_eq!(
+                    report_fingerprint(&report),
+                    report_fingerprint(&solo),
+                    "{name} {label} jobs {jobs}: outcome differs from the solo runs"
+                );
+                let work: Vec<u64> = report.runs.iter().map(|r| r.counters.work).collect();
+                assert_eq!(work, solo_work, "{name} {label} jobs {jobs}: work differs");
+            }
         }
     }
 }

@@ -195,3 +195,33 @@ fn per_algorithm_metrics_match_run_counters() {
         }
     }
 }
+
+#[test]
+fn portfolio_derives_each_front_end_once() {
+    // One symbolic minimization serves iohybrid and iovariant, and one
+    // input-constraint derivation serves iexact, ihybrid, igreedy and kiss:
+    // the other four runs replay a published derivation.
+    let bbtas = fsm::benchmarks::by_name("bbtas").expect("embedded").fsm;
+    for jobs in [1, 4] {
+        let tracer = Tracer::enabled();
+        let cfg = EngineConfig {
+            jobs,
+            ..traced_config(&tracer)
+        };
+        let report = run_portfolio(&bbtas, "bbtas", &cfg);
+        let derivations = tracer
+            .collected_events()
+            .iter()
+            .filter(|e| e.name == "symbolic.minimize" && e.phase == nova_trace::Phase::Begin)
+            .count();
+        assert_eq!(derivations, 1, "jobs {jobs}: symbolic.minimize spans");
+        let reused: u64 = report
+            .runs
+            .iter()
+            .flat_map(|r| &r.metrics.counters)
+            .filter(|(n, _)| n == "engine.constraints.reused")
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(reused, 4, "jobs {jobs}: replayed derivations");
+    }
+}
