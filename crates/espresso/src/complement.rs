@@ -6,13 +6,45 @@
 //! covers are written into reused buffers, so complementation performs no
 //! heap allocation after warm-up. Results are bit-identical to the frozen
 //! [`crate::legacy`] reference.
+//!
+//! The smallest cover of a complement can be exponentially larger than the
+//! cover itself, so the complement ESPRESSO takes once per minimization
+//! (its off-set) polls the run's [`RunCtl`]: a deadline or stop ends it
+//! even when it blows up. Polling charges no work units.
 
-use crate::containment::absorb_matrix;
+use crate::containment::{absorb_matrix, absorb_matrix_polled};
 use crate::cover::Cover;
+use crate::ctl::{Cancelled, RunCtl};
 use crate::cube::Cube;
 use crate::matrix::{nonfull_counts, select_binate, CubeMatrix, SIG_EXACT_VARS};
 use crate::scratch::{with_scratch, Scratch};
 use crate::space::CubeSpace;
+
+/// Steps of a complement between two cancellation polls.
+const POLL_STEPS: u64 = 4096;
+
+/// Cancellation polling for one complement. A step is one input row of a
+/// recursion node, or one row compared by a sibling merge or by the final
+/// absorption; every [`POLL_STEPS`] steps [`RunCtl::cancelled`] is asked.
+/// Without a ctl the complement never cancels.
+struct Poll<'a> {
+    ctl: Option<&'a RunCtl>,
+    left: u64,
+}
+
+impl Poll<'_> {
+    fn step(&mut self, n: u64) -> Result<(), Cancelled> {
+        if n < self.left {
+            self.left -= n;
+            return Ok(());
+        }
+        self.left = POLL_STEPS;
+        match self.ctl {
+            Some(ctl) if ctl.cancelled() => Err(Cancelled),
+            _ => Ok(()),
+        }
+    }
+}
 
 /// Complement of a single cube: one result cube per non-full variable,
 /// full everywhere except that variable, where it admits exactly the parts
@@ -55,31 +87,72 @@ pub fn complement_cube(space: &CubeSpace, c: &Cube) -> Vec<Cube> {
 pub fn complement(f: &Cover) -> Cover {
     let space = f.space();
     let cubes = with_scratch(|s| {
-        let mut m = s.acquire(space);
-        m.extend_cubes(space, f.cubes());
         let mut out = s.acquire(space);
-        comp_mat(space, &mut m, &mut out, s);
+        complement_into(space, f.cubes(), &mut out, s, None)
+            .expect("a complement without a ctl never cancels");
         let cubes = out.to_cubes(space);
-        s.release(m);
         s.release(out);
         cubes
     });
-    let mut out = Cover::from_cubes(space.clone(), cubes);
-    out.absorb();
-    out
+    Cover::from_cubes(space.clone(), cubes)
+}
+
+/// The rows of [`complement`] of the cover with cubes `cubes`, as one
+/// matrix, polling `ctl` for cancellation as it goes. ESPRESSO holds this
+/// off-set for a whole minimization.
+pub(crate) fn complement_matrix<'a>(
+    space: &CubeSpace,
+    cubes: impl IntoIterator<Item = &'a Cube>,
+    ctl: &RunCtl,
+) -> Result<CubeMatrix, Cancelled> {
+    let mut out = CubeMatrix::new();
+    out.reset(space);
+    with_scratch(|s| complement_into(space, cubes, &mut out, s, Some(ctl)))?;
+    Ok(out)
+}
+
+/// Writes the absorbed complement of the cover with cubes `cubes` into the
+/// empty matrix `out`.
+fn complement_into<'a>(
+    space: &CubeSpace,
+    cubes: impl IntoIterator<Item = &'a Cube>,
+    out: &mut CubeMatrix,
+    s: &mut Scratch,
+    ctl: Option<&RunCtl>,
+) -> Result<(), Cancelled> {
+    let mut poll = Poll {
+        ctl,
+        left: POLL_STEPS,
+    };
+    let mut m = s.acquire(space);
+    m.extend_cubes(space, cubes);
+    let done = comp_mat(space, &mut m, out, s, &mut poll);
+    s.release(m);
+    done?;
+    let mut keep = s.acquire_flags();
+    let done = absorb_matrix_polled(out, &mut keep, |n| poll.step(n));
+    s.release_flags(keep);
+    done
 }
 
 /// Appends the complement of the cover held in `m` to `out`. `m` is consumed
 /// as work space; `out` rows below the entry length are left untouched, so
 /// recursion levels can share one output arena.
-fn comp_mat(space: &CubeSpace, m: &mut CubeMatrix, out: &mut CubeMatrix, s: &mut Scratch) {
+fn comp_mat(
+    space: &CubeSpace,
+    m: &mut CubeMatrix,
+    out: &mut CubeMatrix,
+    s: &mut Scratch,
+    poll: &mut Poll,
+) -> Result<(), Cancelled> {
+    poll.step(m.len() as u64)?;
     m.drop_degenerate();
     if m.any_row_full(space) {
-        return;
+        return Ok(());
     }
     if m.is_empty() {
         out.push_full(space);
-        return;
+        return Ok(());
     }
     if m.len() > 1 {
         // Absorption keeps the recursion small.
@@ -104,7 +177,7 @@ fn comp_mat(space: &CubeSpace, m: &mut CubeMatrix, out: &mut CubeMatrix, s: &mut
                 }
             }
         }
-        return;
+        return Ok(());
     }
 
     // Most binate variable, from signature statistics alone.
@@ -124,8 +197,9 @@ fn comp_mat(space: &CubeSpace, m: &mut CubeMatrix, out: &mut CubeMatrix, s: &mut
             }
         }
         let mark = out.len();
-        comp_mat(space, &mut branch, out, s);
+        let done = comp_mat(space, &mut branch, out, s, poll);
         s.release(branch);
+        done?;
         // Restrict the branch complement to v = p.
         for i in mark..out.len() {
             out.restrict_var_to_part(space, i, v, p);
@@ -137,6 +211,7 @@ fn comp_mat(space: &CubeSpace, m: &mut CubeMatrix, out: &mut CubeMatrix, s: &mut
     // v fields. Only this level's rows (a suffix of `out`) participate.
     let mut i = level_start;
     while i < out.len() {
+        poll.step((out.len() - i) as u64)?;
         let mut j = i + 1;
         while j < out.len() {
             if out.rows_equal_outside_var(space, i, j, v) {
@@ -148,6 +223,7 @@ fn comp_mat(space: &CubeSpace, m: &mut CubeMatrix, out: &mut CubeMatrix, s: &mut
         }
         i += 1;
     }
+    Ok(())
 }
 
 /// Sharp of a cube by a cube: `a ∖ b` as a (non-disjoint) list of cubes.
@@ -277,6 +353,40 @@ mod tests {
                 "case {strs:?}"
             );
         }
+    }
+
+    #[test]
+    fn complement_matrix_holds_the_complement_rows() {
+        let sp = CubeSpace::binary(3);
+        let f = cover(&sp, &["10 11 01", "11 10 10", "01 01 11"]);
+        let m = complement_matrix(&sp, f.iter(), &RunCtl::unlimited()).expect("never cancels");
+        assert_eq!(m.to_cubes(&sp), complement(&f).cubes());
+    }
+
+    #[test]
+    fn off_set_blow_up_stops_at_the_deadline() {
+        // x0·x1 + x2·x3 + … over 40 inputs is 20 cubes; every cover of its
+        // complement needs 2^20. Only the deadline poll ends the complement.
+        let sp = CubeSpace::binary(40);
+        let pairs: Vec<Cube> = (0..20)
+            .map(|k| {
+                let mut c = Cube::full(&sp);
+                c.clear_part(&sp, 2 * k, 1);
+                c.clear_part(&sp, 2 * k + 1, 1);
+                c
+            })
+            .collect();
+        let deadline = std::time::Duration::from_millis(100);
+        let start = std::time::Instant::now();
+        let ctl = RunCtl::new(None, Some(start + deadline), nova_trace::Tracer::disabled());
+        assert!(complement_matrix(&sp, &pairs, &ctl).is_err());
+        assert_eq!(
+            ctl.cancel_reason(),
+            Some(crate::ctl::CancelReason::Deadline)
+        );
+        assert_eq!(ctl.counters().work, 0, "polling charges no work units");
+        let late = start.elapsed().saturating_sub(deadline);
+        assert!(late.as_millis() < 500, "ended {late:?} after the deadline");
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! contiguous [`CubeMatrix::sigs`] slice, and row words are only read for
 //! the few pairs that survive the three-integer-compare reject.
 
+use crate::ctl::Cancelled;
 use crate::cube::Cube;
 use crate::matrix::{row_subset, CubeMatrix, Sig};
 use crate::space::CubeSpace;
@@ -78,16 +79,29 @@ pub fn absorb_cubes(space: &CubeSpace, cubes: &mut Vec<Cube>) {
 /// Single-cube containment minimization over matrix rows (the arena-kernel
 /// flavour used inside the unate recursion).
 pub fn absorb_matrix(m: &mut CubeMatrix, keep_buf: &mut Vec<bool>) {
+    absorb_matrix_polled(m, keep_buf, |_| Ok(())).expect("an unpolled absorption never cancels");
+}
+
+/// [`absorb_matrix`] that calls `poll` with the number of signatures the
+/// next row's scan reads, before each row, and stops with `poll`'s error
+/// (the rows are then left unabsorbed). The complement behind ESPRESSO's
+/// off-set polls its run's cancellation this way.
+pub(crate) fn absorb_matrix_polled(
+    m: &mut CubeMatrix,
+    keep_buf: &mut Vec<bool>,
+    mut poll: impl FnMut(u64) -> Result<(), Cancelled>,
+) -> Result<(), Cancelled> {
     m.drop_degenerate();
     let n = m.len();
     if n < 2 {
-        return;
+        return Ok(());
     }
     keep_buf.clear();
     keep_buf.resize(n, true);
     let sigs = m.sigs();
     let mut cand = [0u32; BLOCK];
     for i in 0..n {
+        poll(n as u64)?;
         let si = sigs[i];
         'scan: for jb in (0..n).step_by(BLOCK) {
             let je = (jb + BLOCK).min(n);
@@ -113,6 +127,7 @@ pub fn absorb_matrix(m: &mut CubeMatrix, keep_buf: &mut Vec<bool>) {
         }
     }
     m.retain_flags(keep_buf);
+    Ok(())
 }
 
 /// Signature-pruned scan: does any row of `m` contain `c` outright?

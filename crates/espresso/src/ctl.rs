@@ -7,7 +7,9 @@
 //! * the `iexact`/`semiexact` backtracking loops charge one unit per
 //!   candidate face verification,
 //! * `project_code` charges per projection step,
-//! * the ESPRESSO EXPAND/IRREDUNDANT/REDUCE loop charges per iteration.
+//! * the ESPRESSO EXPAND/IRREDUNDANT/REDUCE loop charges per iteration,
+//! * the complement behind ESPRESSO's off-set polls
+//!   [`RunCtl::cancelled`], which charges nothing.
 //!
 //! When the handle is cancelled (externally via [`RunCtl::cancel`], by an
 //! expired wall-clock deadline, or by an exhausted node budget) those loops

@@ -1,33 +1,30 @@
 //! EXPAND: grow each cube of a cover into a prime implicant.
 //!
 //! A part may be raised in a cube exactly when the raised cube is still
-//! contained in `ON ∪ DC`. Because the current cover `F` together with the
-//! don't-care cover `D` denotes exactly `ON ∪ DC` throughout the ESPRESSO
-//! iteration, the validity oracle is the exact containment test
-//! [`cube_in_cover`]`(F ∪ D, raised)`.
+//! contained in `ON ∪ DC`. The caller hands in the off-set
+//! `R = complement(F ∪ D)`, computed once per minimization: a cube lies in
+//! `ON ∪ DC` exactly when it is disjoint from every row of `R`, so the
+//! validity test is one disjointness scan over `R` (Berkeley ESPRESSO's
+//! `(F, D, R)` interface) instead of a tautology check per raised part.
 //!
 //! Raising is monotone (a raise rejected once can never become valid as the
 //! cube grows), so a single pass over the candidate parts per cube yields a
 //! prime.
-//!
-//! The oracle lives in a scratch [`CubeMatrix`](crate::matrix::CubeMatrix)
-//! rebuilt in place per cube (no per-candidate `Cover` clones), and each
-//! candidate raise is tested through the signature-pruned, arena-backed
-//! [`cube_in_matrix`] oracle.
 
 use crate::cover::Cover;
 use crate::cube::Cube;
-use crate::matrix::Sig;
-use crate::scratch::with_scratch;
-use crate::tautology::{cube_in_cover, cube_in_matrix};
+use crate::matrix::{rows_disjoint, CubeMatrix};
+use crate::space::CubeSpace;
+use crate::tautology::cube_in_cover;
 
-/// Expands every cube of `f` against the don't-care cover `d` into a prime,
-/// removing cubes that become covered by an expanded one.
+/// Expands every cube of `f` into a prime against the off-set `off`, which
+/// must denote `complement(F ∪ D)` for the don't-care cover `D`, removing
+/// cubes that become covered by an expanded one.
 ///
 /// Cubes are processed smallest-first (they benefit most), and parts are
 /// tried in descending column count over `f` (raising toward other cubes
 /// maximizes the chance of covering them).
-pub fn expand(f: &mut Cover, d: &Cover) {
+pub fn expand(f: &mut Cover, off: &CubeMatrix) {
     let space = f.space().clone();
     f.absorb();
     let n = f.len();
@@ -54,64 +51,35 @@ pub fn expand(f: &mut Cover, d: &Cover) {
     order.sort_by_key(|&i| f.cubes()[i].count_ones());
 
     let mut covered = vec![false; n];
-    with_scratch(|s| {
-        let mut t_words: Vec<u64> = Vec::with_capacity(space.words());
-        for &i in &order {
-            if covered[i] {
-                continue;
-            }
-            let mut c = f.cubes()[i].clone();
+    for &i in &order {
+        if covered[i] {
+            continue;
+        }
+        let mut c = f.cubes()[i].clone();
 
-            // Oracle: the non-covered cubes of f (including i, in its current
-            // committed form — the denotation is exactly ON ∪ DC) plus D. A
-            // candidate t strictly contains the original cube i, so keeping
-            // row i in the oracle cannot spuriously accept a raise on the
-            // single-cube fast path.
-            let mut oracle = s.acquire(&space);
-            for (j, other) in f.iter().enumerate() {
-                if !covered[j] {
-                    oracle.push_cube(&space, other);
-                }
-            }
-            oracle.extend_cubes(&space, d.iter());
-
-            // Candidate parts: currently absent from c, in descending column
-            // count.
-            let mut cands: Vec<(usize, u32)> = Vec::new();
-            for v in space.vars() {
-                for p in 0..space.parts(v) {
-                    if !c.has_part(&space, v, p) {
-                        cands.push((v, p));
-                    }
-                }
-            }
-            cands.sort_by_key(|&(v, p)| std::cmp::Reverse(col[space.bit(v, p) as usize]));
-
-            // The cube's signature is carried across raises and each
-            // candidate's derived incrementally — no per-candidate Sig::of.
-            let mut sig_c = Sig::of(&space, c.words());
-            for (v, p) in cands {
-                t_words.clear();
-                t_words.extend_from_slice(c.words());
-                let b = space.bit(v, p) as usize;
-                t_words[b / 64] |= 1u64 << (b % 64);
-                let sig = sig_c.with_part_raised(&space, &t_words, v, b);
-                if cube_in_matrix(&space, &oracle, &t_words, sig, s) {
-                    c.set_part(&space, v, p);
-                    sig_c = sig;
-                }
-            }
-            s.release(oracle);
-
-            // Commit and mark covered cubes.
-            f.cubes_mut()[i] = c.clone();
-            for (j, cov) in covered.iter_mut().enumerate() {
-                if j != i && !*cov && f.cubes()[j].is_subset_of(&c) {
-                    *cov = true;
+        // Candidate parts: currently absent from c, in descending column
+        // count.
+        let mut cands: Vec<(usize, u32)> = Vec::new();
+        for v in space.vars() {
+            for p in 0..space.parts(v) {
+                if !c.has_part(&space, v, p) {
+                    cands.push((v, p));
                 }
             }
         }
-    });
+        cands.sort_by_key(|&(v, p)| std::cmp::Reverse(col[space.bit(v, p) as usize]));
+        for (v, p) in cands {
+            raise_within(&space, off, &mut c, v, p);
+        }
+
+        // Commit and mark covered cubes.
+        f.cubes_mut()[i] = c.clone();
+        for (j, cov) in covered.iter_mut().enumerate() {
+            if j != i && !*cov && f.cubes()[j].is_subset_of(&c) {
+                *cov = true;
+            }
+        }
+    }
 
     let mut idx = 0;
     f.cubes_mut().retain(|_| {
@@ -119,6 +87,15 @@ pub fn expand(f: &mut Cover, d: &Cover) {
         idx += 1;
         k
     });
+}
+
+/// Raises part `p` of variable `v` in `c` if the raised cube stays disjoint
+/// from every row of the off-set `off`.
+pub(crate) fn raise_within(space: &CubeSpace, off: &CubeMatrix, c: &mut Cube, v: usize, p: u32) {
+    c.set_part(space, v, p);
+    if !(0..off.len()).all(|r| rows_disjoint(space, off.row(r), c.words())) {
+        c.clear_part(space, v, p);
+    }
 }
 
 /// Is `c` a prime implicant of the function denoted by `fd = F ∪ D`
@@ -142,6 +119,7 @@ pub fn is_prime(fd: &Cover, c: &Cube) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complement::complement;
     use crate::space::CubeSpace;
     use crate::tautology::verify_minimized;
 
@@ -160,7 +138,8 @@ mod tests {
         let mut f = cover(&sp, &["01 01 1", "01 10 1"]);
         let orig = f.clone();
         let d = Cover::empty(sp.clone());
-        expand(&mut f, &d);
+        let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
+        expand(&mut f, &off);
         assert_eq!(f.len(), 1);
         assert_eq!(f.cubes()[0].display(&sp).to_string(), "01 11 1");
         assert!(verify_minimized(&f, &orig, &d));
@@ -172,7 +151,8 @@ mod tests {
         let mut f = cover(&sp, &["10 10 1"]); // xy
         let orig = f.clone();
         let d = cover(&sp, &["10 01 1", "01 10 1"]); // xy' and x'y are DC
-        expand(&mut f, &d);
+        let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
+        expand(&mut f, &off);
         assert_eq!(f.len(), 1);
         // The prime may absorb either DC direction; it must be a prime and
         // stay within ON ∪ DC.
@@ -189,7 +169,8 @@ mod tests {
         let mut f = cover(&sp, &["10 01 1", "01 10 1"]);
         let orig = f.clone();
         let d = Cover::empty(sp.clone());
-        expand(&mut f, &d);
+        let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
+        expand(&mut f, &off);
         assert_eq!(f.len(), 2);
         assert!(verify_minimized(&f, &orig, &d));
     }
@@ -200,7 +181,8 @@ mod tests {
         // Same product needed by both outputs: xy on f0, xy on f1.
         let mut f = cover(&sp, &["10 10 10", "10 10 01"]);
         let d = Cover::empty(sp.clone());
-        expand(&mut f, &d);
+        let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
+        expand(&mut f, &off);
         assert_eq!(f.len(), 1);
         assert_eq!(f.cubes()[0].display(&sp).to_string(), "10 10 11");
     }
@@ -214,7 +196,8 @@ mod tests {
         );
         let orig = f.clone();
         let d = Cover::empty(sp.clone());
-        expand(&mut f, &d);
+        let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
+        expand(&mut f, &off);
         let fd = orig.union(&d);
         for c in f.iter() {
             assert!(is_prime(&fd, c));
@@ -237,7 +220,8 @@ mod tests {
             let mut ours = cover(&sp, fs);
             let mut theirs = ours.clone();
             let d = cover(&sp, ds);
-            expand(&mut ours, &d);
+            let off = CubeMatrix::from_cover(&complement(&ours.union(&d)));
+            expand(&mut ours, &off);
             legacy::expand(&mut theirs, &d);
             assert_eq!(ours, theirs, "case {fs:?} / {ds:?}");
         }

@@ -5,13 +5,15 @@
 //! *stride* per row plus a parallel vector of per-row [`Sig`]natures. Rows
 //! are appended, overwritten and compacted in place, so the unate-recursive
 //! kernels ([`tautology`](crate::tautology), [`complement`](crate::complement),
-//! the EXPAND/REDUCE/IRREDUNDANT oracles) never allocate one `Box<[u64]>` per
+//! the REDUCE/IRREDUNDANT oracles) never allocate one `Box<[u64]>` per
 //! cube — matrices come from a [`Scratch`](crate::scratch::Scratch) pool and
-//! their buffers are reused across calls.
+//! their buffers are reused across calls. EXPAND's off-set is one matrix held
+//! for a whole minimization.
 //!
 //! The [`Sig`] signature makes pairwise containment cheap: most non-contained
 //! pairs are rejected on three integer compares before any cube word is read.
 
+use crate::cover::Cover;
 use crate::cube::Cube;
 use crate::simd;
 use crate::space::CubeSpace;
@@ -111,38 +113,6 @@ impl Sig {
         self.ones <= b.ones && self.orbits & !b.orbits == 0 && b.nonfull & !self.nonfull == 0
     }
 
-    /// Signature of `words`, given that `words` is this signature's row with
-    /// one previously absent bit (global index `bit`) of variable `v` raised
-    /// — the EXPAND candidate step. Derived in `O(span)` instead of a full
-    /// [`Sig::of`] recomputation; falls back to it outside the exact window.
-    pub fn with_part_raised(self, space: &CubeSpace, words: &[u64], v: usize, bit: usize) -> Sig {
-        if self.empty || v >= SIG_EXACT_VARS {
-            return Sig::of(space, words);
-        }
-        let full = match space.single_word_field(v) {
-            Some((k, m)) => words[k] & m == m,
-            None => {
-                let (lo, hi) = space.var_span(v);
-                let mask = space.mask(v);
-                (lo..=hi).all(|k| words[k] & mask[k] == mask[k])
-            }
-        };
-        let sig = Sig {
-            ones: self.ones + 1,
-            empty: false,
-            orbits: self.orbits | (1u64 << (bit % 64)),
-            // The raised bit was absent, so `v` was non-full before; it
-            // stays marked unless the raise completed the field.
-            nonfull: if full {
-                self.nonfull & !(1u128 << v)
-            } else {
-                self.nonfull
-            },
-        };
-        debug_assert_eq!(sig, Sig::of(space, words));
-        sig
-    }
-
     /// Whether the row is full in variable `v`, answered from the signature
     /// alone when `v` is below the saturation bit.
     #[inline]
@@ -160,6 +130,20 @@ impl Sig {
 #[inline]
 pub fn row_subset(a: &[u64], b: &[u64]) -> bool {
     simd::subset(a, b)
+}
+
+/// Whether the cubes with words `a` and `b` are disjoint: some variable's
+/// field vanishes in `a ∩ b`. Only the words each field spans are read.
+#[inline]
+pub(crate) fn rows_disjoint(space: &CubeSpace, a: &[u64], b: &[u64]) -> bool {
+    space.vars().any(|v| match space.single_word_field(v) {
+        Some((k, m)) => a[k] & b[k] & m == 0,
+        None => {
+            let (lo, hi) = space.var_span(v);
+            let mask = space.mask(v);
+            (lo..=hi).all(|k| a[k] & b[k] & mask[k] == 0)
+        }
+    })
 }
 
 /// Fills `counts[v]` with the number of rows non-full in variable `v`.
@@ -229,6 +213,14 @@ impl CubeMatrix {
     /// An empty matrix with no stride; call [`CubeMatrix::reset`] before use.
     pub fn new() -> Self {
         CubeMatrix::default()
+    }
+
+    /// A matrix holding the cubes of `f` as rows, in order.
+    pub fn from_cover(f: &Cover) -> Self {
+        let mut m = CubeMatrix::new();
+        m.reset(f.space());
+        m.extend_cubes(f.space(), f.iter());
+        m
     }
 
     /// Clears all rows and re-strides the matrix for `space`, keeping the
@@ -387,25 +379,8 @@ impl CubeMatrix {
     /// fields) when `row` intersects `p`; returns whether a row was pushed.
     pub fn push_cofactor(&mut self, space: &CubeSpace, row: &[u64], p: &[u64]) -> bool {
         debug_assert_eq!(row.len(), self.stride);
-        // Distance check: any variable whose field vanishes in row ∩ p means
-        // the cubes are disjoint and the row drops out of the cofactor. Only
-        // the words each field spans are read.
-        for v in space.vars() {
-            let any = match space.single_word_field(v) {
-                Some((k, m)) => row[k] & p[k] & m,
-                None => {
-                    let (lo, hi) = space.var_span(v);
-                    let mask = space.mask(v);
-                    let mut acc = 0u64;
-                    for k in lo..=hi {
-                        acc |= row[k] & p[k] & mask[k];
-                    }
-                    acc
-                }
-            };
-            if any == 0 {
-                return false;
-            }
+        if rows_disjoint(space, row, p) {
+            return false;
         }
         let start = self.words.len();
         self.words.extend(

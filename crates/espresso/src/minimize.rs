@@ -1,12 +1,23 @@
 //! The ESPRESSO minimization loop.
+//!
+//! Every EXPAND pass and LAST_GASP's raises test candidates against one
+//! off-set `R = complement(F ∪ D)`, computed once per call. `R` stays valid
+//! for the whole loop because `F ∪ D ≡ ON ∪ DC` holds throughout it:
+//! EXPAND raises only inside `F ∪ D`; REDUCE and IRREDUNDANT drop only what
+//! the rest of the cover (plus `D`) still covers; and essential primes move
+//! from `F` into the augmented don't-care set, leaving the union unchanged.
+//! The complement polls the run's ctl, so a deadline or stop also ends an
+//! off-set that blows up (it can be exponentially larger than `F ∪ D`).
 
+use crate::complement::complement_matrix;
 use crate::cover::{Cover, CoverCost};
 use crate::ctl::{Cancelled, RunCtl};
 use crate::cube::Cube;
-use crate::expand::expand;
+use crate::expand::{expand, raise_within};
 use crate::irredundant::{irredundant, relatively_essential};
+use crate::matrix::CubeMatrix;
 use crate::reduce::{reduce, reduce_cube_against};
-use crate::tautology::{cube_in_cover, verify_minimized};
+use crate::tautology::verify_minimized;
 
 /// Tuning knobs for [`minimize_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +108,9 @@ fn log_dispatch_once(t: &nova_trace::Tracer) {
 /// charges the handle once per pass (weighted by the live cube count) and
 /// unwinds with [`Cancelled`] when the deadline or budget fires, so a
 /// portfolio deadline turns into a clean per-algorithm timeout instead of a
-/// long-running minimization. Also feeds the espresso-iteration and
-/// cubes-in/out telemetry counters.
+/// long-running minimization. The off-set's complement also polls the
+/// handle's deadline and stop, without charging. Also feeds the
+/// espresso-iteration and cubes-in/out telemetry counters.
 pub fn minimize_with_ctl(
     f: &Cover,
     d: &Cover,
@@ -134,7 +146,11 @@ pub fn minimize_with_ctl(
     }
 
     ctl.charge(1 + cur.len() as u64)?;
-    tracer.scope("espresso.expand", || expand(&mut cur, d));
+    let off = tracer.scope("espresso.complement", || {
+        complement_matrix(cur.space(), cur.iter().chain(d.iter()), ctl)
+    })?;
+    tracer.incr("espresso.offset_cubes", off.len() as u64);
+    tracer.scope("espresso.expand", || expand(&mut cur, &off));
     tracer.scope("espresso.irredundant", || irredundant(&mut cur, d));
 
     // Essential primes never leave any prime cover: peel them off into the
@@ -178,7 +194,7 @@ pub fn minimize_with_ctl(
                 let _iter_span = tracer.span("espresso.iteration");
                 tracer.observe("espresso.cubes_per_iteration", cur.len() as u64);
                 tracer.scope("espresso.reduce", || reduce(&mut cur, &d_aug));
-                tracer.scope("espresso.expand", || expand(&mut cur, &d_aug));
+                tracer.scope("espresso.expand", || expand(&mut cur, &off));
                 tracer.scope("espresso.irredundant", || irredundant(&mut cur, &d_aug));
                 let full = with_essentials(&cur);
                 let cost = full.cost();
@@ -194,7 +210,7 @@ pub fn minimize_with_ctl(
                 break;
             }
             ctl.charge(1 + cur.len() as u64)?;
-            let gasped = tracer.scope("espresso.last_gasp", || last_gasp(&mut cur, &d_aug));
+            let gasped = tracer.scope("espresso.last_gasp", || last_gasp(&mut cur, &d_aug, &off));
             if !gasped {
                 break;
             }
@@ -232,9 +248,10 @@ pub fn minimize_with_ctl(
 }
 
 /// LAST_GASP: reduce every cube *independently* (against the original
-/// cover), expand each reduced cube, and keep the new primes that cover at
-/// least two reduced cubes; returns whether the cover changed.
-fn last_gasp(f: &mut Cover, d: &Cover) -> bool {
+/// cover), expand each reduced cube against the off-set `off`, and keep the
+/// new primes that cover at least two reduced cubes; returns whether the
+/// cover changed.
+fn last_gasp(f: &mut Cover, d: &Cover, off: &CubeMatrix) -> bool {
     let space = f.space().clone();
     let n = f.len();
     if n < 2 {
@@ -248,21 +265,12 @@ fn last_gasp(f: &mut Cover, d: &Cover) -> bool {
     // Try to expand each reduced cube into a prime covering >= 2 reduced
     // cubes.
     let mut additions: Vec<Cube> = Vec::new();
-    let oracle = {
-        let mut cubes: Vec<Cube> = f.cubes().to_vec();
-        cubes.extend(d.iter().cloned());
-        Cover::from_cubes(space.clone(), cubes)
-    };
     for g in &reduced {
         let mut c = g.clone();
         for v in space.vars() {
             for p in 0..space.parts(v) {
                 if !c.has_part(&space, v, p) {
-                    let mut t = c.clone();
-                    t.set_part(&space, v, p);
-                    if cube_in_cover(&oracle, &t) {
-                        c = t;
-                    }
+                    raise_within(&space, off, &mut c, v, p);
                 }
             }
         }

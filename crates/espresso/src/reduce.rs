@@ -111,6 +111,7 @@ pub fn reduce_cube_against(f: &Cover, d: &Cover, i: usize) -> Cube {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complement::complement;
     use crate::expand::expand;
     use crate::space::CubeSpace;
     use crate::tautology::verify_minimized;
@@ -156,7 +157,8 @@ mod tests {
         let d = Cover::empty(sp.clone());
         reduce(&mut f, &d);
         assert!(verify_minimized(&f, &orig, &d));
-        expand(&mut f, &d);
+        let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
+        expand(&mut f, &off);
         assert!(verify_minimized(&f, &orig, &d));
     }
 

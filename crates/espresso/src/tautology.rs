@@ -203,7 +203,7 @@ fn multiword_union_full(space: &CubeSpace, m: &CubeMatrix, v: usize) -> bool {
 /// Exact containment of the cube with words `c` (signature `sig_c`) in the
 /// cover held by matrix `m`: the fast single-cube accept, then tautology of
 /// the cofactor written into a scratch matrix. This is the oracle behind the
-/// EXPAND/REDUCE/IRREDUNDANT inner loops.
+/// REDUCE/IRREDUNDANT inner loops.
 pub(crate) fn cube_in_matrix(
     space: &CubeSpace,
     m: &CubeMatrix,

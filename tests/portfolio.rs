@@ -6,7 +6,7 @@ use nova_core::driver::{run, Algorithm};
 use nova_engine::{
     report_fingerprint, run_one, run_portfolio, EngineConfig, Outcome, PortfolioReport,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SMALL_MACHINES: [&str; 5] = ["lion", "bbtas", "shiftreg", "dk27", "tav"];
 
@@ -65,6 +65,41 @@ fn zero_deadline_times_out_every_algorithm() {
         );
     }
     assert!(report.best().is_none());
+}
+
+/// One state, 40 inputs, an output that is 0 everywhere except on 20
+/// don't-care pairs `x1·x2 + x3·x4 + …`: ON ∪ DC takes 21 cubes, but every
+/// cover of the output's off-set needs 2^20. ESPRESSO's off-set complement
+/// blows up on both the constraints and the encoded minimization, and the
+/// deadline must still end the portfolio on time.
+#[test]
+fn off_set_blow_up_ends_at_the_deadline() {
+    let n = 40;
+    let mut kiss = format!(".i {n}\n.o 1\n.s 1\n{} s0 s0 0\n", "-".repeat(n));
+    for k in 0..n / 2 {
+        let row: String = (0..n).map(|i| if i / 2 == k { '1' } else { '-' }).collect();
+        kiss += &format!("{row} s0 s0 -\n");
+    }
+    let m = fsm::Fsm::parse_kiss(&kiss).expect("valid KISS");
+    let deadline = Duration::from_millis(200);
+    let cfg = EngineConfig {
+        timeout: Some(deadline),
+        ..EngineConfig::default()
+    };
+    let start = Instant::now();
+    let report = run_portfolio(&m, "blow-up", &cfg);
+    let late = start.elapsed().saturating_sub(deadline);
+    assert!(
+        late < Duration::from_secs(1),
+        "the portfolio ended {late:?} after its deadline"
+    );
+    assert!(
+        report
+            .runs
+            .iter()
+            .any(|r| matches!(r.outcome, Outcome::Timeout)),
+        "no run reached the blow-up"
+    );
 }
 
 /// With a node budget (instead of a wall clock), outcomes and encodings are

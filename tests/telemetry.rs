@@ -225,3 +225,59 @@ fn portfolio_derives_each_front_end_once() {
         assert_eq!(reused, 4, "jobs {jobs}: replayed derivations");
     }
 }
+
+#[test]
+fn each_minimization_computes_its_off_set_once() {
+    // ESPRESSO computes R = complement(F ∪ D) once per minimization and
+    // expands against it: one `espresso.complement` span under every
+    // `espresso.minimize` that expands, and its size on every finished run.
+    let bbtas = fsm::benchmarks::by_name("bbtas").expect("embedded").fsm;
+    let tracer = Tracer::enabled();
+    let report = run_portfolio(&bbtas, "bbtas", &traced_config(&tracer));
+    let events = tracer.collected_events();
+    let spans: std::collections::HashMap<u64, (&str, u64)> = events
+        .iter()
+        .filter(|e| e.phase == nova_trace::Phase::Begin)
+        .map(|e| (e.id, (e.name.as_ref(), e.parent)))
+        .collect();
+    let enclosing_minimize = |mut id: u64| loop {
+        id = spans[&id].1;
+        match spans.get(&id) {
+            Some(("espresso.minimize", _)) => return id,
+            Some(_) => {}
+            None => panic!("span {id} outside espresso.minimize"),
+        }
+    };
+    let mut expands = std::collections::BTreeSet::new();
+    let mut complements: std::collections::BTreeMap<u64, usize> = Default::default();
+    for (&id, &(name, _)) in &spans {
+        match name {
+            "espresso.expand" => {
+                expands.insert(enclosing_minimize(id));
+            }
+            "espresso.complement" => *complements.entry(enclosing_minimize(id)).or_default() += 1,
+            _ => {}
+        }
+    }
+    assert!(!expands.is_empty(), "a traced portfolio expands");
+    for m in &expands {
+        assert_eq!(
+            complements.get(m),
+            Some(&1),
+            "espresso.minimize span {m}: espresso.complement spans"
+        );
+    }
+    for run in report.runs.iter().filter(|r| r.outcome.tag() == "done") {
+        let offset = run
+            .metrics
+            .counters
+            .iter()
+            .find(|(n, _)| n == "espresso.offset_cubes")
+            .map_or(0, |(_, v)| *v);
+        assert!(
+            offset > 0,
+            "{}: espresso.offset_cubes",
+            run.algorithm.name()
+        );
+    }
+}
