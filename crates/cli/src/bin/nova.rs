@@ -962,21 +962,17 @@ fn remote_main(addr: &str, machine: &Fsm, args: &Args) -> ExitCode {
         jobs: args.run.jobs,
         fault_plan: args.run.fault_plan.clone(),
     };
-    // Transient 503 pushback (full queue, tripped breaker, memory
-    // pressure) is retried with deterministic jitter, honoring the
-    // server's Retry-After hint; an unreachable server still fails fast.
-    let resp = match nova_serve::client::post_kiss_retry(
-        addr,
-        &machine.to_kiss(),
-        &options.to_query(),
-        &nova_serve::RetryPolicy::default(),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("nova: --remote {addr}: {e}");
-            return ExitCode::from(EXIT_IO);
-        }
-    };
+    // A 503 (the server's admission queue is full) is retried, up to 3
+    // tries, after the server's Retry-After; an unreachable server still
+    // fails fast.
+    let resp =
+        match nova_serve::client::post_kiss_retry(addr, &machine.to_kiss(), &options.to_query()) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("nova: --remote {addr}: {e}");
+                return ExitCode::from(EXIT_IO);
+            }
+        };
     if resp.status != 200 {
         eprintln!(
             "nova: --remote {addr}: {}: {}",

@@ -16,7 +16,7 @@
 
 use crate::cover::{Cover, CoverCost};
 use crate::cube::{supercube, Cube};
-use crate::minimize::{MinimizeOptions, MinimizeStats};
+use crate::minimize::{MinimizeOptions, MinimizeStats, MAX_ITERATIONS};
 use crate::space::CubeSpace;
 
 /// Pre-arena single-cube containment minimization (the routine that was
@@ -530,7 +530,7 @@ pub fn minimize_with(f: &Cover, d: &Cover, opts: MinimizeOptions) -> (Cover, Min
 
     let mut essentials = Cover::empty(cur.space().clone());
     let mut d_aug = d.clone();
-    if opts.essentials && !opts.single_pass {
+    if !opts.single_pass {
         let ess = relatively_essential(&cur, d);
         if !ess.is_empty() && ess.len() < cur.len() {
             let mut rest = Vec::new();
@@ -560,7 +560,7 @@ pub fn minimize_with(f: &Cover, d: &Cover, opts: MinimizeOptions) -> (Cover, Min
     if !opts.single_pass {
         loop {
             let mut improved = false;
-            for _ in 0..opts.max_iterations {
+            for _ in 0..MAX_ITERATIONS {
                 iterations += 1;
                 reduce(&mut cur, &d_aug);
                 expand(&mut cur, &d_aug);
@@ -574,9 +574,6 @@ pub fn minimize_with(f: &Cover, d: &Cover, opts: MinimizeOptions) -> (Cover, Min
                 } else {
                     break;
                 }
-            }
-            if !opts.last_gasp {
-                break;
             }
             let gasped = last_gasp(&mut cur, &d_aug);
             if !gasped {

@@ -19,21 +19,20 @@ use crate::matrix::CubeMatrix;
 use crate::reduce::{reduce, reduce_cube_against};
 use crate::tautology::verify_minimized;
 
-/// Tuning knobs for [`minimize_with`].
+/// Most reduce/expand/irredundant improvement iterations between two
+/// LAST_GASP steps (`legacy` mirrors the loop with the same bound).
+pub(crate) const MAX_ITERATIONS: usize = 8;
+
+/// Tuning knobs for [`minimize_with`]. The full loop always extracts
+/// essential primes after the first pass (ESSENTIAL_PRIMES in ESPRESSO)
+/// and runs the LAST_GASP escape step when the loop converges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MinimizeOptions {
-    /// Maximum number of reduce/expand/irredundant improvement iterations.
-    pub max_iterations: usize,
     /// Run the post-loop verification of `F ⊆ M ⊆ F ∪ D` (debug safety net).
     pub verify: bool,
     /// Skip the reduce/expand improvement loop (single expand+irredundant
     /// pass). Fast path used by symbolic minimization's inner calls.
     pub single_pass: bool,
-    /// Extract essential primes after the first pass and keep them out of
-    /// the improvement loop (ESSENTIAL_PRIMES in ESPRESSO).
-    pub essentials: bool,
-    /// Run the LAST_GASP escape step when the loop converges.
-    pub last_gasp: bool,
     /// Ignored: the unate-recursion kernels always run sequentially.
     #[deprecated(note = "ignored: the ESPRESSO kernels are always sequential")]
     pub jobs: usize,
@@ -43,11 +42,8 @@ impl Default for MinimizeOptions {
     #[allow(deprecated)]
     fn default() -> Self {
         MinimizeOptions {
-            max_iterations: 8,
             verify: cfg!(debug_assertions),
             single_pass: false,
-            essentials: true,
-            last_gasp: true,
             jobs: 1,
         }
     }
@@ -157,7 +153,7 @@ pub fn minimize_with_ctl(
     // don't-care set so the improvement loop works on a smaller problem.
     let mut essentials = Cover::empty(cur.space().clone());
     let mut d_aug = d.clone();
-    if opts.essentials && !opts.single_pass {
+    if !opts.single_pass {
         let ess = relatively_essential(&cur, d);
         if !ess.is_empty() && ess.len() < cur.len() {
             let mut rest = Vec::new();
@@ -187,7 +183,7 @@ pub fn minimize_with_ctl(
     if !opts.single_pass {
         loop {
             let mut improved = false;
-            for _ in 0..opts.max_iterations {
+            for _ in 0..MAX_ITERATIONS {
                 ctl.charge(1 + cur.len() as u64)?;
                 ctl.count_espresso_iteration();
                 iterations += 1;
@@ -205,9 +201,6 @@ pub fn minimize_with_ctl(
                 } else {
                     break;
                 }
-            }
-            if !opts.last_gasp {
-                break;
             }
             ctl.charge(1 + cur.len() as u64)?;
             let gasped = tracer.scope("espresso.last_gasp", || last_gasp(&mut cur, &d_aug, &off));

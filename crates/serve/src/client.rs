@@ -150,80 +150,6 @@ pub fn request(
     })
 }
 
-/// Retry discipline for transient service pushback (`503` + `Retry-After`
-/// from the admission queue, the breaker, or the byte-budget tier).
-///
-/// Backoff is deterministic: the delay for attempt `n` is seeded jitter
-/// ([`fsm::rng::mix`]) over `base`, plus the server's own `Retry-After`
-/// hint when one is present (capped at [`RetryPolicy::max_delay`]). Only
-/// `503` responses are retried — every other status is the final answer,
-/// and connection errors stay errors (an unreachable service fails fast,
-/// exit 4, not after `attempts × delay`).
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total tries, including the first (so `1` = no retries).
-    pub attempts: u32,
-    /// Jitter base per retry: the delay is `mix(seed, attempt) % base`.
-    pub base: Duration,
-    /// Upper bound on any single delay, `Retry-After` included.
-    pub max_delay: Duration,
-    /// Jitter seed; fixed default so test runs are reproducible.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 3,
-            base: Duration::from_millis(50),
-            max_delay: Duration::from_secs(5),
-            seed: 0x6e6f_7661_2d72_7431, // "nova-rt1"
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before retry number `attempt` (1-based) after a response
-    /// carrying `retry_after` seconds (from the `Retry-After` header).
-    fn delay(&self, attempt: u32, retry_after: Option<u64>) -> Duration {
-        let jitter_ms = if self.base.as_millis() > 0 {
-            fsm::rng::mix(self.seed, attempt as u64) % self.base.as_millis() as u64
-        } else {
-            0
-        };
-        let hinted = Duration::from_secs(retry_after.unwrap_or(0));
-        (hinted + Duration::from_millis(jitter_ms)).min(self.max_delay)
-    }
-}
-
-/// [`request`] with [`RetryPolicy`] handling of `503` pushback: honors the
-/// server's `Retry-After` hint, sleeps the jittered delay, and retries up
-/// to `policy.attempts` total tries. The final `503` is returned as-is so
-/// callers keep their status-code handling.
-///
-/// # Errors
-///
-/// See [`request`]; I/O and protocol errors are not retried.
-pub fn request_with_retry(
-    addr: &str,
-    method: &str,
-    path_and_query: &str,
-    content_type: Option<&str>,
-    body: &[u8],
-    policy: &RetryPolicy,
-) -> Result<RemoteResponse, ClientError> {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let resp = request(addr, method, path_and_query, content_type, body)?;
-        if resp.status != 503 || attempt >= policy.attempts.max(1) {
-            return Ok(resp);
-        }
-        let retry_after = resp.header("retry-after").and_then(|v| v.parse().ok());
-        std::thread::sleep(policy.delay(attempt, retry_after));
-    }
-}
-
 fn encode_path(query: &str) -> String {
     if query.is_empty() {
         "/encode".to_string()
@@ -241,27 +167,34 @@ pub fn post_kiss(addr: &str, kiss: &str, query: &str) -> Result<RemoteResponse, 
     request(addr, "POST", &encode_path(query), None, kiss.as_bytes())
 }
 
-/// [`post_kiss`] with retry-on-503 under `policy` (what `nova --remote`
-/// uses, so a briefly overloaded or tripped service self-heals from the
-/// caller's point of view).
+/// Tries [`post_kiss_retry`] makes, the first included.
+const RETRY_ATTEMPTS: u32 = 3;
+
+/// Upper bound on one sleep between tries, whatever `Retry-After` asks.
+const RETRY_MAX_DELAY: Duration = Duration::from_secs(5);
+
+/// [`post_kiss`], retrying a `503` (the service's full admission queue):
+/// up to [`RETRY_ATTEMPTS`] tries, sleeping the server's `Retry-After`
+/// seconds (none when the header is absent), capped at
+/// [`RETRY_MAX_DELAY`]. The final `503` is returned as-is so callers keep
+/// their status-code handling. Every other status is the final answer, and
+/// I/O and protocol errors are not retried: an unreachable service fails
+/// fast. This is what `nova --remote` uses.
 ///
 /// # Errors
 ///
 /// See [`request`].
-pub fn post_kiss_retry(
-    addr: &str,
-    kiss: &str,
-    query: &str,
-    policy: &RetryPolicy,
-) -> Result<RemoteResponse, ClientError> {
-    request_with_retry(
-        addr,
-        "POST",
-        &encode_path(query),
-        None,
-        kiss.as_bytes(),
-        policy,
-    )
+pub fn post_kiss_retry(addr: &str, kiss: &str, query: &str) -> Result<RemoteResponse, ClientError> {
+    let mut resp = post_kiss(addr, kiss, query)?;
+    for _ in 1..RETRY_ATTEMPTS {
+        if resp.status != 503 {
+            break;
+        }
+        let retry_after = resp.header("retry-after").and_then(|v| v.parse().ok());
+        std::thread::sleep(Duration::from_secs(retry_after.unwrap_or(0)).min(RETRY_MAX_DELAY));
+        resp = post_kiss(addr, kiss, query)?;
+    }
+    Ok(resp)
 }
 
 /// GETs `/counters`.

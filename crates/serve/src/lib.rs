@@ -9,23 +9,23 @@
 //! under the same options is the same result, forever — so it is computed
 //! once.
 //!
-//! * [`server`] — request lifecycle, bounded-queue admission control,
-//!   graceful drain; start one with [`serve`]. Every request gets a
-//!   deterministic id at admission (echoed as `X-Nova-Request-Id`). One
-//!   always-on metrics registry counts every service event once and holds
-//!   the latency histograms; `GET /metrics` (Prometheus text exposition via
-//!   [`nova_trace::prom`]) and `GET /counters` (`nova-serve/1` JSON) render
-//!   the same snapshot of it. An opt-in
-//!   [`ServerConfig::trace_dir`] writes one `nova-trace/1` JSONL per
-//!   `/encode` request for `nova trace-report`.
-//! * [`breaker`] — the failure-rate circuit breaker in front of the
-//!   engine pool (open/half-open/closed; `/healthz` reports the state).
+//! * [`server`] — request lifecycle, admission control, graceful drain;
+//!   start one with [`serve`]. The bounded queue is the only rule that
+//!   refuses work: a full queue answers `503` + `Retry-After` at the door.
+//!   Every request gets a deterministic id at admission (echoed as
+//!   `X-Nova-Request-Id`). One always-on metrics registry counts every
+//!   service event once and holds the latency histograms; `GET /metrics`
+//!   (Prometheus text exposition via [`nova_trace::prom`]) and
+//!   `GET /counters` (`nova-serve/1` JSON) render the same snapshot of it.
+//!   An opt-in [`ServerConfig::trace_dir`] writes one `nova-trace/1` JSONL
+//!   per `/encode` request for `nova trace-report`.
 //! * [`cache`] — the LRU byte/entry-bounded result cache.
 //! * [`wire`] — query-string options, the machine JSON shape, and the
 //!   cache-key construction over [`fsm::fingerprint`].
 //! * [`http`] — the minimal hand-rolled HTTP layer (no dependencies;
 //!   request heads are capped at 64 KiB, bodies at 1 MiB).
-//! * [`client`] — the tiny client the `nova --remote` flag uses.
+//! * [`client`] — the tiny client the `nova --remote` flag uses; it
+//!   retries a `503` up to 3 tries, sleeping the server's `Retry-After`.
 //! * [`shutdown`] — std-only SIGTERM/SIGINT flag for a process that wants
 //!   signals to drain its server.
 //!
@@ -43,7 +43,6 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-pub mod breaker;
 pub mod cache;
 pub mod client;
 pub mod http;
@@ -51,8 +50,7 @@ pub mod server;
 pub mod shutdown;
 pub mod wire;
 
-pub use breaker::{Admission, BreakerConfig, CircuitBreaker};
 pub use cache::{CacheConfig, CacheStats, ResultCache};
-pub use client::{ClientError, RemoteResponse, RetryPolicy};
+pub use client::{ClientError, RemoteResponse};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use wire::EncodeOptions;

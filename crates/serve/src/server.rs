@@ -5,8 +5,10 @@
 //! 1. The **accept loop** (one thread) blocks in `accept`. Each accepted
 //!    connection is admitted into a bounded queue; when the queue is full
 //!    the connection is answered `503` + `Retry-After` immediately —
-//!    overload sheds load at the door instead of stacking latency. No timer
-//!    paces a request: a worker parks until a push wakes it.
+//!    overload sheds load at the door instead of stacking latency. That is
+//!    the only rule that refuses work: an admitted request is answered
+//!    whatever other requests did. No timer paces a request: a worker
+//!    parks until a push wakes it.
 //! 2. A **worker** (one of `--workers` threads) pops the connection, parses
 //!    the HTTP request, and routes it. `POST /encode` bodies are parsed
 //!    into an [`fsm::Fsm`] (KISS2 or machine JSON), fingerprinted
@@ -39,7 +41,6 @@
 //! drain watches [`crate::shutdown`] itself and calls the handle, as
 //! `nova serve` does.
 
-use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::cache::{CacheConfig, ResultCache};
 use crate::http::{parse_query, Request, RequestError, Response};
 use crate::wire::{machine_from_json, EncodeOptions};
@@ -80,23 +81,10 @@ pub struct ServerConfig {
     /// Admission bound: connections waiting beyond the ones being served.
     /// A full queue answers `503` with `Retry-After`. `0` is served as 1.
     pub queue_depth: usize,
-    /// Seed for request-id minting (SplitMix64 over the admission ordinal).
-    /// The default is fixed, so a test that restarts a server sees the same
-    /// id sequence.
-    pub seed: u64,
     /// When set, every `/encode` request runs under its own enabled tracer
     /// and writes one `nova-trace/1` JSONL file
     /// (`req-<request id>.jsonl`) into this directory.
     pub trace_dir: Option<PathBuf>,
-    /// Circuit breaker in front of the engine pool: a run of engine
-    /// failures trips it open and `/encode` sheds with `503` until a probe
-    /// succeeds. `/healthz` reports the `tripped` state.
-    pub breaker: BreakerConfig,
-    /// Memory-pressure admission bound: total request-body bytes in flight
-    /// across workers. Beyond it `/encode` sheds with `503` *before*
-    /// parsing — cheaper than letting the cache LRU thrash under a burst
-    /// of giant machines. `0` disables the bound.
-    pub max_inflight_bytes: u64,
 }
 
 impl Default for ServerConfig {
@@ -106,26 +94,25 @@ impl Default for ServerConfig {
             workers: 0,
             cache: CacheConfig::default(),
             queue_depth: 64,
-            seed: 0x6e6f_7661_2d37_0001, // "nova-7" — any fixed value works
             trace_dir: None,
-            breaker: BreakerConfig::default(),
-            max_inflight_bytes: 32 << 20,
         }
     }
 }
 
+/// Seed for request-id minting (SplitMix64 over the admission ordinal).
+/// It is fixed, so a restarted server mints the same id sequence.
+const REQUEST_ID_SEED: u64 = 0x6e6f_7661_2d37_0001; // "nova-7" — any fixed value works
+
 /// The service's event counters: each event is one `incr` on the registry.
 /// They are registered at 0 on start, so both count endpoints list every
 /// one of them before its first event.
-const COUNTERS: [&str; 8] = [
+const COUNTERS: [&str; 6] = [
     "serve.requests",
     "serve.bad_requests",
     "serve.degraded",
     "serve.engine.runs",
     "serve.engine.failures",
     "serve.queue.rejected",
-    "serve.breaker.rejected",
-    "serve.shed.bytes",
 ];
 
 /// One admitted connection: the stream plus the request id minted at the
@@ -214,11 +201,6 @@ struct Shared {
     /// holds the [`COUNTERS`] and the latency histograms. No spans are ever
     /// recorded on it, so its cost is one short mutex lock per event.
     metrics: Tracer,
-    /// Circuit breaker gating engine runs (not cache hits).
-    breaker: CircuitBreaker,
-    /// Request-body bytes currently held by workers, for the
-    /// memory-pressure admission tier.
-    inflight_bytes: AtomicU64,
 }
 
 impl Shared {
@@ -288,8 +270,6 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         started: Instant::now(),
         admissions: AtomicU64::new(0),
         metrics,
-        breaker: CircuitBreaker::new(cfg.breaker.clone()),
-        inflight_bytes: AtomicU64::new(0),
         cfg,
     });
     let mut threads = Vec::with_capacity(workers + 1);
@@ -355,19 +335,19 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     shared.queue.close();
 }
 
-/// Mints the request id for admission `n` under `seed`: random access into
-/// the canonical SplitMix64 stream ([`fsm::rng::mix`]), so ids are
-/// deterministic per server instance yet well-mixed. `0` is reserved for
-/// "no id".
-fn mint_request_id(seed: u64, n: u64) -> u64 {
-    fsm::rng::mix(seed, n).max(1)
+/// Mints the request id for admission `n`: random access into the
+/// canonical SplitMix64 stream ([`fsm::rng::mix`]) under
+/// [`REQUEST_ID_SEED`], so ids are deterministic per server instance yet
+/// well-mixed. `0` is reserved for "no id".
+fn mint_request_id(n: u64) -> u64 {
+    fsm::rng::mix(REQUEST_ID_SEED, n).max(1)
 }
 
 fn admit(stream: TcpStream, shared: &Shared) {
     let n = shared.admissions.fetch_add(1, Ordering::Relaxed);
     let adm = Admitted {
         stream,
-        id: mint_request_id(shared.cfg.seed, n),
+        id: mint_request_id(n),
         at: Instant::now(),
     };
     if let Err(adm) = shared.queue.push(adm) {
@@ -477,13 +457,11 @@ fn route(req: &Request, shared: &Shared, id: u64) -> Response {
 }
 
 /// Readiness state, most-urgent first: a draining server is going away
-/// regardless of the breaker, a tripped breaker matters more than a full
-/// queue (the queue recovers by itself), and everything else is `ok`.
+/// whatever its queue holds, a full queue refuses new connections, and
+/// everything else is `ok`.
 fn health_state(shared: &Shared) -> &'static str {
     if shared.stopping() {
         "draining"
-    } else if shared.breaker.tripped() {
-        "tripped"
     } else if shared.queue.len() >= shared.queue.depth {
         "overloaded"
     } else {
@@ -496,7 +474,6 @@ fn healthz_json(shared: &Shared) -> Json {
     Json::Obj(vec![
         ("ok".into(), Json::Bool(state == "ok")),
         ("state".into(), Json::str(state)),
-        ("breaker".into(), Json::str(shared.breaker.state_tag())),
         ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
         (
             "uptime_ms".into(),
@@ -523,41 +500,7 @@ fn parse_machine(req: &Request) -> Result<Fsm, String> {
     }
 }
 
-/// RAII release of one request's in-flight byte reservation: taken before
-/// any early return can happen, released on every path out.
-struct InflightReservation<'a> {
-    shared: &'a Shared,
-    bytes: u64,
-}
-
-impl Drop for InflightReservation<'_> {
-    fn drop(&mut self) {
-        self.shared
-            .inflight_bytes
-            .fetch_sub(self.bytes, Ordering::Relaxed);
-    }
-}
-
 fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
-    // Memory-pressure tier: reserve this request's body bytes against the
-    // global in-flight budget and shed *before* parsing when a burst of
-    // large machines would otherwise force the cache LRU to thrash.
-    let body_bytes = req.body.len() as u64;
-    let budget = shared.cfg.max_inflight_bytes;
-    let reserved = shared
-        .inflight_bytes
-        .fetch_add(body_bytes, Ordering::Relaxed)
-        + body_bytes;
-    let _inflight = InflightReservation {
-        shared,
-        bytes: body_bytes,
-    };
-    if budget > 0 && reserved > budget {
-        shared.metrics.incr("serve.shed.bytes", 1);
-        return error_response(503, "memory pressure: too many request bytes in flight")
-            .with_header("Retry-After", "1");
-    }
-
     let options = match EncodeOptions::from_query(&parse_query(&req.query)) {
         Ok(o) => o,
         Err(e) => {
@@ -588,21 +531,10 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
         }
     }
 
-    // Miss (or uncacheable): this request needs an engine run, so it goes
-    // through the circuit breaker. Cache hits above bypass it — serving
-    // frozen bytes is safe even with a poisoned engine pool.
-    match shared.breaker.admit(Instant::now()) {
-        Admission::Reject { retry_after_secs } => {
-            shared.metrics.incr("serve.breaker.rejected", 1);
-            return error_response(503, "engine circuit breaker is open")
-                .with_header("Retry-After", retry_after_secs.to_string());
-        }
-        Admission::Allow | Admission::Probe => {}
-    }
-
-    // With a trace dir configured, the run gets its own request-scoped
-    // session tracer — every span in the emitted JSONL carries this
-    // request's id — otherwise it runs untraced.
+    // Miss (or uncacheable): the request needs an engine run. With a trace
+    // dir configured, the run gets its own request-scoped session tracer —
+    // every span in the emitted JSONL carries this request's id — otherwise
+    // it runs untraced.
     shared.metrics.incr("serve.engine.runs", 1);
     let tracer = match &shared.cfg.trace_dir {
         Some(_) => {
@@ -622,16 +554,16 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     if let Some(dir) = &shared.cfg.trace_dir {
         write_request_trace(dir, id, &tracer);
     }
-    // Feed the breaker: a `Failed` run means the engine itself broke (a
-    // panic contained by the portfolio, not a timeout or degradation).
-    let failed = report
+    // A `Failed` run is a panic the portfolio contained. The engine is a
+    // pure function of (machine, options), so it predicts nothing about
+    // other requests: it is counted and refuses none of them.
+    if report
         .runs
         .iter()
-        .any(|r| matches!(r.outcome, Outcome::Failed(_)));
-    if failed {
+        .any(|r| matches!(r.outcome, Outcome::Failed(_)))
+    {
         shared.metrics.incr("serve.engine.failures", 1);
     }
-    shared.breaker.record(!failed, Instant::now());
     let deterministic = report
         .runs
         .iter()
@@ -697,54 +629,31 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
             "serve.uptime_ms",
             shared.started.elapsed().as_millis() as i64,
         ),
-        ("serve.breaker.tripped", shared.breaker.tripped() as i64),
-        (
-            "serve.inflight.bytes",
-            shared.inflight_bytes.load(Ordering::Relaxed) as i64,
-        ),
     ] {
         snap.gauges.push((name.to_string(), v));
     }
     snap
 }
 
-/// Where a `/counters` leaf takes its value from.
-enum Leaf {
-    /// A counter or gauge of [`metrics_snapshot`].
-    Metric(&'static str),
-    /// The breaker's state tag (`closed`, `open`, `half-open`).
-    BreakerState,
-    /// The configured [`ServerConfig::max_inflight_bytes`].
-    MaxInflightBytes,
-}
-
 /// The `nova-serve/1` document as a view of [`metrics_snapshot`]: one
-/// (JSON path → source) row per leaf, in document order. A path is
+/// (JSON path, metric name) row per leaf, in document order. A path is
 /// `group.key`, or a bare top-level key.
-const COUNTERS_VIEW: [(&str, Leaf); 20] = [
-    ("cache.hits", Leaf::Metric("serve.cache.hits")),
-    ("cache.misses", Leaf::Metric("serve.cache.misses")),
-    ("cache.insertions", Leaf::Metric("serve.cache.insertions")),
-    ("cache.evictions", Leaf::Metric("serve.cache.evictions")),
-    (
-        "cache.oversize_rejects",
-        Leaf::Metric("serve.cache.oversize_rejects"),
-    ),
-    ("cache.entries", Leaf::Metric("serve.cache.entries")),
-    ("cache.bytes", Leaf::Metric("serve.cache.bytes")),
-    ("queue.depth", Leaf::Metric("serve.queue.depth")),
-    ("queue.capacity", Leaf::Metric("serve.queue.capacity")),
-    ("queue.rejected", Leaf::Metric("serve.queue.rejected")),
-    ("engine.runs", Leaf::Metric("serve.engine.runs")),
-    ("engine.failures", Leaf::Metric("serve.engine.failures")),
-    ("breaker.state", Leaf::BreakerState),
-    ("breaker.rejected", Leaf::Metric("serve.breaker.rejected")),
-    ("shed.bytes_rejected", Leaf::Metric("serve.shed.bytes")),
-    ("shed.inflight_bytes", Leaf::Metric("serve.inflight.bytes")),
-    ("shed.max_inflight_bytes", Leaf::MaxInflightBytes),
-    ("requests", Leaf::Metric("serve.requests")),
-    ("bad_requests", Leaf::Metric("serve.bad_requests")),
-    ("degraded", Leaf::Metric("serve.degraded")),
+const COUNTERS_VIEW: [(&str, &str); 15] = [
+    ("cache.hits", "serve.cache.hits"),
+    ("cache.misses", "serve.cache.misses"),
+    ("cache.insertions", "serve.cache.insertions"),
+    ("cache.evictions", "serve.cache.evictions"),
+    ("cache.oversize_rejects", "serve.cache.oversize_rejects"),
+    ("cache.entries", "serve.cache.entries"),
+    ("cache.bytes", "serve.cache.bytes"),
+    ("queue.depth", "serve.queue.depth"),
+    ("queue.capacity", "serve.queue.capacity"),
+    ("queue.rejected", "serve.queue.rejected"),
+    ("engine.runs", "serve.engine.runs"),
+    ("engine.failures", "serve.engine.failures"),
+    ("requests", "serve.requests"),
+    ("bad_requests", "serve.bad_requests"),
+    ("degraded", "serve.degraded"),
 ];
 
 /// `GET /counters`: [`COUNTERS_VIEW`] applied to one [`metrics_snapshot`].
@@ -759,12 +668,8 @@ fn counters_json(shared: &Shared) -> Json {
             .unwrap_or(Json::Null)
     };
     let mut doc = vec![("schema".to_string(), Json::str("nova-serve/1"))];
-    for (path, leaf) in COUNTERS_VIEW {
-        let value = match leaf {
-            Leaf::Metric(name) => metric(name),
-            Leaf::BreakerState => Json::str(shared.breaker.state_tag()),
-            Leaf::MaxInflightBytes => Json::uint(shared.cfg.max_inflight_bytes),
-        };
+    for (path, name) in COUNTERS_VIEW {
+        let value = metric(name);
         let Some((group, key)) = path.split_once('.') else {
             doc.push((path.to_string(), value));
             continue;
