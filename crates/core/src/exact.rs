@@ -7,6 +7,19 @@
 //! stream from the iterators in [`crate::face`], pairwise `verify` facts
 //! come from the precomputed [`Relations`] table of the input graph, and
 //! deadline/telemetry traffic is batched ([`CHARGE_BATCH`] nodes per flush).
+//!
+//! **Symmetry breaking.** At the first [`SYMMETRY_DEPTH`] selection levels
+//! the search tries one candidate face per orbit of a group of k-cube
+//! automorphisms that fixes every face assigned so far: bits whose x/0/1
+//! columns agree across the assigned faces may be permuted among
+//! themselves, and bits free in all of them may also be flipped unless
+//! output covers are active (`code(u) ⊋ code(v)` survives a bit permutation
+//! but not a flip). Every check of the search is invariant under that group,
+//! so a candidate in the orbit of one already tried without success roots a
+//! mirrored subtree that holds no embedding either; it is skipped uncharged
+//! and counted as `embed.prune.symmetry`. The first embedding an uncapped
+//! search returns is therefore unchanged; only "no embedding" is proven
+//! sooner, so a capped search can now finish where it used to run out.
 
 use crate::assign::{assign_codes_ctl, AssignOutcome};
 use crate::constraint::StateSet;
@@ -187,6 +200,12 @@ fn count_cond3(ig: &InputGraph, mut k: u32) -> u32 {
 /// counters are touched once per batch instead of once per candidate.
 const CHARGE_BATCH: u64 = 1024;
 
+/// Selection levels (depths of [`Search::extend`]) that try one candidate
+/// per orbit ([`orbit_key`]). Deeper levels try every candidate: pruning at
+/// three levels let some capped searches finish within their cap, with an
+/// embedding the full search never reached.
+const SYMMETRY_DEPTH: u64 = 2;
+
 /// Outcome of one search run, richer than the public [`PosEquiv`]: callers
 /// need to tell a local cap from a `RunCtl` cancellation.
 enum EmbedOutcome {
@@ -211,6 +230,7 @@ struct PruneStats {
     small_intersection: u64,
     missing_intersection: u64,
     father: u64,
+    symmetry: u64,
 }
 
 impl PruneStats {
@@ -232,6 +252,7 @@ impl PruneStats {
                 self.missing_intersection,
             ),
             ("embed.prune.father", self.father),
+            ("embed.prune.symmetry", self.symmetry),
         ] {
             if v > 0 {
                 t.incr(name, v);
@@ -331,6 +352,10 @@ struct Search<'a> {
     /// Output covering constraints `(u, v)`: code(u) must bit-wise strictly
     /// cover code(v) (used by `io_semiexact_code`).
     covers: &'a [(usize, usize)],
+    /// Orbit keys of the candidates tried at the current level of each
+    /// active symmetry-breaking frame, one sorted run per frame (see
+    /// [`Search::try_each`]).
+    orbits: Vec<Face>,
     prune: PruneStats,
 }
 
@@ -656,27 +681,18 @@ impl<'a> Search<'a> {
         let prev_last = self.last;
         let mut level = range.first();
         loop {
-            match self.ig.category(node) {
-                Category::Primary => {
-                    for face in faces_of_level(self.k, level) {
-                        match self.try_candidate(node, face, prev_last) {
-                            Step::Found => return true,
-                            Step::Abort => return false,
-                            Step::Next => {}
-                        }
-                    }
-                }
+            let step = match self.ig.category(node) {
+                Category::Primary => self.try_each(node, faces_of_level(self.k, level), prev_last),
                 Category::Single => {
                     let ff = self.faces[self.ig.fathers(node)[0]].expect("father assigned");
-                    for face in subfaces_of_level(&ff, level) {
-                        match self.try_candidate(node, face, prev_last) {
-                            Step::Found => return true,
-                            Step::Abort => return false,
-                            Step::Next => {}
-                        }
-                    }
+                    self.try_each(node, subfaces_of_level(&ff, level), prev_last)
                 }
                 _ => unreachable!("only cat 1/3 nodes are selected"),
+            };
+            match step {
+                Step::Found => return true,
+                Step::Abort => return false,
+                Step::Next => {}
             }
             match range.next_after(level) {
                 Some(l) => level = l,
@@ -684,6 +700,39 @@ impl<'a> Search<'a> {
             }
         }
         false
+    }
+
+    /// Tries the candidates of one level for `node` in order, until one
+    /// completes the embedding or the search aborts. Within
+    /// [`SYMMETRY_DEPTH`], a candidate whose orbit an earlier candidate
+    /// already covered is skipped without a charge.
+    fn try_each(
+        &mut self,
+        node: usize,
+        candidates: impl Iterator<Item = Face>,
+        prev_last: Option<usize>,
+    ) -> Step {
+        let symmetric = self.depth <= SYMMETRY_DEPTH;
+        let mark = self.orbits.len();
+        let mut step = Step::Next;
+        for face in candidates {
+            if symmetric {
+                let key = orbit_key(self.k, &self.assigned, self.covers.is_empty(), face);
+                match self.orbits[mark..].binary_search(&key) {
+                    Ok(_) => {
+                        self.prune.symmetry += 1;
+                        continue;
+                    }
+                    Err(at) => self.orbits.insert(mark + at, key),
+                }
+            }
+            step = self.try_candidate(node, face, prev_last);
+            if !matches!(step, Step::Next) {
+                break;
+            }
+        }
+        self.orbits.truncate(mark);
+        step
     }
 
     /// Tries one candidate face for `node`: charge, verify, assign, derive,
@@ -773,6 +822,52 @@ impl<'a> Search<'a> {
     }
 }
 
+/// The canonical face of `face`'s orbit under the group of the module docs'
+/// "Symmetry breaking", for the faces `assigned` so far in a `k`-cube: per
+/// class of bits whose x/0/1 columns agree across `assigned`, the face's 1s
+/// and then its 0s packed onto the class's lowest bits, with 0s and 1s
+/// alike for the class free in every assigned face when `flips` is allowed.
+/// Two faces share a key exactly when the group maps one onto the other.
+fn orbit_key(k: u32, assigned: &[(usize, Face)], flips: bool, face: Face) -> Face {
+    let all = (1u64 << k) - 1;
+    let free = assigned
+        .iter()
+        .fold(all, |free, (_, f)| free & !f.mask_bits());
+    let (mut mask, mut value) = (0, 0);
+    let mut rest = all;
+    while rest != 0 {
+        let bit = rest & rest.wrapping_neg();
+        let class = assigned.iter().fold(all, |class, (_, f)| {
+            let (m, v) = (f.mask_bits(), f.value_bits());
+            class
+                & if m & bit == 0 {
+                    !m
+                } else if v & bit == 0 {
+                    m & !v
+                } else {
+                    v
+                }
+        });
+        rest &= !class;
+        mask |= lowest_bits(class, (class & face.mask_bits()).count_ones());
+        if !(flips && class == free) {
+            value |= lowest_bits(class, (class & face.value_bits()).count_ones());
+        }
+    }
+    Face::new(k, mask, value)
+}
+
+/// The `n` lowest set bits of `bits`.
+fn lowest_bits(mut bits: u64, n: u32) -> u64 {
+    let mut out = 0;
+    for _ in 0..n {
+        let low = bits & bits.wrapping_neg();
+        out |= low;
+        bits ^= low;
+    }
+    out
+}
+
 /// Anytime snapshot of a *cancelled* search: states whose singleton nodes
 /// already hold a level-0 face keep those vertices, the rest take the
 /// lowest unused vertices. The completed codes are scored by how many
@@ -843,8 +938,14 @@ fn run_search(
     ctl: &RunCtl,
 ) -> (EmbedOutcome, u64) {
     let before = scratch::thread_stats();
-    let (mut faces, assigned, mut multis) =
-        with_embed_scratch(|sc| (sc.acquire_faces(), sc.acquire_pairs(), sc.acquire_indices()));
+    let (mut faces, assigned, mut multis, orbits) = with_embed_scratch(|sc| {
+        (
+            sc.acquire_faces(),
+            sc.acquire_pairs(),
+            sc.acquire_indices(),
+            sc.acquire_orbits(),
+        )
+    });
     faces.resize(ig.len(), None);
     faces[ig.universe()] = Some(Face::full(k));
     multis.extend((0..ig.len()).filter(|&i| ig.category(i) == Category::Multi));
@@ -866,6 +967,7 @@ fn run_search(
         last: None,
         depth: 0,
         covers,
+        orbits,
         prune: PruneStats::default(),
     };
     let outcome = if search.extend() {
@@ -889,12 +991,14 @@ fn run_search(
         faces,
         assigned,
         multis,
+        orbits,
         ..
     } = search;
     with_embed_scratch(|sc| {
         sc.release_faces(faces);
         sc.release_pairs(assigned);
         sc.release_indices(multis);
+        sc.release_orbits(orbits);
     });
     let delta = scratch::thread_stats().delta_from(&before);
     if delta.acquires > 0 {
@@ -1185,6 +1289,8 @@ mod tests {
         let ig = InputGraph::build(7, &paper_ic());
         let e = iexact_code(&ig, ExactOptions::default()).expect("solvable");
         assert_eq!(e.bits, 4, "Example 3.1.1 solution uses k = 4");
+        // The first embedding found: symmetry breaking must not change it.
+        assert_eq!(e.codes, [2, 7, 3, 11, 8, 0, 4]);
         // All constraints satisfied.
         for ic in paper_ic() {
             assert!(
@@ -1246,7 +1352,8 @@ mod tests {
         // impossible for a triangle at any dimension (the three difference
         // masks cannot be pairwise disjoint around an odd closed chain).
         // With the weak fallback disabled, `iexact_code` must report failure
-        // rather than loop.
+        // rather than loop. Trying one root face per orbit proves it in a
+        // few hundred faces, where trying them all took 57,482.
         let ics = ["1100", "0110", "1010"]
             .iter()
             .map(|s| StateSet::parse(s).unwrap())
@@ -1257,7 +1364,119 @@ mod tests {
             complete: false,
             ..ExactOptions::default()
         };
-        assert!(iexact_code(&ig, opts).is_none());
+        let ctl = RunCtl::unlimited();
+        assert!(iexact_code_ctl(&ig, opts, &ctl).unwrap().is_none());
+        let tried = ctl.counters().faces_tried;
+        assert!(tried <= 1_000, "{tried} faces tried");
+    }
+
+    #[test]
+    fn seven_cycle_keeps_its_first_embedding_in_fewer_faces() {
+        // A 7-cycle of pair constraints has no embedding at k = 3, which
+        // takes the search through every orbit of its first two levels
+        // before k = 4 embeds it. Trying every candidate took 28,707 faces.
+        let ics = [
+            "1100000", "0110000", "0011000", "0001100", "0000110", "0000011", "1000001",
+        ]
+        .iter()
+        .map(|s| StateSet::parse(s).unwrap())
+        .collect::<Vec<_>>();
+        let ig = InputGraph::build(7, &ics);
+        let opts = ExactOptions {
+            max_k: 4,
+            complete: false,
+            ..ExactOptions::default()
+        };
+        let ctl = RunCtl::unlimited();
+        let e = iexact_code_ctl(&ig, opts, &ctl)
+            .unwrap()
+            .expect("embeds at k = 4");
+        assert_eq!(e.codes, [11, 15, 14, 12, 4, 0, 8]);
+        let tried = ctl.counters().faces_tried;
+        assert!(tried <= 2_000, "{tried} faces tried");
+    }
+
+    #[test]
+    fn output_covers_keep_both_vertices_of_the_root() {
+        // One bit, two states, one cover: only code(u) = 1, code(v) = 0
+        // works. Bit flips do not preserve a cover, so the two vertices of
+        // the first state's level-0 candidates are separate orbits; were
+        // they merged, one of these two searches would find nothing.
+        let found =
+            |covers: &[(usize, usize)]| io_semiexact_code(2, &[], covers, 1, 1000).map(|e| e.codes);
+        assert_eq!(found(&[(1, 0)]), Some(vec![0, 1]));
+        assert_eq!(found(&[(0, 1)]), Some(vec![1, 0]));
+    }
+
+    /// All automorphisms of the 4-cube: a bit permutation (image position
+    /// of every bit) and a flip mask.
+    fn cube_automorphisms() -> Vec<([u32; 4], u64)> {
+        let mut out = Vec::new();
+        for code in 0..256u32 {
+            let perm = [code & 3, code >> 2 & 3, code >> 4 & 3, code >> 6 & 3];
+            if (0..4).all(|b| perm.contains(&b)) {
+                out.extend((0..16).map(|flip| (perm, flip)));
+            }
+        }
+        out
+    }
+
+    fn apply(perm: [u32; 4], flip: u64, f: Face) -> Face {
+        let (mut mask, mut value) = (0, 0);
+        for (i, &to) in perm.iter().enumerate() {
+            mask |= (f.mask_bits() >> i & 1) << to;
+            value |= (f.value_bits() >> i & 1) << to;
+        }
+        Face::new(4, mask, value ^ (flip & mask))
+    }
+
+    #[test]
+    fn orbit_keys_are_the_orbits_of_the_stabilizer_subgroup() {
+        let assigned_sets: [&[&str]; 5] = [&[], &["xx01"], &["x0x1"], &["xxx0", "x10x"], &["0000"]];
+        let all_faces: Vec<Face> = (0..=4).flat_map(|l| faces_of_level(4, l)).collect();
+        let autos = cube_automorphisms();
+        for assigned in assigned_sets {
+            let assigned: Vec<(usize, Face)> = assigned
+                .iter()
+                .map(|s| (0, Face::parse(s).unwrap()))
+                .collect();
+            for flips in [true, false] {
+                // The group: bit permutations within classes of equal x/0/1
+                // columns, plus (with `flips`) flips of bits free in every
+                // assigned face.
+                let column = |b: usize| -> Vec<(u64, u64)> {
+                    assigned
+                        .iter()
+                        .map(|(_, f)| (f.mask_bits() >> b & 1, f.value_bits() >> b & 1))
+                        .collect()
+                };
+                let free: u64 = (0..4)
+                    .filter(|&b| column(b).iter().all(|&(m, _)| m == 0))
+                    .map(|b| 1 << b)
+                    .sum();
+                let group: Vec<_> = autos
+                    .iter()
+                    .filter(|(perm, flip)| {
+                        (0..4).all(|b| column(b) == column(perm[b] as usize))
+                            && (*flip == 0 || flips && flip & !free == 0)
+                    })
+                    .collect();
+                for (p, fl) in &group {
+                    assert!(assigned.iter().all(|(_, a)| apply(*p, *fl, *a) == *a));
+                }
+                for &f in &all_faces {
+                    let key = orbit_key(4, &assigned, flips, f);
+                    for &g in &all_faces {
+                        let same_orbit = group.iter().any(|(p, fl)| apply(*p, *fl, f) == g);
+                        assert_eq!(
+                            orbit_key(4, &assigned, flips, g) == key,
+                            same_orbit,
+                            "{f} vs {g} under {assigned:?}, flips {flips}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub struct EmbedScratch {
     codes: Vec<Vec<u64>>,
     levels: Vec<Vec<u32>>,
     cands: Vec<Vec<(u32, u64)>>,
+    orbits: Vec<Vec<Face>>,
     live: u64,
     stats: EmbedScratchStats,
 }
@@ -91,6 +92,7 @@ impl EmbedScratch {
     pooled!(acquire_codes, release_codes, codes, u64);
     pooled!(acquire_levels, release_levels, levels, u32);
     pooled!(acquire_cands, release_cands, cands, (u32, u64));
+    pooled!(acquire_orbits, release_orbits, orbits, Face);
 
     /// Snapshot of the pool's statistics.
     pub fn stats(&self) -> EmbedScratchStats {
