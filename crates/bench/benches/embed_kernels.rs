@@ -8,10 +8,9 @@
 //! the pooled hot path, not a claim.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nova_core::exact::{iexact_code, pos_equiv_covers_ctl, ExactOptions};
+use nova_core::exact::{iexact_code, pos_equiv, ExactOptions};
 use nova_core::{extract_input_constraints, mincube_dim, InputGraph, RunCtl};
 
 /// Counts every allocation and reallocation (frees are not counted: the
@@ -60,13 +59,12 @@ const BUDGET: u64 = 200_000;
 
 fn bench_pos_equiv(h: &mut nova_bench::microbench::Harness) {
     let mut g = h.group("embed_pos_equiv");
-    let no_levels = BTreeMap::new();
     let ctl = RunCtl::unlimited();
     for name in ["lion", "bbtas", "dk27", "shiftreg", "train11"] {
         let ig = graph_of(name);
         let k = mincube_dim(&ig);
         g.bench(&format!("pos_equiv/{name}"), || {
-            pos_equiv_covers_ctl(&ig, k, &no_levels, &[], Some(BUDGET), &ctl)
+            pos_equiv(&ig, k, &[], Some(BUDGET), &ctl)
         });
     }
 }
@@ -89,7 +87,6 @@ fn bench_iexact(h: &mut nova_bench::microbench::Harness) {
 fn report_allocations() {
     println!();
     println!("heap allocations per embedding search (steady state, pooled scratch):");
-    let no_levels = BTreeMap::new();
     let ctl = RunCtl::unlimited();
     for name in ["lion", "bbtas", "dk27", "shiftreg", "train11"] {
         let ig = graph_of(name);
@@ -97,17 +94,9 @@ fn report_allocations() {
         // Warm the thread-local scratch pool so the count reflects the
         // steady state the encoder loops actually run in.
         for _ in 0..3 {
-            std::hint::black_box(pos_equiv_covers_ctl(
-                &ig,
-                k,
-                &no_levels,
-                &[],
-                Some(BUDGET),
-                &ctl,
-            ));
+            std::hint::black_box(pos_equiv(&ig, k, &[], Some(BUDGET), &ctl));
         }
-        let allocs =
-            allocs_of(|| pos_equiv_covers_ctl(&ig, k, &no_levels, &[], Some(BUDGET), &ctl));
+        let allocs = allocs_of(|| pos_equiv(&ig, k, &[], Some(BUDGET), &ctl));
         println!("  {:<24} {:>8}", format!("pos_equiv/{name}"), allocs);
     }
 }

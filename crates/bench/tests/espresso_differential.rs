@@ -13,6 +13,10 @@
 //! frozen legacy reference is slow enough unoptimized that the big machines
 //! only fit a release-build budget (`cargo test --release -p nova-bench`
 //! diffs the whole suite).
+//!
+//! On the ihybrid-encoded PLAs of six small machines, ESPRESSO is also
+//! checked against the exact minimizer (`espresso::exact`): the exact cover
+//! must be equivalent to the PLA, and ESPRESSO may never need fewer cubes.
 
 use espresso::{legacy, minimize_with, Cover, MinimizeOptions};
 use fsm::benchmarks::suite;
@@ -115,4 +119,46 @@ fn one_hot_full_loop_is_identical_on_small_suite_fsms() {
         diffed += 1;
     }
     assert!(diffed > 0, "no suite machine was diffed");
+}
+
+/// Suite machines whose ihybrid-encoded PLA the exact minimizer finishes
+/// within its default limits in well under a second (release). Most other
+/// small machines spend seconds to minutes before `minimize_exact` gives
+/// up, and lion9 takes over a second, too long for a debug build.
+const EXACT_MACHINES: [&str; 6] = ["lion", "shiftreg", "dol", "dk27", "bbtas", "modulo12"];
+
+#[test]
+fn espresso_is_never_below_the_exact_minimum_on_encoded_suite_plas() {
+    for name in EXACT_MACHINES {
+        let m = fsm::benchmarks::by_name(name)
+            .unwrap_or_else(|| panic!("embedded benchmark {name}"))
+            .fsm;
+        let encoding = nova_core::driver::run(&m, nova_core::driver::Algorithm::IHybrid, None)
+            .unwrap_or_else(|| panic!("{name}: ihybrid finishes"))
+            .encoding;
+        let pla = encode(&m, &encoding);
+        let heuristic = espresso::minimize(&pla.on, &pla.dc);
+        let exact = espresso::exact::minimize_exact(
+            &pla.on,
+            &pla.dc,
+            espresso::exact::ExactLimits::default(),
+        )
+        .unwrap_or_else(|| panic!("{name}: exact minimization exceeded its limits"));
+        assert!(
+            espresso::verify_minimized(&exact, &pla.on, &pla.dc),
+            "{name}: the exact cover is not equivalent to the PLA"
+        );
+        assert!(
+            heuristic.len() >= exact.len(),
+            "{name}: ESPRESSO's {} cubes beat the exact minimum of {}",
+            heuristic.len(),
+            exact.len()
+        );
+        println!(
+            "{name}: espresso {} cubes, exact {} (gap {})",
+            heuristic.len(),
+            exact.len(),
+            heuristic.len() - exact.len()
+        );
+    }
 }

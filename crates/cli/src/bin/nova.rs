@@ -5,7 +5,7 @@
 //! ```text
 //! nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE] [FILE.kiss2 | -]
 //! nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [FILE.kiss2 | -]
-//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
+//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
 //! nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]
 //! nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]
 //! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [--budget N] [--timeout-ms N] [FILE.kiss2 | -]
@@ -44,23 +44,22 @@
 //!                  default 1). Report content is identical at any count.
 //!   --stream F     write the sweep as nova-bench-stream/1 JSONL to F
 //!                  ("-" = stdout): a header line (corpus, machines,
-//!                  batch_jobs), one line per machine as it completes, and
-//!                  a throughput summary (tallies, wall_ms,
-//!                  machines_per_sec) — constant memory, use this for
-//!                  large corpora. BENCH_SCALE.jsonl is its first and last
-//!                  lines
+//!                  batch_jobs), one line per machine as it completes (with
+//!                  each run's metrics under --trace), and a throughput
+//!                  summary (tallies, wall_ms, machines_per_sec) — constant
+//!                  memory, use this for large corpora. BENCH_SCALE.jsonl
+//!                  is its first and last lines
+//!   --resume       make the --stream file the sweep's crash-safe record:
+//!                  no wall-clock fields or metrics, a header bound to the
+//!                  corpus and the options, fsync'd every 16 lines. Run the
+//!                  same command again after a crash: the machine lines the
+//!                  file holds are kept, only the rest are swept, and the
+//!                  file ends byte-identical to an uninterrupted run at any
+//!                  --batch-jobs. A file written for another corpus, under
+//!                  other options or without --resume is refused (exit 2)
+//!                  and left unchanged
 //!   --bench-out F  write the whole sweep as one nova-bench/1 report to F
 //!                  (accumulated in memory, so prefer --stream at scale)
-//!   --journal F    append a crash-safe completion journal (nova-journal/1,
-//!                  fsync'd in batches) alongside --stream; implies the
-//!                  deterministic stream form (no wall-clock fields) so a
-//!                  killed sweep can be resumed byte-identically. Must be a
-//!                  real file distinct from the stream path.
-//!   --resume       replay an existing --journal: already-completed
-//!                  machines are skipped and their recorded lines merged
-//!                  into the stream at their original positions; the merged
-//!                  output is byte-identical to an uninterrupted run. The
-//!                  journal must match this invocation's corpus and options.
 //!   (--timeout-ms, --budget, --jobs, --fault-plan, --trace and
 //!    --trace-format as for --portfolio, applied to every machine's
 //!    portfolio; --timeout-ms is the only wall-clock limit. Each machine
@@ -125,7 +124,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [--fault-plan SPEC] [--remote ADDR] [FILE.kiss2 | -]\n\
          \u{20}      nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
-         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|-] [--journal FILE [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
+         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
          \u{20}      nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]\n\
          \u{20}      nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]\n\
          ALG: {} (or onehot)",
@@ -439,7 +438,9 @@ fn read_machine(args: &Args) -> Result<Fsm, ExitCode> {
 /// `nova bench`, the one sweep entry point: sweep a corpus (embedded suite,
 /// optionally `--filter`ed, or a `--synthetic` scale spec) through the batch
 /// engine, optionally streaming JSONL (`nova-bench-stream/1`) so memory
-/// stays constant at any corpus size.
+/// stays constant at any corpus size. With `--resume` the stream file is
+/// the sweep's crash-safe record, and rerunning the command after a crash
+/// continues it.
 fn bench_main(argv: &[String]) -> ExitCode {
     let mut synthetic: Option<fsm::ScaleSpec> = None;
     let mut filter: Vec<String> = Vec::new();
@@ -447,7 +448,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
     let mut stream: Option<String> = None;
     let mut bench_out: Option<String> = None;
     let mut run = RunOpts::default();
-    let mut journal: Option<String> = None;
     let mut resume = false;
     let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
@@ -468,7 +468,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
             "--filter" => filter = value(&mut it).split(',').map(str::to_string).collect(),
             "--batch-jobs" => batch_jobs = num(&mut it) as usize,
             "--stream" => stream = Some(value(&mut it)),
-            "--journal" => journal = Some(value(&mut it)),
             "--resume" => resume = true,
             "--bench-out" => bench_out = Some(value(&mut it)),
             _ => usage(),
@@ -478,42 +477,17 @@ fn bench_main(argv: &[String]) -> ExitCode {
         eprintln!("nova: --synthetic and --filter are mutually exclusive");
         return ExitCode::from(EXIT_USAGE);
     }
-    if let Some(jpath) = &journal {
-        // The journal is fsync'd and replayed on resume; stdout can be
-        // neither. And journal records interleaved into the stream file
-        // would corrupt both — fail fast instead of writing garbage.
-        if jpath == "-" || jpath == "/dev/stdout" {
-            eprintln!("nova: --journal cannot write to stdout; give it its own file");
-            return ExitCode::from(EXIT_USAGE);
-        }
-        let Some(spath) = &stream else {
-            eprintln!("nova: --journal requires --stream (the journal records stream lines)");
-            return ExitCode::from(EXIT_USAGE);
-        };
-        let canon = |p: &str| {
-            if p == "-" {
-                "/dev/stdout".to_string()
-            } else {
-                std::fs::canonicalize(p)
-                    .map(|c| c.to_string_lossy().into_owned())
-                    .unwrap_or_else(|_| p.to_string())
-            }
-        };
-        if canon(jpath) == canon(spath) {
+    if resume {
+        if stream.as_deref().is_none_or(|p| p == "-") {
             eprintln!(
-                "nova: --journal and --stream point at the same file; \
-                 interleaving them would corrupt both"
+                "nova: --resume requires --stream FILE: the stream file is the record it resumes"
             );
             return ExitCode::from(EXIT_USAGE);
         }
-    }
-    if resume && journal.is_none() {
-        eprintln!("nova: --resume requires --journal FILE");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    if resume && bench_out.is_some() {
-        eprintln!("nova: --resume cannot rebuild a full --bench-out document (replayed machines keep only their stream lines)");
-        return ExitCode::from(EXIT_USAGE);
+        if bench_out.is_some() {
+            eprintln!("nova: --resume cannot rebuild a full --bench-out document (resumed machines keep only their stream lines)");
+            return ExitCode::from(EXIT_USAGE);
+        }
     }
     for name in &filter {
         if fsm::benchmarks::by_name(name).is_none() {
@@ -529,23 +503,22 @@ fn bench_main(argv: &[String]) -> ExitCode {
             &suite
         }
     };
+    let tracer = run.tracer();
+    let cfg = run.engine_config(&tracer);
+    let bcfg = nova_engine::BatchConfig {
+        batch_jobs,
+        ..nova_engine::BatchConfig::default()
+    };
 
-    // Every output file is created before the sweep starts: a 100k-machine
+    // Every output file is opened before the sweep starts: a 100k-machine
     // run must not discover an unwritable path at the finish line, and a
-    // bad path must exit 4 (I/O), never panic.
+    // bad path must exit 4 (I/O), never panic. With no `--stream` the lines
+    // go to a sink, which still keeps the tallies.
     let create = |path: &str| -> Result<std::fs::File, ExitCode> {
         std::fs::File::create(path).map_err(|e| {
             eprintln!("nova: cannot write {path}: {e}");
             ExitCode::from(EXIT_IO)
         })
-    };
-    let stream_writer: Option<Box<dyn std::io::Write + Send>> = match stream.as_deref() {
-        Some("-") => Some(Box::new(std::io::BufWriter::new(std::io::stdout()))),
-        Some(path) => match create(path) {
-            Ok(f) => Some(Box::new(std::io::BufWriter::new(f))),
-            Err(code) => return code,
-        },
-        None => None,
     };
     let bench_out_file = match bench_out.as_deref().map(create) {
         Some(Ok(f)) => Some(f),
@@ -557,225 +530,66 @@ fn bench_main(argv: &[String]) -> ExitCode {
         Some(Err(code)) => return code,
         None => None,
     };
-
-    let tracer = run.tracer();
-    let cfg = run.engine_config(&tracer);
-    let bcfg = nova_engine::BatchConfig {
-        batch_jobs,
-        ..nova_engine::BatchConfig::default()
-    };
-
-    // The journal binds to (corpus, every option that can change a report
-    // line): resuming under different options would merge streams that were
-    // never byte-compatible.
-    let canonical_opts = format!(
-        "budget={:?} timeout_ms={:?} fault_plan={}",
-        run.budget,
-        run.timeout_ms,
-        cfg.fault_plan
-            .as_ref()
-            .map(|p| p.to_spec())
-            .unwrap_or_else(|| "-".into()),
-    );
-    let jkey = nova_engine::journal::journal_key(&src.describe(), &canonical_opts);
-
-    // Resume: load the journal, validate its identity against this
-    // invocation, and split the corpus into replayed and still-to-run.
-    let mut pending_replay: std::collections::VecDeque<nova_engine::journal::ReplayedMachine> =
-        std::collections::VecDeque::new();
-    let mut replayed_quarantine: Vec<nova_engine::QuarantineRecord> = Vec::new();
-    let mut completed: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-    if resume {
-        let jpath = journal.as_deref().unwrap_or_default();
-        let replay = match nova_engine::JournalReplay::load(std::path::Path::new(jpath)) {
-            Ok(r) => r,
-            Err(nova_engine::journal::JournalError::Io(e)) => {
-                eprintln!("nova: cannot read journal {jpath}: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-            Err(e) => {
-                eprintln!("nova: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        };
-        if replay.corpus != src.describe() || replay.machines != src.len() {
-            eprintln!(
-                "nova: journal {jpath} was written for corpus {:?} ({} machines), \
-                 not {:?} ({} machines)",
-                replay.corpus,
-                replay.machines,
-                src.describe(),
-                src.len()
+    let keep = bench_out_file.is_some();
+    let swept = match stream.as_deref() {
+        Some(path) if resume => {
+            // Every option that can change a machine line: a file written
+            // under others would not continue byte-identically.
+            let options = format!(
+                "budget={:?} timeout_ms={:?} fault_plan={}",
+                run.budget,
+                run.timeout_ms,
+                cfg.fault_plan
+                    .as_ref()
+                    .map(|p| p.to_spec())
+                    .unwrap_or_else(|| "-".into()),
             );
-            return ExitCode::from(EXIT_USAGE);
-        }
-        if replay.key != jkey {
-            eprintln!(
-                "nova: journal {jpath} was written under different encoding options; \
-                 resuming would merge incompatible streams"
-            );
-            return ExitCode::from(EXIT_USAGE);
-        }
-        for m in replay.completed.values() {
-            if fsm::fingerprint(&src.machine(m.index)) != m.machine_fp {
-                eprintln!(
-                    "nova: journal {jpath} machine {} ({}) no longer matches the corpus",
-                    m.index,
-                    src.name(m.index)
-                );
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-        if replay.dropped > 0 {
-            eprintln!(
-                "nova: journal {jpath}: dropped {} torn/corrupt trailing record(s)",
-                replay.dropped
-            );
-        }
-        completed = replay.completed.keys().copied().collect();
-        for m in replay.completed.into_values() {
-            if let Some(mut q) = m.quarantine.clone() {
-                q.machine = src.name(q.index);
-                replayed_quarantine.push(q);
-            }
-            pending_replay.push_back(m);
-        }
-        eprintln!(
-            "nova: resuming: {} of {} machines already complete",
-            completed.len(),
-            src.len()
-        );
-    }
-    let mut jw = match (&journal, resume) {
-        (Some(p), true) => match nova_engine::JournalWriter::append(std::path::Path::new(p)) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("nova: cannot append to journal {p}: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-        },
-        (Some(p), false) => {
-            match nova_engine::JournalWriter::create(
-                std::path::Path::new(p),
-                jkey,
-                src.len(),
-                &src.describe(),
-            ) {
-                Ok(j) => Some(j),
-                Err(e) => {
-                    eprintln!("nova: cannot write journal {p}: {e}");
+            match nova_engine::StreamWriter::resume(std::path::Path::new(path), src, &options) {
+                Ok(sw) => {
+                    if sw.resumed() > 0 {
+                        eprintln!(
+                            "nova: resuming at machine {} of {}",
+                            sw.resumed(),
+                            src.len()
+                        );
+                    }
+                    sweep(src, &cfg, &bcfg, sw, keep)
+                }
+                Err(nova_engine::ResumeError::Io(e)) => {
+                    eprintln!("nova: cannot write {path}: {e}");
                     return ExitCode::from(EXIT_IO);
+                }
+                Err(nova_engine::ResumeError::Mismatch(why)) => {
+                    eprintln!(
+                        "nova: {path} is not the record of this sweep ({why}); left unchanged"
+                    );
+                    return ExitCode::from(EXIT_USAGE);
                 }
             }
         }
-        (None, _) => None,
+        path => {
+            let w: Box<dyn std::io::Write + Send> = match path {
+                Some("-") => Box::new(std::io::BufWriter::new(std::io::stdout())),
+                Some(path) => match create(path) {
+                    Ok(f) => Box::new(std::io::BufWriter::new(f)),
+                    Err(code) => return code,
+                },
+                None => Box::new(std::io::sink()),
+            };
+            let workers = nova_engine::effective_jobs(batch_jobs);
+            nova_engine::StreamWriter::new(w, &src.describe(), src.len(), workers)
+                .and_then(|sw| sweep(src, &cfg, &bcfg, sw, keep))
+        }
     };
-
-    // Journaled streams drop every wall-clock field so an interrupted and
-    // resumed sweep merges byte-identically with an uninterrupted one.
-    let deterministic = journal.is_some();
-    let workers = nova_engine::effective_jobs(bcfg.batch_jobs);
-    let mut sw = match stream_writer
-        .map(|w| {
-            if deterministic {
-                nova_engine::StreamWriter::deterministic(w, &src.describe(), src.len(), workers)
-            } else {
-                nova_engine::StreamWriter::new(w, &src.describe(), src.len(), workers)
-            }
-        })
-        .transpose()
-    {
-        Ok(sw) => sw,
+    let swept = match swept {
+        Ok(s) => s,
         Err(e) => {
             eprintln!("nova: cannot write stream: {e}");
             return ExitCode::from(EXIT_IO);
         }
     };
-    // Reports are only accumulated when the caller asked for the in-memory
-    // nova-bench/1 document; a streamed sweep stays O(window).
-    let mut kept: Vec<nova_engine::PortfolioReport> = Vec::new();
-    let keep = bench_out_file.is_some();
-    let mut tally = nova_engine::StreamTally::default();
-    let mut stream_err: Option<std::io::Error> = None;
-    let mut journal_err: Option<std::io::Error> = None;
-    let started = std::time::Instant::now();
-    let bump = |tally: &mut nova_engine::StreamTally, class: nova_engine::MachineClass| match class
-    {
-        nova_engine::MachineClass::Solved => tally.solved += 1,
-        nova_engine::MachineClass::Degraded => tally.degraded += 1,
-        nova_engine::MachineClass::Unresolved => tally.unresolved += 1,
-    };
-    let report =
-        nova_engine::run_batch_resumable(src, &cfg, &bcfg, &completed, &mut |i, rep, q| {
-            // Interleave replayed lines: everything the journal completed below
-            // this fresh index goes out first, keeping machine-index order.
-            while pending_replay.front().is_some_and(|m| m.index < i) {
-                let m = pending_replay.pop_front().expect("front checked");
-                bump(&mut tally, m.class);
-                if let Some(w) = &mut sw {
-                    if let Err(e) = w.write_raw(&m.line, m.class) {
-                        stream_err.get_or_insert(e);
-                    }
-                }
-            }
-            let class = nova_engine::MachineClass::of(&rep);
-            bump(&mut tally, class);
-            if deterministic {
-                // Journal first, then stream: a kill between the two replays
-                // the machine as complete and rewrites the same line.
-                let line = nova_engine::StreamWriter::<std::io::Sink>::render_line(&rep, false);
-                if let Some(j) = &mut jw {
-                    let fp = fsm::fingerprint(&src.machine(i));
-                    if let Err(e) = j.record(i, &fp, class, &line, q) {
-                        journal_err.get_or_insert(e);
-                    }
-                }
-                if let Some(w) = &mut sw {
-                    if let Err(e) = w.write_raw(&line, class) {
-                        stream_err.get_or_insert(e);
-                    }
-                }
-            } else if let Some(w) = &mut sw {
-                if let Err(e) = w.report(&rep) {
-                    stream_err.get_or_insert(e);
-                }
-            }
-            if keep {
-                kept.push(rep);
-            }
-        });
-    // Replayed machines above the last fresh index.
-    while let Some(m) = pending_replay.pop_front() {
-        bump(&mut tally, m.class);
-        if let Some(w) = &mut sw {
-            if let Err(e) = w.write_raw(&m.line, m.class) {
-                stream_err.get_or_insert(e);
-            }
-        }
-    }
-    let wall = started.elapsed();
-    // Replayed machines never ran: throughput counts this run's machines.
-    let per_sec = nova_engine::throughput(report.machines, wall);
-    let mut quarantine = replayed_quarantine;
-    quarantine.extend(report.quarantined.iter().cloned());
-    quarantine.sort_by_key(|q| q.index);
-    if let Some(w) = sw {
-        if let Some(e) = w.finish_with(&quarantine).err().or(stream_err) {
-            eprintln!("nova: cannot write stream: {e}");
-            return ExitCode::from(EXIT_IO);
-        }
-    }
-    if let Some(j) = jw {
-        if let Some(e) = j.finish().err().or(journal_err) {
-            eprintln!(
-                "nova: cannot write journal {}: {e}",
-                journal.as_deref().unwrap_or("?")
-            );
-            return ExitCode::from(EXIT_IO);
-        }
-    }
     if let Some(mut f) = bench_out_file {
-        let doc = nova_engine::suite_to_json_timed(&kept, wall);
+        let doc = nova_engine::suite_to_json_timed(&swept.kept, swept.wall);
         if let Err(e) = f.write_all(doc.to_pretty().as_bytes()) {
             eprintln!(
                 "nova: cannot write {}: {e}",
@@ -794,17 +608,19 @@ fn bench_main(argv: &[String]) -> ExitCode {
         }
     }
     // The human-facing throughput line goes to stderr so `--stream -` keeps
-    // stdout pure JSONL.
+    // stdout pure JSONL. Resumed machines never ran in this process, so the
+    // throughput counts only the machines it swept.
     let resumed = if resume {
-        format!(" (+{} resumed)", completed.len())
+        format!(" (+{} resumed)", swept.resumed)
     } else {
         String::new()
     };
+    let tally = swept.tally;
     eprintln!(
         "nova: swept {} machines{resumed} in {:.1} ms ({:.1} machines/sec): {} solved, {} degraded, {} unresolved",
-        report.machines,
-        wall.as_secs_f64() * 1e3,
-        per_sec,
+        swept.machines,
+        swept.wall.as_secs_f64() * 1e3,
+        nova_engine::throughput(swept.machines, swept.wall),
         tally.solved,
         tally.degraded,
         tally.unresolved
@@ -812,13 +628,63 @@ fn bench_main(argv: &[String]) -> ExitCode {
     // A quarantined machine is a completed sweep, not a failed one: the
     // stream carries the details, stderr just flags it, and the exit code
     // stays 0 so long sweeps don't lose their output to one bad machine.
-    if !quarantine.is_empty() {
+    if tally.quarantined > 0 {
         eprintln!(
             "nova: quarantined {} machine(s); see the stream's quarantine section",
-            quarantine.len()
+            tally.quarantined
         );
     }
     ExitCode::SUCCESS
+}
+
+/// What one `nova bench` sweep did.
+struct Swept {
+    /// Machines run by this process.
+    machines: usize,
+    /// Machines the resumed stream already held.
+    resumed: usize,
+    /// Outcome tallies over every machine of the stream, resumed ones too.
+    tally: nova_engine::StreamTally,
+    /// This run's reports, when `--bench-out` wants them.
+    kept: Vec<nova_engine::PortfolioReport>,
+    wall: Duration,
+}
+
+/// Sweeps `src` from the first machine `sw` does not hold yet, writing
+/// every line to `sw`, and keeps the reports when `keep` is set (only the
+/// in-memory `nova-bench/1` document needs them; a streamed sweep stays
+/// O(window)).
+fn sweep<W: std::io::Write + Send>(
+    src: &dyn nova_engine::MachineSource,
+    cfg: &EngineConfig,
+    bcfg: &nova_engine::BatchConfig,
+    mut sw: nova_engine::StreamWriter<W>,
+    keep: bool,
+) -> std::io::Result<Swept> {
+    let resumed = sw.resumed();
+    let mut kept = Vec::new();
+    let mut line_err = None;
+    let started = std::time::Instant::now();
+    let report = nova_engine::run_batch_resumable(src, cfg, bcfg, resumed, &mut |_, rep, q| {
+        if let Err(e) = sw.report(&rep, q) {
+            line_err.get_or_insert(e);
+        }
+        if keep {
+            kept.push(rep);
+        }
+    });
+    let wall = started.elapsed();
+    let (tally, _) = sw.finish()?;
+    if let Some(e) = line_err {
+        return Err(e);
+    }
+    Ok(Swept {
+        machines: report.machines,
+        resumed,
+        tally,
+        kept,
+        wall,
+    })
 }
 
 /// `nova serve`: run the resident encoding service until SIGTERM/ctrl-c,
@@ -861,7 +727,7 @@ fn serve_main(args: &[String]) -> ExitCode {
     let _ = writeln!(out, "# nova-serve listening on http://{}", handle.addr());
     let _ = writeln!(
         out,
-        "#   POST /encode (KISS2 or machine JSON) | GET /counters | GET /metrics | GET /healthz"
+        "#   POST /encode (KISS2) | GET /counters | GET /metrics | GET /healthz"
     );
     let _ = out.flush();
     // The server stops only through its handle, so this otherwise idle

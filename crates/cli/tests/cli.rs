@@ -884,91 +884,102 @@ fn nova_bench_stream_carries_the_throughput_baseline() {
     assert_eq!(code, 2, "{stderr}");
 }
 
+/// Runs `nova bench` on `spec` with `extra` flags, streaming into `stream`
+/// with `--resume`.
+fn resume_sweep(spec: &str, stream: &std::path::Path, extra: &[&str]) -> (String, String, i32) {
+    let mut args = vec![
+        "bench",
+        "--synthetic",
+        spec,
+        "--stream",
+        stream.to_str().unwrap(),
+        "--resume",
+    ];
+    args.extend_from_slice(extra);
+    run_with_code(env!("CARGO_BIN_EXE_nova"), &args, "")
+}
+
+/// `(swept, resumed)` from the stderr line `swept N machines (+M resumed)`.
+fn swept_and_resumed(stderr: &str) -> (usize, usize) {
+    let tail = stderr.split("swept ").nth(1).expect("sweep line");
+    let (n, rest) = tail.split_once(" machines (+").expect("resume count");
+    let (m, _) = rest.split_once(" resumed)").expect("resume count");
+    (n.parse().unwrap(), m.parse().unwrap())
+}
+
+/// Byte offsets just past each newline of `bytes`.
+fn line_ends(bytes: &[u8]) -> Vec<usize> {
+    (0..bytes.len())
+        .filter(|&i| bytes[i] == b'\n')
+        .map(|i| i + 1)
+        .collect()
+}
+
 #[test]
-fn nova_bench_journaled_resume_merges_byte_identically() {
+fn nova_bench_resumes_its_own_stream_byte_identically() {
     let spec = "machines=6,states=5,inputs=2,outputs=2,seed=11";
-    let run = |stream: &std::path::Path, journal: &std::path::Path, resume: bool| {
-        let (stream_s, journal_s) = (stream.to_str().unwrap(), journal.to_str().unwrap());
-        let mut args = vec![
-            "bench",
-            "--synthetic",
-            spec,
-            "--budget",
-            "5000",
-            "--batch-jobs",
-            "2",
-            "--stream",
-            stream_s,
-            "--journal",
-            journal_s,
-        ];
-        if resume {
-            args.push("--resume");
-        }
-        run_with_code(env!("CARGO_BIN_EXE_nova"), &args, "")
-    };
-
-    // Uninterrupted baseline.
-    let base_stream = temp_path("resume-base.jsonl");
-    let base_journal = temp_path("resume-base.journal");
-    let (_, stderr, code) = run(&base_stream, &base_journal, false);
+    let budget = ["--budget", "5000"];
+    let base = temp_path("resume-base.jsonl");
+    std::fs::remove_file(&base).ok();
+    let (_, stderr, code) =
+        resume_sweep(spec, &base, &[&budget[..], &["--batch-jobs", "2"]].concat());
     assert_eq!(code, 0, "{stderr}");
-    assert!(stderr.contains("swept 6 machines in"), "{stderr}");
-    let journal_text = std::fs::read_to_string(&base_journal).expect("journal written");
+    assert_eq!(swept_and_resumed(&stderr), (6, 0), "{stderr}");
+    let full = std::fs::read(&base).expect("stream written");
+    let text = String::from_utf8(full.clone()).unwrap();
     assert!(
-        journal_text.starts_with("nova-journal/1 "),
-        "{journal_text}"
+        !text.contains("wall_ms") && !text.contains("batch_jobs"),
+        "{text}"
     );
-    assert_eq!(
-        journal_text.lines().filter(|l| l.starts_with("C ")).count(),
-        6,
-        "one completion record per machine: {journal_text}"
-    );
+    let header = json::parse(text.lines().next().unwrap()).unwrap();
+    assert!(header.get("options").is_some() && header.get("corpus_fp").is_some());
+    let ends = line_ends(&full);
+    assert_eq!(ends.len(), 1 + 6 + 1, "header + machines + summary");
 
-    // Simulate a mid-sweep kill: keep the header and the first three
-    // completion records, as if the process died before the fsync of the
-    // rest. Resume must replay those three and run only the other three.
-    let cut_journal = temp_path("resume-cut.journal");
-    let kept: Vec<&str> = journal_text.lines().take(4).collect();
-    std::fs::write(&cut_journal, format!("{}\n", kept.join("\n"))).unwrap();
-    let cut_stream = temp_path("resume-cut.jsonl");
-    let (_, stderr, code) = run(&cut_stream, &cut_journal, true);
-    assert_eq!(code, 0, "{stderr}");
-    assert!(
-        stderr.contains("resuming: 3 of 6 machines already complete"),
-        "{stderr}"
-    );
-    // Throughput counts only the machines this run executed.
-    assert!(
-        stderr.contains("swept 3 machines (+3 resumed) in"),
-        "{stderr}"
-    );
-
-    let base = std::fs::read(&base_stream).expect("baseline stream");
-    let merged = std::fs::read(&cut_stream).expect("merged stream");
-    assert_eq!(base, merged, "resumed stream is byte-identical");
-
-    // A second resume over the now-complete journal runs nothing and
-    // still reproduces the same bytes.
-    let again_stream = temp_path("resume-again.jsonl");
-    let (_, stderr, code) = run(&again_stream, &cut_journal, true);
-    assert_eq!(code, 0, "{stderr}");
-    assert!(stderr.contains("resuming: 6 of 6"), "{stderr}");
-    assert!(
-        stderr.contains("swept 0 machines (+6 resumed) in"),
-        "{stderr}"
-    );
-    assert_eq!(base, std::fs::read(&again_stream).expect("stream"));
-
-    for p in [
-        &base_stream,
-        &base_journal,
-        &cut_journal,
-        &cut_stream,
-        &again_stream,
-    ] {
-        std::fs::remove_file(p).ok();
+    // Each copy, cut where a kill could leave it, resumes to the same bytes.
+    let cuts = [
+        ("inside the header", ends[0] / 2),
+        ("mid machine line", ends[2] + 9),
+        ("right after a newline", ends[4]),
+        ("complete", full.len()),
+    ];
+    for (what, cut) in cuts {
+        let copy = temp_path("resume-cut.jsonl");
+        std::fs::write(&copy, &full[..cut]).unwrap();
+        let (_, stderr, code) =
+            resume_sweep(spec, &copy, &[&budget[..], &["--batch-jobs", "3"]].concat());
+        assert_eq!(code, 0, "{what}: {stderr}");
+        let (n, m) = swept_and_resumed(&stderr);
+        assert_eq!(n + m, 6, "{what}: {stderr}");
+        assert_eq!(std::fs::read(&copy).unwrap(), full, "{what}: bytes differ");
+        std::fs::remove_file(&copy).ok();
     }
+    std::fs::remove_file(&base).ok();
+
+    // A quarantined machine's line carries its reason, so a cut sweep
+    // rebuilds the same summary quarantine list.
+    let spec = "machines=4,states=6,inputs=2,outputs=2,seed=9";
+    let panic = ["--fault-plan", "*:1:panic", "--batch-jobs", "2"];
+    let base = temp_path("resume-panic.jsonl");
+    std::fs::remove_file(&base).ok();
+    let (_, stderr, code) = resume_sweep(spec, &base, &panic);
+    assert_eq!(code, 0, "{stderr}");
+    let full = std::fs::read(&base).unwrap();
+    let ends = line_ends(&full);
+    std::fs::write(&base, &full[..ends[2]]).unwrap();
+    let (_, stderr, code) = resume_sweep(spec, &base, &panic);
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(swept_and_resumed(&stderr), (2, 2), "{stderr}");
+    assert!(stderr.contains("quarantined 4 machine(s)"), "{stderr}");
+    let resumed = std::fs::read(&base).unwrap();
+    assert_eq!(resumed, full, "quarantine list rebuilt differently");
+    let text = String::from_utf8(resumed).unwrap();
+    let summary = json::parse(text.lines().last().unwrap()).unwrap();
+    let Some(json::Json::Arr(q)) = summary.get("summary").and_then(|s| s.get("quarantine")) else {
+        panic!("quarantine section missing: {text}");
+    };
+    assert_eq!(q.len(), 4);
+    std::fs::remove_file(&base).ok();
 }
 
 #[test]
@@ -1030,95 +1041,172 @@ fn nova_bench_quarantines_always_crashing_machines_and_exits_zero() {
 }
 
 #[test]
-fn nova_bench_journal_misuse_fails_fast_with_usage_exit() {
+fn nova_bench_resume_refusals_exit_2_and_leave_the_file_unchanged() {
     let spec = "machines=2,states=5,inputs=2,outputs=2,seed=1";
-    // The journal cannot share stdout with the stream.
-    let (_, stderr, code) = run_with_code(
-        env!("CARGO_BIN_EXE_nova"),
-        &[
-            "bench",
-            "--synthetic",
-            spec,
-            "--stream",
-            "-",
-            "--journal",
-            "-",
-        ],
-        "",
-    );
-    assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("cannot write to stdout"), "{stderr}");
-
-    // Nor the stream's own file: interleaved records would corrupt both.
-    let shared = temp_path("journal-shared.jsonl");
-    let shared_s = shared.to_str().unwrap();
-    std::fs::write(&shared, "").unwrap();
-    let (_, stderr, code) = run_with_code(
-        env!("CARGO_BIN_EXE_nova"),
-        &[
-            "bench",
-            "--synthetic",
-            spec,
-            "--stream",
-            shared_s,
-            "--journal",
-            shared_s,
-        ],
-        "",
-    );
-    std::fs::remove_file(&shared).ok();
-    assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("same file"), "{stderr}");
-
-    // --journal is meaningless without a stream to record.
-    let journal_only = temp_path("journal-only.journal");
-    let (_, stderr, code) = run_with_code(
-        env!("CARGO_BIN_EXE_nova"),
-        &[
-            "bench",
-            "--synthetic",
-            spec,
-            "--journal",
-            journal_only.to_str().unwrap(),
-        ],
-        "",
-    );
-    assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("requires --stream"), "{stderr}");
-
-    // --resume without a journal to replay.
-    let (_, stderr, code) = run_with_code(
-        env!("CARGO_BIN_EXE_nova"),
-        &["bench", "--synthetic", spec, "--stream", "-", "--resume"],
-        "",
-    );
-    assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.contains("--resume requires --journal"), "{stderr}");
-
-    // A finished journal binds every option that can change a report line:
-    // resuming under another deadline or another node budget is refused.
-    let stream = temp_path("journal-bound.jsonl");
-    let journal = temp_path("journal-bound.journal");
-    let sweep = |extra: &[&str]| {
-        let mut args = vec![
-            "bench",
-            "--synthetic",
-            spec,
-            "--stream",
-            stream.to_str().unwrap(),
-            "--journal",
-            journal.to_str().unwrap(),
-        ];
-        args.extend_from_slice(extra);
-        run_with_code(env!("CARGO_BIN_EXE_nova"), &args, "")
-    };
-    let (_, stderr, code) = sweep(&[]);
-    assert_eq!(code, 0, "{stderr}");
-    for changed in [["--timeout-ms", "100"], ["--budget", "1"]] {
-        let (_, stderr, code) = sweep(&["--resume", changed[0], changed[1]]);
-        assert_eq!(code, 2, "{changed:?}: {stderr}");
-        assert!(stderr.contains("different encoding options"), "{stderr}");
+    let nova = env!("CARGO_BIN_EXE_nova");
+    // The record must be a file of its own.
+    for args in [
+        &["bench", "--synthetic", spec, "--stream", "-", "--resume"][..],
+        &["bench", "--synthetic", spec, "--resume"],
+    ] {
+        let (_, stderr, code) = run_with_code(nova, args, "");
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--resume requires --stream FILE"),
+            "{stderr}"
+        );
     }
+    let (_, stderr, code) = run_with_code(
+        nova,
+        &[
+            "bench",
+            "--synthetic",
+            spec,
+            "--stream",
+            "/dev/null",
+            "--resume",
+        ],
+        "",
+    );
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("not a regular file"), "{stderr}");
+    let stream = temp_path("refused.jsonl");
+    let stream_s = stream.to_str().unwrap();
+    let (_, stderr, code) = run_with_code(
+        nova,
+        &[
+            "bench",
+            "--synthetic",
+            spec,
+            "--stream",
+            stream_s,
+            "--resume",
+            "--bench-out",
+            "x.json",
+        ],
+        "",
+    );
+    assert_eq!(code, 2, "{stderr}");
+    // The removed second file's flag is unknown.
+    let (_, stderr, code) = run_with_code(
+        nova,
+        &[
+            "bench",
+            "--synthetic",
+            spec,
+            "--stream",
+            stream_s,
+            "--journal",
+            "j",
+        ],
+        "",
+    );
+    assert_eq!(code, 2, "{stderr}");
+
+    // A record binds the options that can change a line and the corpus.
+    let refused = |written: &[&str], resumed: &[&str]| {
+        std::fs::remove_file(&stream).ok();
+        let (_, stderr, code) = run_with_code(nova, written, "");
+        assert_eq!(code, 0, "{written:?}: {stderr}");
+        let before = std::fs::read(&stream).expect("stream written");
+        let (_, stderr, code) = run_with_code(nova, resumed, "");
+        assert_eq!(code, 2, "{resumed:?}: {stderr}");
+        assert!(
+            stderr.contains("is not the record of this sweep"),
+            "{stderr}"
+        );
+        assert_eq!(
+            std::fs::read(&stream).unwrap(),
+            before,
+            "{resumed:?} changed the file"
+        );
+        stderr
+    };
+    let sweep = [
+        "bench",
+        "--synthetic",
+        spec,
+        "--stream",
+        stream_s,
+        "--resume",
+    ];
+    for (written, resumed) in [
+        (&["--budget", "100"][..], &["--budget", "1"][..]),
+        (&["--timeout-ms", "100000"], &["--timeout-ms", "100"]),
+        (
+            &["--fault-plan", "*:1:panic"],
+            &["--fault-plan", "*:2:panic"],
+        ),
+    ] {
+        let stderr = refused(
+            &[&sweep[..], written].concat(),
+            &[&sweep[..], resumed].concat(),
+        );
+        assert!(stderr.contains("options"), "{stderr}");
+    }
+    // Two filters of the same size both describe as suite:2: only the
+    // corpus fingerprint tells them apart.
+    let filtered = |names| {
+        [
+            "bench", "--filter", names, "--budget", "100", "--stream", stream_s, "--resume",
+        ]
+    };
+    let stderr = refused(&filtered("lion,bbtas"), &filtered("lion,dk27"));
+    assert!(stderr.contains("corpus_fp"), "{stderr}");
+    // A timed stream, written without --resume, is not a record.
+    let stderr = refused(&sweep[..5], &sweep);
+    assert!(stderr.contains("options is absent"), "{stderr}");
     std::fs::remove_file(&stream).ok();
-    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn nova_bench_traced_lines_carry_each_runs_metrics() {
+    let nova = env!("CARGO_BIN_EXE_nova");
+    let trace = temp_path("metrics-trace.jsonl");
+    let trace_s = trace.to_str().unwrap();
+    let runs_of = |stdout: &str| -> Vec<json::Json> {
+        let line = stdout.lines().nth(1).expect("machine line");
+        match json::parse(line).expect("line parses").get("runs") {
+            Some(json::Json::Arr(runs)) => runs.clone(),
+            other => panic!("no runs: {other:?}"),
+        }
+    };
+    let (stdout, stderr, code) = run_with_code(
+        nova,
+        &[
+            "bench",
+            "--filter",
+            "lion",
+            "--trace",
+            trace_s,
+            "--trace-format",
+            "jsonl",
+            "--stream",
+            "-",
+        ],
+        "",
+    );
+    std::fs::remove_file(&trace).ok();
+    assert_eq!(code, 0, "{stderr}");
+    let runs = runs_of(&stdout);
+    let ihybrid = runs
+        .iter()
+        .find(|r| r.get("algorithm") == Some(&json::Json::str("ihybrid")))
+        .expect("ihybrid ran");
+    let nodes = ihybrid
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("embed.nodes_visited"));
+    assert!(
+        matches!(nodes, Some(json::Json::Int(n)) if *n > 0),
+        "{ihybrid:?}"
+    );
+
+    let (stdout, stderr, code) =
+        run_with_code(nova, &["bench", "--filter", "lion", "--stream", "-"], "");
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        !stdout.contains("\"metrics\""),
+        "untraced lines carry no metrics"
+    );
 }

@@ -275,7 +275,7 @@ pub fn assign_codes(ig: &InputGraph, k: u32, budget: Option<u64>) -> (AssignOutc
 /// member codes; because every closure node is checked, each face contains
 /// exactly the member codes among all assigned codes.
 ///
-/// Note: unlike `pos_equiv_covers`, this search has no output-covering
+/// Note: unlike `pos_equiv`, this search has no output-covering
 /// support — its canonical symmetry breaking (bit permutations) does not
 /// preserve bit-dominance relations.
 ///

@@ -1012,12 +1012,12 @@ fn run_search(
 }
 
 /// Shared driver for every `pos_equiv`-family entry point: builds the
-/// per-node base levels, runs the search, and flushes the run telemetry
-/// (`exact.nodes_visited`, `embed.nodes_per_sec`).
+/// per-node base levels (each node's minimum feasible level), runs the
+/// search, and flushes the run telemetry (`exact.nodes_visited`,
+/// `embed.nodes_per_sec`).
 fn pos_equiv_run(
     ig: &InputGraph,
     k: u32,
-    primary_levels: &BTreeMap<usize, u32>,
     covers: &[(usize, usize)],
     budget: Option<u64>,
     free_levels: bool,
@@ -1029,15 +1029,10 @@ fn pos_equiv_run(
     let rel = ig.relations();
     let mut level_lo = with_embed_scratch(|sc| sc.acquire_levels());
     for i in 0..ig.len() {
-        let mut lo = rel.min_level(i);
-        if ig.category(i) == Category::Primary && rel.card(i) > 1 {
-            if let Some(&l) = primary_levels.get(&i) {
-                lo = l;
-            }
-            if lo >= k {
-                with_embed_scratch(|sc| sc.release_levels(level_lo));
-                return (EmbedOutcome::Exhausted, 0);
-            }
+        let lo = rel.min_level(i);
+        if ig.category(i) == Category::Primary && rel.card(i) > 1 && lo >= k {
+            with_embed_scratch(|sc| sc.release_levels(level_lo));
+            return (EmbedOutcome::Exhausted, 0);
         }
         level_lo.push(lo);
     }
@@ -1065,45 +1060,23 @@ fn to_pos_equiv(outcome: EmbedOutcome) -> PosEquiv {
 }
 
 /// `pos_equiv` (Section 3.4): decides restricted SUBPOSET EQUIVALENCE for a
-/// fixed dimension `k` and primary level vector, by two-level backtracking.
+/// fixed dimension `k` by two-level backtracking, each node starting at its
+/// minimum feasible level. `covers` adds output covering constraints
+/// `(u, v)` (state indices: code(u) must bit-wise strictly cover code(v)),
+/// the search core of `io_semiexact_code` (Section VI-6.2.1).
 ///
-/// `primary_levels` maps non-singleton primary node indices to their face
-/// level; missing entries default to the node's minimum feasible level.
+/// Every candidate face charges `ctl` one unit (batched), so a deadline or
+/// node budget on the handle aborts the backtracking promptly
+/// ([`PosEquiv::Aborted`] with `ctl.cancelled()` telling it apart from an
+/// exhausted local `budget`).
 pub fn pos_equiv(
     ig: &InputGraph,
     k: u32,
-    primary_levels: &BTreeMap<usize, u32>,
-    budget: Option<u64>,
-) -> PosEquiv {
-    pos_equiv_covers(ig, k, primary_levels, &[], budget)
-}
-
-/// [`pos_equiv`] extended with output covering constraints `(u, v)`
-/// (state indices: code(u) must bit-wise strictly cover code(v)), the search
-/// core of `io_semiexact_code` (Section VI-6.2.1).
-pub fn pos_equiv_covers(
-    ig: &InputGraph,
-    k: u32,
-    primary_levels: &BTreeMap<usize, u32>,
-    covers: &[(usize, usize)],
-    budget: Option<u64>,
-) -> PosEquiv {
-    pos_equiv_covers_ctl(ig, k, primary_levels, covers, budget, &RunCtl::unlimited())
-}
-
-/// [`pos_equiv_covers`] under a [`RunCtl`]: every candidate face charges one
-/// unit (batched), so a deadline or node budget on the handle aborts the
-/// backtracking promptly ([`PosEquiv::Aborted`] with `ctl.cancelled()`
-/// telling it apart from an exhausted local `budget`).
-pub fn pos_equiv_covers_ctl(
-    ig: &InputGraph,
-    k: u32,
-    primary_levels: &BTreeMap<usize, u32>,
     covers: &[(usize, usize)],
     budget: Option<u64>,
     ctl: &RunCtl,
 ) -> PosEquiv {
-    let (outcome, _) = pos_equiv_run(ig, k, primary_levels, covers, budget, true, ctl);
+    let (outcome, _) = pos_equiv_run(ig, k, covers, budget, true, ctl);
     to_pos_equiv(outcome)
 }
 
@@ -1134,7 +1107,6 @@ pub fn iexact_code_ctl(
     // starve the dimensions above it.
     let per_phase = opts.max_work.map(|w| (w / 8).max(4096));
     let start = mincube_dim(ig);
-    let no_levels = BTreeMap::new();
     for k in start..=opts.max_k.min(ig.num_states() as u32) {
         if remaining == Some(0) {
             return Ok(None);
@@ -1144,15 +1116,7 @@ pub fn iexact_code_ctl(
         // Phase A: strict subposet embedding (free primary levels replace
         // the old explicit level-vector odometer).
         let cap = cap_for(remaining, per_phase);
-        let (outcome, spent) = pos_equiv_run(
-            ig,
-            k,
-            &no_levels,
-            &[],
-            cap,
-            !opts.min_dimension_faces_only,
-            ctl,
-        );
+        let (outcome, spent) = pos_equiv_run(ig, k, &[], cap, !opts.min_dimension_faces_only, ctl);
         match outcome {
             EmbedOutcome::Found(e) => return Ok(Some(e)),
             EmbedOutcome::Cancelled => return Err(Cancelled),
@@ -1243,8 +1207,7 @@ pub fn io_semiexact_code_ctl(
     ctl: &RunCtl,
 ) -> Result<Option<Embedding>, Cancelled> {
     let ig = InputGraph::build(num_states, constraints);
-    let no_levels = BTreeMap::new();
-    let (outcome, _) = pos_equiv_run(&ig, k, &no_levels, covers, Some(max_work), true, ctl);
+    let (outcome, _) = pos_equiv_run(&ig, k, covers, Some(max_work), true, ctl);
     match outcome {
         EmbedOutcome::Found(e) => Ok(Some(e)),
         EmbedOutcome::Cancelled => Err(Cancelled),
@@ -1512,7 +1475,7 @@ mod tests {
         assert!(r.is_some());
         // The tiny budget aborts the search rather than exhausting it.
         let ig = InputGraph::build(7, &ig_constraints);
-        let r = pos_equiv(&ig, 4, &BTreeMap::new(), Some(3));
+        let r = pos_equiv(&ig, 4, &[], Some(3), &RunCtl::unlimited());
         assert!(matches!(r, PosEquiv::Aborted), "{r:?}");
     }
 

@@ -32,15 +32,18 @@
 //!
 //! * **Quarantine** (`nova-sentinel`): each machine runs once. One whose
 //!   portfolio crashes (panics, or fails every run with nothing usable) is
-//!   *quarantined* — recorded in the returned [`BatchReport`] and the stream
-//!   summary's `quarantine` section — instead of aborting the sweep. It is
-//!   not retried: the engine is deterministic, so a retry would crash the
-//!   same way. Wall time is bounded by [`EngineConfig::timeout`] alone.
-//! * **Crash-safe resume** ([`run_batch_resumable`]): a journal-driven
-//!   caller passes the set of machine indices already completed by a prior
-//!   interrupted sweep; they are skipped entirely (never generated, never
-//!   run) while emission order and the reorder-window memory bound are
-//!   preserved.
+//!   *quarantined* — recorded in the returned [`BatchReport`], on its own
+//!   stream line and in the stream summary's `quarantine` section — instead
+//!   of aborting the sweep. It is not retried: the engine is deterministic,
+//!   so a retry would crash the same way. Wall time is bounded by
+//!   [`EngineConfig::timeout`] alone.
+//! * **Crash-safe resume** ([`StreamWriter::resume`],
+//!   [`run_batch_resumable`]): emission is strictly in machine-index order,
+//!   so a stream file always holds a prefix of the sweep. A resumable stream
+//!   carries no wall-clock field, binds its header to the corpus and the
+//!   options, and is fsync'd in batches; reopening it keeps its complete
+//!   machine lines, truncates the rest, and the sweep restarts at the first
+//!   machine it lacks.
 //!
 //! Telemetry: `engine.batch.machines` / `.backpressure` / `.quarantine`
 //! counters and the `engine.batch.queue.depth` gauge on the session tracer.
@@ -48,9 +51,11 @@
 use crate::{machine_summary_json_with, report_fingerprint, EngineConfig, PortfolioReport};
 use fsm::{Fsm, ScaleSpec};
 use nova_trace::json::Json;
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, Write};
+use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufRead, BufReader, BufWriter, Seek, SeekFrom, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -79,8 +84,9 @@ pub trait MachineSource: Sync {
     fn name(&self, i: usize) -> String;
     /// Materializes machine `i`. The batch engine calls it once per sweep,
     /// on whichever worker claimed the index, and drops the machine after
-    /// its portfolio. A journaling caller may call it again to fingerprint
-    /// machines.
+    /// its portfolio. A resumable stream ([`StreamWriter::resume`]) calls
+    /// it once more per machine, before the sweep, to fingerprint the
+    /// corpus.
     fn machine(&self, i: usize) -> Fsm;
     /// One-line corpus description for stream headers and scale baselines.
     fn describe(&self) -> String;
@@ -196,8 +202,7 @@ pub struct QuarantineRecord {
     pub reason: String,
 }
 
-/// What a batch sweep did beyond the per-machine reports (the CLI folds
-/// `quarantined` into the stream summary and the journal).
+/// What a batch sweep did beyond the per-machine reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// Machines actually run this sweep (excludes resumed skips).
@@ -237,9 +242,7 @@ pub fn run_batch(
     bcfg: &BatchConfig,
     sink: &mut (dyn FnMut(usize, PortfolioReport) + Send),
 ) -> BatchReport {
-    run_batch_resumable(src, cfg, bcfg, &BTreeSet::new(), &mut |i, rep, _| {
-        sink(i, rep)
-    })
+    run_batch_resumable(src, cfg, bcfg, 0, &mut |i, rep, _| sink(i, rep))
 }
 
 /// The crash reason of a report that produced nothing usable: the first
@@ -257,26 +260,24 @@ fn crash_reason(rep: &PortfolioReport) -> Option<String> {
     })
 }
 
-/// [`run_batch`] minus the machines a prior interrupted sweep already
-/// completed: indices in `completed` are never generated or run, and the
-/// sink only sees the remainder — still strictly in machine-index order.
-/// The journal-driven CLI resume interleaves the replayed lines itself.
-///
-/// `completed` is typically a prefix (journals record completions in
-/// emission order), but any set is handled.
+/// [`run_batch`] from machine `start` on: the machines below it, which an
+/// interrupted sweep already recorded ([`StreamWriter::resumed`]), are never
+/// generated or run. The sink sees `start..len` strictly in machine-index
+/// order, each report with the quarantine record of a machine that crashed.
 pub fn run_batch_resumable(
     src: &dyn MachineSource,
     cfg: &EngineConfig,
     bcfg: &BatchConfig,
-    completed: &BTreeSet<usize>,
+    start: usize,
     sink: &mut (dyn FnMut(usize, PortfolioReport, Option<&QuarantineRecord>) + Send),
 ) -> BatchReport {
     let len = src.len();
-    if len == 0 {
+    let remaining = len.saturating_sub(start);
+    if remaining == 0 {
         return BatchReport::default();
     }
-    let workers = crate::effective_jobs(bcfg.batch_jobs).min(len);
-    let window = bcfg.effective_window(len, workers);
+    let workers = crate::effective_jobs(bcfg.batch_jobs).min(remaining);
+    let window = bcfg.effective_window(remaining, workers);
     let tracer = &cfg.tracer;
 
     // Whole portfolios per worker: with more than one batch worker each
@@ -293,13 +294,8 @@ pub fn run_batch_resumable(
         cfg.clone()
     };
 
-    // The emission cursor starts past any already-completed prefix.
-    let mut first = 0usize;
-    while completed.contains(&first) {
-        first += 1;
-    }
     let emit = Mutex::new(Emit {
-        next: first,
+        next: start,
         pending: BTreeMap::new(),
         sink,
     });
@@ -364,9 +360,6 @@ pub fn run_batch_resumable(
         g.pending.insert(i, (report, quarantine));
         tracer.gauge("engine.batch.queue.depth", g.pending.len() as i64);
         loop {
-            while completed.contains(&g.next) {
-                g.next += 1;
-            }
             let at = g.next;
             let Some((r, q)) = g.pending.remove(&at) else {
                 break;
@@ -382,19 +375,11 @@ pub fn run_batch_resumable(
     // claimed and its worker never waits (`i < next + window` holds for
     // `i == next`): the emission cursor keeps advancing and the window
     // cannot deadlock.
-    crate::claim_loop(len, workers, |i| {
-        if !completed.contains(&i) {
-            run_one(i);
-        }
-    });
+    crate::claim_loop(remaining, workers, |k| run_one(start + k));
 
-    // Every machine completed or was skipped, so the reorder buffer fully
-    // drained once the trailing completed indices are stepped over.
+    // Every machine completed, so the reorder buffer fully drained.
     {
-        let mut g = lock(&emit);
-        while completed.contains(&g.next) {
-            g.next += 1;
-        }
+        let g = lock(&emit);
         debug_assert_eq!(g.next, len);
         debug_assert!(g.pending.is_empty());
     }
@@ -408,10 +393,11 @@ pub fn run_batch_resumable(
     }
 }
 
-/// FNV-1a over a report fingerprint: the short replay key embedded in
+/// FNV-1a: over a report fingerprint, the short replay key embedded in
 /// stream lines so byte-identity across worker counts is checkable from the
-/// JSONL alone (the journal reuses it to checksum whole records).
-pub(crate) fn fnv64(s: &str) -> u64 {
+/// JSONL alone; over the machines' fingerprints, a resumable stream's
+/// `corpus_fp`.
+fn fnv64(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= b as u64;
@@ -429,11 +415,11 @@ pub struct StreamTally {
     pub degraded: usize,
     /// Machines with neither.
     pub unresolved: usize,
+    /// Machines quarantined (each also counted in one of the classes above).
+    pub quarantined: usize,
 }
 
-/// The stream-level outcome class of one machine line. Journals persist it
-/// (one character) so a resumed sweep can rebuild its tally without
-/// re-parsing replayed report lines.
+/// The stream-level outcome class of one machine line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MachineClass {
     /// A completed best result exists.
@@ -456,146 +442,137 @@ impl MachineClass {
         }
     }
 
-    /// One-character journal tag.
-    pub fn tag(self) -> char {
-        match self {
-            MachineClass::Solved => 's',
-            MachineClass::Degraded => 'd',
-            MachineClass::Unresolved => 'u',
+    /// The class of a machine line already in a stream: the same rule read
+    /// back from its `best` and `degraded` fields.
+    fn of_line(line: &Json) -> MachineClass {
+        if line.get("best").is_some_and(|b| *b != Json::Null) {
+            MachineClass::Solved
+        } else if line.get("degraded").is_some() {
+            MachineClass::Degraded
+        } else {
+            MachineClass::Unresolved
         }
-    }
-
-    /// Parses a journal tag.
-    pub fn from_tag(c: char) -> Option<MachineClass> {
-        Some(match c {
-            's' => MachineClass::Solved,
-            'd' => MachineClass::Degraded,
-            'u' => MachineClass::Unresolved,
-            _ => return None,
-        })
     }
 }
 
+impl StreamTally {
+    fn add(&mut self, class: MachineClass) {
+        match class {
+            MachineClass::Solved => self.solved += 1,
+            MachineClass::Degraded => self.degraded += 1,
+            MachineClass::Unresolved => self.unresolved += 1,
+        }
+    }
+}
+
+/// Lines a resumable stream writes between two fsyncs.
+const SYNC_EVERY: usize = 16;
+
 /// Incremental `nova-bench-stream/1` JSONL writer: a header line, one
 /// report line per machine (in emission order — machine-index order when
-/// fed from [`run_batch`]), and a final summary line carrying wall time and
-/// machines/sec throughput. Memory is O(1) in the corpus: each line is
-/// serialized and flushed from the report it came from, nothing is
-/// retained.
+/// fed from [`run_batch`]), and a final summary line carrying the tallies
+/// and the quarantine list. Memory is O(1) in the corpus apart from the
+/// quarantine list: each line is serialized and flushed from the report it
+/// came from.
+///
+/// A stream opened with [`StreamWriter::new`] is *timed*: its header names
+/// the `batch_jobs` count, machine lines carry wall and stage times and, in
+/// a traced sweep, each run's `metrics`, and the summary carries wall time
+/// and machines/sec. A stream opened with [`StreamWriter::resume`] is
+/// *resumable*: none of those, so every byte is a function of the corpus
+/// and the options alone, at any worker count.
 ///
 /// ```text
 /// {"schema":"nova-bench-stream/1","corpus":"machines=3,...","machines":3,"batch_jobs":2}
 /// {"machine":"synth-000000","best":"ihybrid","area":112,...,"fingerprint":"9f3c..."}
 /// ...
-/// {"summary":{"machines":3,"solved":3,"degraded":0,"unresolved":0,"wall_ms":41.2,"machines_per_sec":72.8}}
+/// {"summary":{"machines":3,"solved":3,"degraded":0,"unresolved":0,"quarantined":0,"wall_ms":41.2,"machines_per_sec":72.8}}
 /// ```
 pub struct StreamWriter<W: Write> {
     w: W,
     start: Instant,
+    /// Machine lines in the stream, resumed ones included.
     count: usize,
+    /// Machine lines the file already held when it was resumed.
+    resumed: usize,
     tally: StreamTally,
-    /// Whether machine lines and the summary carry wall-clock fields.
-    /// `false` (journaled/deterministic streams) makes every byte of the
-    /// stream a pure function of the corpus and config, which is what lets
-    /// a kill-and-resume merge be byte-identical to an uninterrupted run.
-    timings: bool,
+    /// Quarantined machines in index order, for the summary.
+    quarantine: Vec<QuarantineRecord>,
+    /// Flushes and fsyncs a resumable stream's file; `None` marks a timed
+    /// stream.
+    sync: Option<fn(&mut W) -> io::Result<()>>,
+    /// Lines written since the last fsync.
+    unsynced: usize,
 }
 
 impl<W: Write> StreamWriter<W> {
-    /// Writes the header line and starts the throughput clock.
-    pub fn new(w: W, corpus: &str, machines: usize, batch_jobs: usize) -> io::Result<Self> {
-        StreamWriter::with_timings(w, corpus, machines, batch_jobs, true)
-    }
-
-    /// [`StreamWriter::new`] in deterministic mode: wall-clock fields
-    /// (`wall_ms`, `stages_ms`, `machines_per_sec`) are omitted from every
-    /// line. Journaled sweeps use this so interrupted-and-resumed output is
-    /// byte-identical to an uninterrupted run.
-    pub fn deterministic(
-        w: W,
-        corpus: &str,
-        machines: usize,
-        batch_jobs: usize,
-    ) -> io::Result<Self> {
-        StreamWriter::with_timings(w, corpus, machines, batch_jobs, false)
-    }
-
-    fn with_timings(
-        mut w: W,
-        corpus: &str,
-        machines: usize,
-        batch_jobs: usize,
-        timings: bool,
-    ) -> io::Result<Self> {
-        let mut pairs = vec![
-            ("schema".into(), Json::str("nova-bench-stream/1")),
+    /// Writes a timed stream's header line and starts the throughput clock.
+    pub fn new(mut w: W, corpus: &str, machines: usize, batch_jobs: usize) -> io::Result<Self> {
+        let header = Json::Obj(vec![
+            ("schema".into(), Json::str(STREAM_SCHEMA)),
             ("corpus".into(), Json::str(corpus)),
             ("machines".into(), Json::uint(machines as u64)),
-        ];
-        // Worker count is an execution detail, not content: deterministic
-        // (journaled) streams omit it so a resume at a different
-        // `--batch-jobs` still merges byte-identically.
-        if timings {
-            pairs.push(("batch_jobs".into(), Json::uint(batch_jobs as u64)));
-        }
-        let header = Json::Obj(pairs);
+            ("batch_jobs".into(), Json::uint(batch_jobs as u64)),
+        ]);
         writeln!(w, "{}", header.to_compact())?;
         Ok(StreamWriter {
             w,
             start: Instant::now(),
             count: 0,
+            resumed: 0,
             tally: StreamTally::default(),
-            timings,
+            quarantine: Vec::new(),
+            sync: None,
+            unsynced: 0,
         })
     }
 
-    /// Renders one machine line (no trailing newline): the `nova-bench/1`
-    /// machine object plus its timing-stripped fingerprint. Exposed so the
-    /// journaling CLI can persist the exact bytes it streams.
+    /// Renders one machine line (no trailing newline) of a machine that was
+    /// not quarantined: the `nova-bench/1` machine object plus its
+    /// timing-stripped fingerprint.
     pub fn render_line(rep: &PortfolioReport, timings: bool) -> String {
-        let mut line = machine_summary_json_with(rep, timings);
-        if let Json::Obj(pairs) = &mut line {
-            pairs.push((
-                "fingerprint".into(),
-                Json::str(format!("{:016x}", fnv64(&report_fingerprint(rep)))),
-            ));
+        machine_line(rep, timings).to_compact()
+    }
+
+    /// Machine lines the file already held when [`StreamWriter::resume`]
+    /// opened it: the index the sweep restarts at.
+    pub fn resumed(&self) -> usize {
+        self.resumed
+    }
+
+    /// Writes one machine's report line; a quarantined machine's line also
+    /// carries its `quarantine` reason.
+    pub fn report(
+        &mut self,
+        rep: &PortfolioReport,
+        quarantine: Option<&QuarantineRecord>,
+    ) -> io::Result<()> {
+        let mut line = machine_line(rep, self.sync.is_none());
+        if let (Some(q), Json::Obj(pairs)) = (quarantine, &mut line) {
+            pairs.push(("quarantine".into(), Json::str(&q.reason)));
+            self.quarantine.push(q.clone());
         }
-        line.to_compact()
-    }
-
-    /// Writes one machine's report line.
-    pub fn report(&mut self, rep: &PortfolioReport) -> io::Result<()> {
-        let line = Self::render_line(rep, self.timings);
-        self.write_raw(&line, MachineClass::of(rep))
-    }
-
-    /// Writes a pre-rendered machine line (journal replay): counts and
-    /// tallies it exactly as [`StreamWriter::report`] would have.
-    pub fn write_raw(&mut self, line: &str, class: MachineClass) -> io::Result<()> {
+        self.tally.add(MachineClass::of(rep));
         self.count += 1;
-        match class {
-            MachineClass::Solved => self.tally.solved += 1,
-            MachineClass::Degraded => self.tally.degraded += 1,
-            MachineClass::Unresolved => self.tally.unresolved += 1,
+        writeln!(self.w, "{}", line.to_compact())?;
+        if let Some(sync) = self.sync {
+            self.unsynced += 1;
+            if self.unsynced == SYNC_EVERY {
+                sync(&mut self.w)?;
+                self.unsynced = 0;
+            }
         }
-        writeln!(self.w, "{line}")
+        Ok(())
     }
 
-    /// Writes the summary line and returns `(tally, machines/sec)`.
-    pub fn finish(self) -> io::Result<(StreamTally, f64)> {
-        self.finish_with(&[])
-    }
-
-    /// [`StreamWriter::finish`] with the sweep's quarantine list folded
-    /// into the summary: `quarantined` is always present, and a non-empty
-    /// list adds a `quarantine` array (index / machine / reason). In
-    /// deterministic mode the wall-clock fields are omitted.
-    pub fn finish_with(
-        mut self,
-        quarantine: &[QuarantineRecord],
-    ) -> io::Result<(StreamTally, f64)> {
+    /// Writes the summary line: the tallies, the `quarantined` count and, when
+    /// non-empty, the `quarantine` list (index / machine / reason); a timed
+    /// stream adds wall time and machines/sec over the machines this run
+    /// wrote. Returns `(tally, machines/sec)`.
+    pub fn finish(mut self) -> io::Result<(StreamTally, f64)> {
         let wall = self.start.elapsed();
-        let per_sec = throughput(self.count, wall);
+        let per_sec = throughput(self.count - self.resumed, wall);
+        self.tally.quarantined = self.quarantine.len();
         let mut pairs = vec![
             ("machines".into(), Json::uint(self.count as u64)),
             ("solved".into(), Json::uint(self.tally.solved as u64)),
@@ -604,13 +581,16 @@ impl<W: Write> StreamWriter<W> {
                 "unresolved".into(),
                 Json::uint(self.tally.unresolved as u64),
             ),
-            ("quarantined".into(), Json::uint(quarantine.len() as u64)),
+            (
+                "quarantined".into(),
+                Json::uint(self.tally.quarantined as u64),
+            ),
         ];
-        if !quarantine.is_empty() {
+        if !self.quarantine.is_empty() {
             pairs.push((
                 "quarantine".into(),
                 Json::Arr(
-                    quarantine
+                    self.quarantine
                         .iter()
                         .map(|q| {
                             Json::Obj(vec![
@@ -623,15 +603,203 @@ impl<W: Write> StreamWriter<W> {
                 ),
             ));
         }
-        if self.timings {
+        if self.sync.is_none() {
             pairs.push(("wall_ms".into(), Json::Float(wall.as_secs_f64() * 1e3)));
             pairs.push(("machines_per_sec".into(), Json::Float(per_sec)));
         }
         let summary = Json::Obj(vec![("summary".into(), Json::Obj(pairs))]);
         writeln!(self.w, "{}", summary.to_compact())?;
-        self.w.flush()?;
+        match self.sync {
+            Some(sync) => sync(&mut self.w)?,
+            None => self.w.flush()?,
+        }
         Ok((self.tally, per_sec))
     }
+}
+
+/// Why [`StreamWriter::resume`] refused a stream file.
+#[derive(Debug)]
+pub enum ResumeError {
+    /// The file could not be read, truncated or written.
+    Io(io::Error),
+    /// The file is not this sweep's record (another corpus, other options,
+    /// or a timed stream); it was left untouched.
+    Mismatch(String),
+}
+
+impl From<io::Error> for ResumeError {
+    fn from(e: io::Error) -> Self {
+        ResumeError::Io(e)
+    }
+}
+
+impl StreamWriter<BufWriter<File>> {
+    /// Opens `path` as the crash-safe record of sweeping `src` under
+    /// `options` (the canonical string of every option that can change a
+    /// machine line), creating it when absent.
+    ///
+    /// The header binds the file to `corpus`, `machines`, `options` and
+    /// `corpus_fp`, an FNV digest of every machine's [`fsm::fingerprint`].
+    /// When the file starts with exactly that header line, the complete
+    /// machine lines after it are kept: a kept line ends in a newline,
+    /// parses as JSON and names machine `i`. Everything after them (a torn
+    /// line, the summary) is truncated, and [`StreamWriter::resumed`] says
+    /// where the sweep restarts. An empty file or a torn header starts the
+    /// record afresh. Any other content, or a path that is not a regular
+    /// file, is refused with [`ResumeError::Mismatch`] and left
+    /// byte-for-byte unchanged.
+    ///
+    /// The file is fsync'd once here (after the truncation and header), every
+    /// [`SYNC_EVERY`] lines, and in [`StreamWriter::finish`], so a kill loses
+    /// at most the lines written since the last fsync.
+    pub fn resume(
+        path: &Path,
+        src: &dyn MachineSource,
+        options: &str,
+    ) -> Result<Self, ResumeError> {
+        let header = vec![
+            ("schema".into(), Json::str(STREAM_SCHEMA)),
+            ("corpus".into(), Json::str(src.describe())),
+            ("machines".into(), Json::uint(src.len() as u64)),
+            ("options".into(), Json::str(options)),
+            ("corpus_fp".into(), Json::str(corpus_fingerprint(src))),
+        ];
+        let first = format!("{}\n", Json::Obj(header.clone()).to_compact());
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        if !file.metadata()?.is_file() {
+            return Err(ResumeError::Mismatch("it is not a regular file".into()));
+        }
+
+        // One line in memory at a time: the first, then each machine line.
+        let mut reader = BufReader::new(&file);
+        let mut line = Vec::new();
+        reader.read_until(b'\n', &mut line)?;
+        let mut tally = StreamTally::default();
+        let mut quarantine = Vec::new();
+        let mut resumed = 0;
+        let keep = if line == first.as_bytes() {
+            let mut kept = line.len();
+            while resumed < src.len() {
+                line.clear();
+                reader.read_until(b'\n', &mut line)?;
+                let Some(doc) = line
+                    .strip_suffix(b"\n")
+                    .and_then(|l| std::str::from_utf8(l).ok())
+                    .and_then(|l| nova_trace::json::parse(l).ok())
+                else {
+                    break;
+                };
+                let name = src.name(resumed);
+                if doc.get("machine") != Some(&Json::str(&name)) {
+                    break;
+                }
+                tally.add(MachineClass::of_line(&doc));
+                if let Some(Json::Str(reason)) = doc.get("quarantine") {
+                    quarantine.push(QuarantineRecord {
+                        index: resumed,
+                        machine: name,
+                        reason: reason.clone(),
+                    });
+                }
+                kept += line.len();
+                resumed += 1;
+            }
+            kept
+        } else if first.as_bytes().starts_with(&line) {
+            // Empty, or a header torn before its newline: nothing recorded.
+            0
+        } else {
+            return Err(ResumeError::Mismatch(header_mismatch(&line, &header)));
+        };
+        drop(reader);
+
+        file.set_len(keep as u64)?;
+        file.seek(SeekFrom::Start(keep as u64))?;
+        if keep == 0 {
+            file.write_all(first.as_bytes())?;
+            sync_parent(path)?;
+        }
+        file.sync_all()?;
+        Ok(StreamWriter {
+            w: BufWriter::new(file),
+            start: Instant::now(),
+            count: resumed,
+            resumed,
+            tally,
+            quarantine,
+            sync: Some(|w| {
+                w.flush()?;
+                w.get_ref().sync_all()
+            }),
+            unsynced: 0,
+        })
+    }
+}
+
+/// Fsyncs the directory holding `path`, so that a record created there
+/// keeps its directory entry through a crash.
+#[cfg(unix)]
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+/// Directories cannot be opened as files here; the record's own fsyncs
+/// are all there is.
+#[cfg(not(unix))]
+fn sync_parent(_: &Path) -> io::Result<()> {
+    Ok(())
+}
+
+/// Schema tag on every stream's header line.
+const STREAM_SCHEMA: &str = "nova-bench-stream/1";
+
+/// A machine line: the `nova-bench/1` machine object plus its
+/// timing-stripped fingerprint.
+fn machine_line(rep: &PortfolioReport, timings: bool) -> Json {
+    let mut line = machine_summary_json_with(rep, timings);
+    if let Json::Obj(pairs) = &mut line {
+        pairs.push((
+            "fingerprint".into(),
+            Json::str(format!("{:016x}", fnv64(&report_fingerprint(rep)))),
+        ));
+    }
+    line
+}
+
+/// FNV-1a over every machine's [`fsm::fingerprint`], in index order: a
+/// resumable stream's `corpus_fp`. Materializes each machine once.
+fn corpus_fingerprint(src: &dyn MachineSource) -> String {
+    let mut all = String::new();
+    for i in 0..src.len() {
+        all.push_str(&fsm::fingerprint(&src.machine(i)));
+        all.push('\n');
+    }
+    format!("{:016x}", fnv64(&all))
+}
+
+/// Why a file's first line is not the `expected` header: the first field
+/// that differs.
+fn header_mismatch(line: &[u8], expected: &[(String, Json)]) -> String {
+    let found = std::str::from_utf8(line.strip_suffix(b"\n").unwrap_or(line))
+        .ok()
+        .and_then(|l| nova_trace::json::parse(l).ok());
+    for (key, want) in expected {
+        let got = found.as_ref().and_then(|f| f.get(key));
+        if got != Some(want) {
+            return format!(
+                "its header's {key} is {}, this sweep's is {}",
+                got.map_or_else(|| "absent".to_string(), Json::to_compact),
+                want.to_compact()
+            );
+        }
+    }
+    "its header carries fields this sweep's does not".to_string()
 }
 
 /// Machines/sec over a wall time, saturating instead of dividing by zero.

@@ -42,13 +42,11 @@
 //! ```
 
 pub mod batch;
-pub mod journal;
 
 pub use batch::{
     run_batch, run_batch_resumable, throughput, BatchConfig, BatchReport, MachineClass,
-    MachineSource, QuarantineRecord, StreamTally, StreamWriter, SuiteSource,
+    MachineSource, QuarantineRecord, ResumeError, StreamTally, StreamWriter, SuiteSource,
 };
-pub use journal::{JournalReplay, JournalWriter};
 
 use espresso::{FaultPlan, RunCounters, RunCtl};
 use fsm::Fsm;
@@ -555,10 +553,10 @@ pub fn machine_summary_json(rep: &PortfolioReport) -> Json {
 }
 
 /// [`machine_summary_json`] with the wall-clock fields (`wall_ms`,
-/// `stages_ms`, `overshoot_ms`) optional: `timings: false` emits only the
-/// deterministic fields, so two sweeps of the same corpus — interrupted,
-/// resumed, or run end to end — produce byte-identical lines. Journaled
-/// streams use this.
+/// `stages_ms`, `overshoot_ms`) and each run's non-empty `metrics` optional:
+/// `timings: false` emits only the deterministic fields, so two sweeps of the
+/// same corpus — interrupted, resumed, or run end to end — produce
+/// byte-identical lines. Resumable streams use this.
 pub fn machine_summary_json_with(rep: &PortfolioReport, timings: bool) -> Json {
     let mut pairs = vec![("machine".into(), Json::str(&rep.machine))];
     match rep.best() {
@@ -605,6 +603,9 @@ pub fn machine_summary_json_with(rep: &PortfolioReport, timings: bool) -> Json {
                         rp.push(("stages_ms".into(), stages_to_json(&run.stages)));
                         if let Some(o) = run.overshoot {
                             rp.push(("overshoot_ms".into(), Json::Float(millis(o))));
+                        }
+                        if !run.metrics.is_empty() {
+                            rp.push(("metrics".into(), run.metrics.to_json()));
                         }
                     }
                     rp
@@ -842,6 +843,16 @@ mod tests {
         assert!(with_metrics.count() > 0, "no run captured metrics");
         let j = report.to_json().to_compact();
         assert!(j.contains("\"metrics\""), "report JSON lacks metrics: {j}");
+        // Timed machine summaries (stream lines, --bench-out entries) carry
+        // them too; resumable lines never do.
+        let timed = machine_summary_json(&report).to_compact();
+        assert!(
+            timed.contains("\"metrics\""),
+            "summary lacks metrics: {timed}"
+        );
+        assert!(!machine_summary_json_with(&report, false)
+            .to_compact()
+            .contains("\"metrics\""));
         // The whole trace round-trips through both sinks.
         let mut chrome = Vec::new();
         tracer.write_chrome(&mut chrome).unwrap();
@@ -860,6 +871,9 @@ mod tests {
             assert!(run.metrics.is_empty(), "{}", run.algorithm.name());
         }
         assert!(!report.to_json().to_compact().contains("\"metrics\""));
+        assert!(!machine_summary_json(&report)
+            .to_compact()
+            .contains("\"metrics\""));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! byte-identical timing-stripped report fingerprints — including when a
 //! fault plan degrades runs mid-corpus — no worker may start a machine
 //! beyond the reorder window, and the stream writer must produce a
-//! well-formed `nova-bench-stream/1` document.
+//! well-formed `nova-bench-stream/1` document, which a resumable stream
+//! continues byte-identically after a cut.
 
-use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -15,7 +16,7 @@ use fsm::{Fsm, ScaleSpec};
 use nova_core::driver::Algorithm;
 use nova_engine::{
     report_fingerprint, run_batch, run_batch_resumable, BatchConfig, EngineConfig, MachineClass,
-    MachineSource, StreamWriter, SuiteSource,
+    MachineSource, ResumeError, StreamWriter, SuiteSource,
 };
 use nova_trace::json::{self, Json};
 use nova_trace::Tracer;
@@ -173,7 +174,7 @@ fn stream_writer_emits_well_formed_nova_bench_stream() {
                 ..BatchConfig::default()
             },
             &mut |_, rep| {
-                if w.report(&rep).is_err() {
+                if w.report(&rep, None).is_err() {
                     sink_err = true;
                 }
             },
@@ -227,7 +228,7 @@ fn stream_fingerprints_match_across_worker_counts() {
                 batch_jobs: jobs,
                 ..BatchConfig::default()
             },
-            &mut |_, rep| w.report(&rep).unwrap(),
+            &mut |_, rep| w.report(&rep, None).unwrap(),
         );
         w.finish().unwrap();
         String::from_utf8(buf)
@@ -405,12 +406,10 @@ fn deadline_cancels_stuck_runs_into_timeout_or_degraded_results() {
 }
 
 #[test]
-fn resumable_sweep_skips_completed_machines_and_keeps_order() {
+fn resumable_sweep_skips_the_recorded_prefix_and_keeps_order() {
     let src = corpus();
-    // Baseline: full sweep fingerprints.
     let full = sweep(&config(), &BatchConfig::default());
-    // Resume with an arbitrary (non-prefix) completed set.
-    let completed: BTreeSet<usize> = [0usize, 1, 2, 5, 9, 15].into_iter().collect();
+    let start = 6;
     let mut got = Vec::new();
     let report = run_batch_resumable(
         &src,
@@ -419,63 +418,155 @@ fn resumable_sweep_skips_completed_machines_and_keeps_order() {
             batch_jobs: 4,
             ..BatchConfig::default()
         },
-        &completed,
+        start,
         &mut |i, rep, q| {
             assert!(q.is_none());
             got.push((i, rep.machine.clone(), report_fingerprint(&rep)));
         },
     );
-    assert_eq!(report.machines, 16 - completed.len());
-    let expect: Vec<_> = full
-        .iter()
-        .filter(|(i, _, _)| !completed.contains(i))
-        .cloned()
-        .collect();
+    assert_eq!(report.machines, 16 - start);
     assert_eq!(
-        got, expect,
+        got,
+        full[start..],
         "resumed remainder diverged from the full sweep"
     );
 }
 
 #[test]
-fn fully_completed_resume_runs_nothing() {
+fn fully_recorded_resume_runs_nothing() {
     let src = corpus();
-    let completed: BTreeSet<usize> = (0..16).collect();
     let mut calls = 0usize;
     let report = run_batch_resumable(
         &src,
         &config(),
         &BatchConfig::default(),
-        &completed,
+        16,
         &mut |_, _, _| calls += 1,
     );
     assert_eq!(calls, 0);
     assert_eq!(report.machines, 0);
 }
 
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("nova-batch-{}-{name}", std::process::id()))
+}
+
+fn small_corpus() -> ScaleSpec {
+    ScaleSpec::parse("machines=5,states=5,inputs=2,outputs=2,seed=4").expect("valid spec")
+}
+
+const OPTIONS: &str = "budget=Some(200000) timeout_ms=None fault_plan=-";
+
+/// Resumes (or starts) the resumable stream at `path` and sweeps the rest of
+/// `src` into it; returns how many lines the file already held.
+fn resume_into(path: &Path, src: &dyn MachineSource, cfg: &EngineConfig, jobs: usize) -> usize {
+    let mut w = StreamWriter::resume(path, src, OPTIONS).expect("resumable stream");
+    let resumed = w.resumed();
+    let bcfg = BatchConfig {
+        batch_jobs: jobs,
+        ..BatchConfig::default()
+    };
+    run_batch_resumable(src, cfg, &bcfg, resumed, &mut |_, rep, q| {
+        w.report(&rep, q).unwrap()
+    });
+    w.finish().unwrap();
+    resumed
+}
+
 #[test]
-fn deterministic_stream_mode_is_free_of_wall_clock_fields() {
-    let src = corpus();
+fn resumable_stream_is_free_of_wall_clock_fields() {
+    let src = small_corpus();
     let stream = |jobs: usize| -> String {
-        let mut buf = Vec::new();
-        let mut w = StreamWriter::deterministic(&mut buf, "c", src.machines, jobs).unwrap();
-        run_batch(
-            &src,
-            &config(),
-            &BatchConfig {
-                batch_jobs: jobs,
-                ..BatchConfig::default()
-            },
-            &mut |_, rep| w.report(&rep).unwrap(),
-        );
-        w.finish().unwrap();
-        String::from_utf8(buf).unwrap()
+        let path = temp_path(&format!("clockless-{jobs}.jsonl"));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(resume_into(&path, &src, &config(), jobs), 0);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        text
     };
     let a = stream(1);
-    assert_eq!(a, stream(4), "deterministic streams must be byte-identical");
-    assert!(!a.contains("wall_ms"), "no wall_ms in deterministic mode");
+    assert_eq!(a, stream(4), "resumable streams must be byte-identical");
+    assert!(!a.contains("wall_ms"), "no wall_ms in a resumable stream");
     assert!(!a.contains("machines_per_sec"));
+    assert!(!a.contains("batch_jobs"));
+    let header = json::parse(a.lines().next().unwrap()).unwrap();
+    assert_eq!(header.get("options"), Some(&Json::str(OPTIONS)));
+    assert!(matches!(header.get("corpus_fp"), Some(Json::Str(fp)) if fp.len() == 16));
     let summary = json::parse(a.lines().last().unwrap()).unwrap();
     let s = summary.get("summary").unwrap();
     assert_eq!(s.get("quarantined"), Some(&Json::uint(0)));
+}
+
+#[test]
+fn resumable_stream_keeps_complete_lines_and_reruns_the_rest() {
+    let src = small_corpus();
+    let full_path = temp_path("full.jsonl");
+    std::fs::remove_file(&full_path).ok();
+    resume_into(&full_path, &src, &config(), 2);
+    let full = std::fs::read(&full_path).unwrap();
+    let ends: Vec<usize> = full
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert_eq!(ends.len(), 1 + 5 + 1, "header + machines + summary");
+
+    // (cut, lines the resume keeps): inside the header, right after it,
+    // mid machine line, right after a line's newline, before the summary's
+    // newline, and the complete file.
+    let cases = [
+        (ends[0] / 2, 0),
+        (ends[0], 0),
+        (ends[2] + 7, 2),
+        (ends[3], 3),
+        (ends[6] - 1, 5),
+        (full.len(), 5),
+    ];
+    let cut_path = temp_path("cut.jsonl");
+    for (cut, kept) in cases {
+        std::fs::write(&cut_path, &full[..cut]).unwrap();
+        let resumed = resume_into(&cut_path, &src, &config(), 3);
+        assert_eq!(resumed, kept, "cut at byte {cut}");
+        assert_eq!(
+            std::fs::read(&cut_path).unwrap(),
+            full,
+            "cut at byte {cut} resumed to different bytes"
+        );
+    }
+    std::fs::remove_file(&cut_path).ok();
+    std::fs::remove_file(&full_path).ok();
+}
+
+#[test]
+fn resumable_stream_refuses_another_sweeps_file_and_leaves_it_unchanged() {
+    let src = small_corpus();
+    let path = temp_path("foreign.jsonl");
+    std::fs::remove_file(&path).ok();
+    resume_into(&path, &src, &config(), 1);
+    let before = std::fs::read(&path).unwrap();
+    let refused =
+        |src: &dyn MachineSource, options: &str| match StreamWriter::resume(&path, src, options) {
+            Err(ResumeError::Mismatch(why)) => why,
+            Err(e) => panic!("i/o error instead of a refusal: {e:?}"),
+            Ok(_) => panic!("resumed a file of another sweep"),
+        };
+    // Other options.
+    let why = refused(&src, "budget=Some(1) timeout_ms=None fault_plan=-");
+    assert!(why.contains("options"), "{why}");
+    // Another corpus of the same size and description.
+    let other = ScaleSpec::parse("machines=5,states=5,inputs=2,outputs=2,seed=5").unwrap();
+    assert!(refused(&other, OPTIONS).contains("corpus"));
+    assert_eq!(std::fs::read(&path).unwrap(), before, "file changed");
+
+    // A timed stream has no options in its header.
+    let mut buf = Vec::new();
+    StreamWriter::new(&mut buf, &src.spec_string(), src.machines, 1)
+        .unwrap()
+        .finish()
+        .unwrap();
+    std::fs::write(&path, &buf).unwrap();
+    assert!(refused(&src, OPTIONS).contains("options is absent"));
+    assert_eq!(std::fs::read(&path).unwrap(), buf, "file changed");
+    std::fs::remove_file(&path).ok();
 }

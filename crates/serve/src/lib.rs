@@ -20,8 +20,8 @@
 //!   An opt-in [`ServerConfig::trace_dir`] writes one `nova-trace/1` JSONL
 //!   per `/encode` request for `nova trace-report`.
 //! * [`cache`] — the LRU byte/entry-bounded result cache.
-//! * [`wire`] — query-string options, the machine JSON shape, and the
-//!   cache-key construction over [`fsm::fingerprint`].
+//! * [`wire`] — query-string options and the cache-key construction over
+//!   [`fsm::fingerprint`].
 //! * [`http`] — the minimal hand-rolled HTTP layer (no dependencies;
 //!   request heads are capped at 64 KiB, bodies at 1 MiB).
 //! * [`client`] — the tiny client the `nova --remote` flag uses; it

@@ -11,7 +11,7 @@
 //!    parks until a push wakes it.
 //! 2. A **worker** (one of `--workers` threads) pops the connection, parses
 //!    the HTTP request, and routes it. `POST /encode` bodies are parsed
-//!    into an [`fsm::Fsm`] (KISS2 or machine JSON), fingerprinted
+//!    into an [`fsm::Fsm`] (KISS2), fingerprinted
 //!    ([`fsm::fingerprint`]), and looked up in the result cache.
 //! 3. On a miss the request's options become an
 //!    [`nova_engine::EngineConfig`] — deadlines and budgets ride the
@@ -43,7 +43,7 @@
 
 use crate::cache::{CacheConfig, ResultCache};
 use crate::http::{parse_query, Request, RequestError, Response};
-use crate::wire::{machine_from_json, EncodeOptions};
+use crate::wire::EncodeOptions;
 use fsm::Fsm;
 use nova_engine::{effective_jobs, run_portfolio, suite_to_json, Outcome};
 use nova_trace::json::Json;
@@ -482,22 +482,10 @@ fn healthz_json(shared: &Shared) -> Json {
     ])
 }
 
-/// Parses the request body into a machine: KISS2 text unless the request
-/// declares `Content-Type: application/json`, in which case the pre-parsed
-/// machine shape of [`crate::wire::machine_to_json`] is expected.
+/// Parses the request body, KISS2 text, into a machine.
 fn parse_machine(req: &Request) -> Result<Fsm, String> {
     let body = std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8".to_string())?;
-    let is_json = req.header("content-type").is_some_and(|t| {
-        t.split(';')
-            .next()
-            .is_some_and(|t| t.trim() == "application/json")
-    });
-    if is_json {
-        let doc = nova_trace::json::parse(body).map_err(|e| format!("machine JSON: {e}"))?;
-        machine_from_json(&doc)
-    } else {
-        Fsm::parse_kiss_named("request", body).map_err(|e| e.to_string())
-    }
+    Fsm::parse_kiss_named("request", body).map_err(|e| e.to_string())
 }
 
 fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {

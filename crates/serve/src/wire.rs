@@ -1,11 +1,7 @@
 //! Request wire format: how an encoding request's machine and options are
 //! carried over HTTP and how they map onto the engine.
 //!
-//! * The **machine** arrives as the request body — raw KISS2 text by
-//!   default, or a pre-parsed machine JSON document when the request's
-//!   `Content-Type` is `application/json` (the shape [`machine_to_json`]
-//!   emits, so clients that already hold a parsed table skip re-printing
-//!   and re-parsing KISS).
+//! * The **machine** arrives as the request body, as KISS2 text.
 //! * The **options** arrive as query parameters and map one-to-one onto
 //!   [`nova_engine::EngineConfig`]: `algorithms`, `bits`, `budget`,
 //!   `timeout_ms`, `jobs`, `fault_plan`.
@@ -18,10 +14,8 @@
 //!   any deadline.
 
 use espresso::FaultPlan;
-use fsm::{Fsm, StateId, Transition, Trit};
 use nova_core::driver::Algorithm;
 use nova_engine::EngineConfig;
-use nova_trace::json::Json;
 use nova_trace::Tracer;
 use std::time::Duration;
 
@@ -177,116 +171,9 @@ impl EncodeOptions {
     }
 }
 
-/// Serializes a machine as the service's pre-parsed JSON shape:
-///
-/// ```json
-/// {
-///   "name": "lion", "inputs": 2, "outputs": 1,
-///   "states": ["st0", "st1"], "reset": 0,
-///   "transitions": [["-0", 0, 0, "0"], ...]
-/// }
-/// ```
-pub fn machine_to_json(fsm: &Fsm) -> Json {
-    let pattern =
-        |trits: &[Trit]| -> Json { Json::Str(trits.iter().map(|t| t.to_char()).collect()) };
-    Json::Obj(vec![
-        ("name".into(), Json::str(fsm.name())),
-        ("inputs".into(), Json::uint(fsm.num_inputs() as u64)),
-        ("outputs".into(), Json::uint(fsm.num_outputs() as u64)),
-        (
-            "states".into(),
-            Json::Arr(fsm.state_names().iter().map(Json::str).collect()),
-        ),
-        (
-            "reset".into(),
-            fsm.reset().map_or(Json::Null, |r| Json::uint(r.0 as u64)),
-        ),
-        (
-            "transitions".into(),
-            Json::Arr(
-                fsm.transitions()
-                    .iter()
-                    .map(|t| {
-                        Json::Arr(vec![
-                            pattern(&t.input),
-                            Json::uint(t.present.0 as u64),
-                            Json::uint(t.next.0 as u64),
-                            pattern(&t.output),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Parses the [`machine_to_json`] shape back into an [`Fsm`].
-///
-/// # Errors
-///
-/// A human-readable message naming the first malformed field.
-pub fn machine_from_json(doc: &Json) -> Result<Fsm, String> {
-    let uint = |v: &Json, what: &str| -> Result<usize, String> {
-        match v {
-            Json::Int(n) if *n >= 0 => Ok(*n as usize),
-            _ => Err(format!("bad {what}")),
-        }
-    };
-    let name = match doc.get("name") {
-        Some(Json::Str(s)) => s.clone(),
-        None => "machine".to_string(),
-        _ => return Err("bad name".into()),
-    };
-    let inputs = uint(doc.get("inputs").ok_or("missing inputs")?, "inputs")?;
-    let outputs = uint(doc.get("outputs").ok_or("missing outputs")?, "outputs")?;
-    let Some(Json::Arr(states)) = doc.get("states") else {
-        return Err("missing states".into());
-    };
-    let state_names: Vec<String> = states
-        .iter()
-        .map(|s| match s {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err("bad state name".to_string()),
-        })
-        .collect::<Result<_, _>>()?;
-    let reset = match doc.get("reset") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(StateId(uint(v, "reset")?)),
-    };
-    let Some(Json::Arr(rows)) = doc.get("transitions") else {
-        return Err("missing transitions".into());
-    };
-    let pattern = |v: &Json, what: &str| -> Result<Vec<Trit>, String> {
-        let Json::Str(s) = v else {
-            return Err(format!("bad {what} pattern"));
-        };
-        s.chars()
-            .map(Trit::from_char)
-            .collect::<Option<_>>()
-            .ok_or_else(|| format!("bad {what} pattern {s:?}"))
-    };
-    let mut transitions = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let Json::Arr(fields) = row else {
-            return Err(format!("transition {i}: not an array"));
-        };
-        let [input, present, next, output] = fields.as_slice() else {
-            return Err(format!("transition {i}: expected 4 fields"));
-        };
-        transitions.push(Transition {
-            input: pattern(input, "input")?,
-            present: StateId(uint(present, "present state")?),
-            next: StateId(uint(next, "next state")?),
-            output: pattern(output, "output")?,
-        });
-    }
-    Fsm::new(name, inputs, outputs, state_names, transitions, reset).map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nova_trace::json;
 
     fn pairs(q: &str) -> Vec<(String, String)> {
         crate::http::parse_query(q)
@@ -350,27 +237,5 @@ mod tests {
     fn fault_plans_parse_but_disable_caching() {
         let o = EncodeOptions::from_query(&pairs("fault_plan=stage.espresso:1:budget")).unwrap();
         assert!(!o.cacheable());
-    }
-
-    #[test]
-    fn machine_json_round_trips() {
-        let m = fsm::benchmarks::by_name("lion").unwrap().fsm;
-        let doc = machine_to_json(&m);
-        let text = doc.to_pretty();
-        let back = machine_from_json(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(m, back);
-        assert_eq!(fsm::fingerprint(&m), fsm::fingerprint(&back));
-    }
-
-    #[test]
-    fn machine_json_rejects_malformed_documents() {
-        for bad in [
-            r#"{"inputs": 1}"#,
-            r#"{"inputs": 1, "outputs": 1, "states": ["a"], "transitions": [["x", 0, 0, "0"]]}"#,
-            r#"{"inputs": 1, "outputs": 1, "states": ["a"], "transitions": [["0", 5, 0, "0"]]}"#,
-        ] {
-            let doc = json::parse(bad).unwrap();
-            assert!(machine_from_json(&doc).is_err(), "{bad}");
-        }
     }
 }

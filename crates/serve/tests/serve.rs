@@ -209,10 +209,12 @@ fn malformed_requests_answer_400_family() {
 }
 
 #[test]
-fn machine_json_body_is_accepted() {
+fn json_machine_bodies_answer_400() {
+    // The body is KISS2 whatever the Content-Type says: a machine JSON
+    // document is a parse error and runs no engine.
     let (handle, addr) = start(ServerConfig::default());
-    let m = fsm::benchmarks::by_name("lion").unwrap().fsm;
-    let body = nova_serve::wire::machine_to_json(&m).to_pretty();
+    let body = r#"{"name":"toy","inputs":1,"outputs":1,"states":["a","b"],"reset":0,
+        "transitions":[["0",0,0,"0"],["1",0,1,"0"],["-",1,0,"1"]]}"#;
     let resp = client::request(
         &addr,
         "POST",
@@ -221,16 +223,9 @@ fn machine_json_body_is_accepted() {
         body.as_bytes(),
     )
     .expect("post");
-    let doc = assert_bench_schema(&resp);
-    let Some(Json::Arr(machines)) = doc.get("machines") else {
-        panic!("machines missing");
-    };
-    assert_eq!(machines[0].get("best"), Some(&Json::str("ihybrid")));
-
-    // The JSON body and the KISS body address the same cache entry.
-    let via_kiss = client::post_kiss(&addr, &m.to_kiss(), "algorithms=ihybrid").expect("post");
-    assert!(via_kiss.cache_hit(), "KISS and JSON share a fingerprint");
-    assert_eq!(via_kiss.body, resp.body);
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let counters = json::parse(&client::get_counters(&addr).expect("counters").body).unwrap();
+    assert_eq!(counter(&counters, "engine", "runs"), 0);
     handle.shutdown();
     handle.join();
 }
@@ -453,6 +448,12 @@ fn trace_dir_writes_one_trace_per_request_stamped_with_its_id() {
     });
     let resp = client::post_kiss(&addr, &kiss("lion"), "algorithms=ihybrid").expect("post");
     assert_eq!(resp.status, 200);
+    // A traced request's runs carry their metrics in the response too.
+    assert!(
+        resp.body.contains("\"embed.nodes_visited\""),
+        "{}",
+        resp.body
+    );
     let id = resp.header("x-nova-request-id").expect("id").to_string();
     handle.shutdown();
     handle.join();
