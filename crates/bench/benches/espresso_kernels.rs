@@ -104,7 +104,8 @@ fn mostly_full_cube(rng: &mut SplitMix64, space: &CubeSpace) -> Cube {
 }
 
 /// Per-kernel throughput over synthetic covers at strides 1 / 4 / 9 words —
-/// one word, one full portable chunk, and past the wide-dispatch threshold.
+/// one word (every NOVA cover up to 64 parts), and two widths past the
+/// fixed-width arms of the subset test.
 /// Row-scan kernels report words/s; the pairwise absorb scan reports cube
 /// pairs/s.
 fn bench_kernel_throughput(h: &mut Harness) {

@@ -3,6 +3,8 @@
 //! of the paper (driven by the `tables` binary; see EXPERIMENTS.md for the
 //! paper-vs-measured record).
 
+#![forbid(unsafe_code)]
+
 use fsm::benchmarks::{Benchmark, Provenance};
 use nova_core::driver::{random_baseline, run, Algorithm, EvalResult, RandomStats};
 use nova_core::exact::{iexact_code, ExactOptions};

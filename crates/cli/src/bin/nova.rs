@@ -152,8 +152,9 @@ fn value(rest: &mut dyn Iterator<Item = String>) -> String {
     rest.next().unwrap_or_else(|| usage())
 }
 
-/// The numeric value following a flag, or a usage error.
-fn num(rest: &mut dyn Iterator<Item = String>) -> u64 {
+/// The numeric value following a flag, or a usage error when it is missing,
+/// malformed or out of `T`'s range.
+fn num<T: std::str::FromStr>(rest: &mut dyn Iterator<Item = String>) -> T {
     rest.next()
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| usage())
@@ -178,7 +179,7 @@ impl RunOpts {
         match flag {
             "--timeout-ms" => self.timeout_ms = Some(num(rest)),
             "--budget" => self.budget = Some(num(rest)),
-            "--jobs" => self.jobs = num(rest) as usize,
+            "--jobs" => self.jobs = num(rest),
             "--fault-plan" => {
                 let spec = value(rest);
                 match FaultPlan::parse(&spec) {
@@ -258,7 +259,7 @@ fn parse_args(argv: &[String]) -> Args {
         }
         match a.as_str() {
             "-e" => out.algorithm = parse_algorithm(&value(&mut args)),
-            "-b" => out.bits = Some(num(&mut args) as u32),
+            "-b" => out.bits = Some(num(&mut args)),
             "-m" => out.state_minimize = true,
             "-p" => out.print_pla = true,
             "-s" => out.stats_only = true,
@@ -466,7 +467,7 @@ fn bench_main(argv: &[String]) -> ExitCode {
                 }
             }
             "--filter" => filter = value(&mut it).split(',').map(str::to_string).collect(),
-            "--batch-jobs" => batch_jobs = num(&mut it) as usize,
+            "--batch-jobs" => batch_jobs = num(&mut it),
             "--stream" => stream = Some(value(&mut it)),
             "--resume" => resume = true,
             "--bench-out" => bench_out = Some(value(&mut it)),

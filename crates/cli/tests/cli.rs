@@ -381,12 +381,15 @@ fn nova_exit_code_removed_batch_flag() {
 
 #[test]
 fn nova_exit_code_bad_flag_value() {
-    let (_, stderr, code) = run_with_code(
-        env!("CARGO_BIN_EXE_nova"),
-        &["--timeout-ms", "not-a-number"],
-        TOY_KISS,
-    );
-    assert_eq!(code, 2, "{stderr}");
+    // 2^32 + 3 does not fit the u32 code length; it must not wrap to 3 bits.
+    for args in [
+        &["--timeout-ms", "not-a-number"][..],
+        &["--bench", "lion", "-b", "4294967299"],
+    ] {
+        let (_, stderr, code) = run_with_code(env!("CARGO_BIN_EXE_nova"), args, TOY_KISS);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -37,6 +37,8 @@
 //! assert!(result.area > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod assign;
 pub mod constraint;
 pub mod driver;

@@ -41,6 +41,8 @@
 //! assert!(best.area > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 
 pub use batch::{

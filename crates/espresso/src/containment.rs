@@ -1,17 +1,17 @@
 //! Single-cube containment, deduplicated and signature-pruned.
 //!
-//! Historically `Cover::absorb` and `tautology::absorb_in_place` carried two
-//! copies of the same O(n²) full-word scan. This module is the one shared
-//! implementation, in two storage flavours (`Vec<Cube>` and
-//! [`CubeMatrix`]), both pruned by [`Sig`]natures: most non-contained pairs
-//! are rejected on three integer compares before any cube word is read.
+//! One blocked scan over [`CubeMatrix`] rows decides every absorption:
+//! [`absorb_matrix`] runs it in place inside the unate recursion, and
+//! [`absorb_cubes`] (behind `Cover::absorb`) stages its cubes as rows of a
+//! pooled matrix first. [`Sig`]natures reject most non-contained pairs on
+//! three integer compares before any cube word is read.
 //!
 //! The keep/remove decisions are bit-for-bit identical to the legacy
 //! routine (see [`crate::legacy::absorb_in_place`]): degenerate cubes are
 //! dropped first, then a cube is removed when it is contained in another
 //! kept cube, keeping the earliest copy of exact duplicates.
 //!
-//! The scans here exploit that the kept set is *order-independent*: cube `i`
+//! The scan exploits that the kept set is *order-independent*: cube `i`
 //! is removed iff some `j ≠ i` has `row(i) ⊆ row(j)` with `i > j` breaking
 //! exact-duplicate ties. (If the absorbing `j` was itself absorbed, the
 //! absorbing chain — each step growing the cube or decreasing the index —
@@ -24,6 +24,7 @@
 use crate::ctl::Cancelled;
 use crate::cube::Cube;
 use crate::matrix::{row_subset, CubeMatrix, Sig};
+use crate::scratch::with_scratch;
 use crate::space::CubeSpace;
 
 /// Rows per signature-scan block: survivors are gathered into a stack
@@ -33,46 +34,23 @@ use crate::space::CubeSpace;
 const BLOCK: usize = 64;
 
 /// Single-cube containment minimization over a cube list (the shared
-/// implementation behind [`Cover::absorb`](crate::cover::Cover::absorb)).
+/// implementation behind [`Cover::absorb`](crate::cover::Cover::absorb)):
+/// the cubes are staged as rows of a pooled matrix, and the one matrix scan
+/// decides which survive.
 pub fn absorb_cubes(space: &CubeSpace, cubes: &mut Vec<Cube>) {
     cubes.retain(|c| !c.is_empty(space));
-    let n = cubes.len();
-    if n < 2 {
+    if cubes.len() < 2 {
         return;
     }
-    let sigs: Vec<Sig> = cubes.iter().map(|c| Sig::of(space, c.words())).collect();
-    let mut keep = vec![true; n];
-    let mut cand = [0u32; BLOCK];
-    for i in 0..n {
-        let si = sigs[i];
-        let a = cubes[i].words();
-        'scan: for jb in (0..n).step_by(BLOCK) {
-            let je = (jb + BLOCK).min(n);
-            let mut nc = 0;
-            for (j, sj) in sigs[jb..je].iter().enumerate() {
-                if si.may_be_subset_of(*sj) {
-                    cand[nc] = (jb + j) as u32;
-                    nc += 1;
-                }
-            }
-            for &j in &cand[..nc] {
-                let j = j as usize;
-                if j == i {
-                    continue;
-                }
-                let b = cubes[j].words();
-                if row_subset(a, b) && (a != b || i > j) {
-                    keep[i] = false;
-                    break 'scan;
-                }
-            }
-        }
-    }
-    let mut idx = 0;
-    cubes.retain(|_| {
-        let k = keep[idx];
-        idx += 1;
-        k
+    with_scratch(|s| {
+        let mut m = s.acquire(space);
+        m.extend_cubes(space, cubes.iter());
+        let mut keep = s.acquire_flags();
+        mark_unabsorbed(&m, &mut keep, |_| Ok(())).expect("an unpolled scan never cancels");
+        let mut flags = keep.iter();
+        cubes.retain(|_| *flags.next().expect("one flag per cube"));
+        s.release_flags(keep);
+        s.release(m);
     });
 }
 
@@ -89,15 +67,28 @@ pub fn absorb_matrix(m: &mut CubeMatrix, keep_buf: &mut Vec<bool>) {
 pub(crate) fn absorb_matrix_polled(
     m: &mut CubeMatrix,
     keep_buf: &mut Vec<bool>,
-    mut poll: impl FnMut(u64) -> Result<(), Cancelled>,
+    poll: impl FnMut(u64) -> Result<(), Cancelled>,
 ) -> Result<(), Cancelled> {
     m.drop_degenerate();
-    let n = m.len();
-    if n < 2 {
+    if m.len() < 2 {
         return Ok(());
     }
-    keep_buf.clear();
-    keep_buf.resize(n, true);
+    mark_unabsorbed(m, keep_buf, poll)?;
+    m.retain_flags(keep_buf);
+    Ok(())
+}
+
+/// The blocked signature scan: sets `keep[i]` (resized to `m.len()`) iff no
+/// other row absorbs row `i`, polling before each row as
+/// [`absorb_matrix_polled`] does. The rows must be non-degenerate.
+fn mark_unabsorbed(
+    m: &CubeMatrix,
+    keep: &mut Vec<bool>,
+    mut poll: impl FnMut(u64) -> Result<(), Cancelled>,
+) -> Result<(), Cancelled> {
+    let n = m.len();
+    keep.clear();
+    keep.resize(n, true);
     let sigs = m.sigs();
     let mut cand = [0u32; BLOCK];
     for i in 0..n {
@@ -120,13 +111,12 @@ pub(crate) fn absorb_matrix_polled(
                 }
                 let b = m.row(j);
                 if row_subset(a, b) && (a != b || i > j) {
-                    keep_buf[i] = false;
+                    keep[i] = false;
                     break 'scan;
                 }
             }
         }
     }
-    m.retain_flags(keep_buf);
     Ok(())
 }
 

@@ -208,14 +208,6 @@ impl Cover {
             parts_complement: u64::MAX - self.total_parts(),
         }
     }
-
-    /// Variables in which at least one cube is not full ("active" variables).
-    pub fn active_vars(&self) -> Vec<usize> {
-        self.space
-            .vars()
-            .filter(|&v| self.cubes.iter().any(|c| !c.var_is_full(&self.space, v)))
-            .collect()
-    }
 }
 
 impl IntoIterator for Cover {
@@ -297,11 +289,5 @@ mod tests {
         let small = cover(&["11 11 11"]);
         let big = cover(&["10 11 11", "01 11 11"]);
         assert!(small.cost() < big.cost());
-    }
-
-    #[test]
-    fn active_vars_ignores_full_columns() {
-        let f = cover(&["11 10 11", "11 01 10"]);
-        assert_eq!(f.active_vars(), vec![1, 2]);
     }
 }

@@ -35,6 +35,8 @@
 //! `F ⊆ M ⊆ F ∪ D` and irredundancy/primality of the result, not global
 //! minimality.
 
+#![forbid(unsafe_code)]
+
 pub mod complement;
 pub mod containment;
 pub mod cover;
@@ -51,7 +53,6 @@ pub mod minimize;
 pub mod pla;
 pub mod reduce;
 pub mod scratch;
-pub mod simd;
 pub mod space;
 pub mod tautology;
 
@@ -63,8 +64,7 @@ pub use exact::{all_primes, minimize_exact, ExactLimits};
 pub use fault::{FaultKind, FaultPlan, FaultPlanError, FaultPoint, PIPELINE_STAGES};
 pub use matrix::{CubeMatrix, Sig, SIG_EXACT_VARS};
 pub use minimize::{minimize, minimize_with, minimize_with_ctl, MinimizeOptions, MinimizeStats};
-pub use scratch::{thread_stats as scratch_thread_stats, Scratch, ScratchStats};
-pub use simd::{dispatch_tier, DispatchTier};
+pub use scratch::{Scratch, ScratchStats};
 pub use space::{CubeSpace, VarKind};
 pub use tautology::{
     cover_in_cover, covers_equivalent, cube_in_cover, tautology, verify_minimized,

@@ -15,7 +15,6 @@
 
 use crate::cover::Cover;
 use crate::cube::Cube;
-use crate::simd;
 use crate::space::CubeSpace;
 
 /// Highest variable index the [`Sig::nonfull`] bitmap tracks exactly.
@@ -61,8 +60,8 @@ impl Sig {
     /// variable actually spans (one word for almost every field), so this is
     /// `O(words + vars)` rather than `O(words × vars)`.
     pub fn of(space: &CubeSpace, words: &[u64]) -> Sig {
-        let ones = simd::ones(words);
-        let orbits = simd::or_fold(words);
+        let ones = words.iter().map(|w| w.count_ones()).sum();
+        let orbits = words.iter().fold(0, |acc, &w| acc | w);
         let mut nonfull = 0u128;
         let mut empty = false;
         for v in space.vars() {
@@ -125,11 +124,21 @@ impl Sig {
     }
 }
 
-/// Bitwise row containment: `a ⊆ b` iff `a & !b == 0` word-wise (chunked,
-/// dispatch-aware for long rows — see [`crate::simd`]).
+/// Bitwise row containment: `a ⊆ b` iff `a & !b == 0` word-wise.
+///
+/// Rows of 1–3 words take branch-free arms: NOVA's symbolic and encoded
+/// covers are one or two words wide, so longer rows are rare enough for one
+/// plain loop.
 #[inline]
 pub fn row_subset(a: &[u64], b: &[u64]) -> bool {
-    simd::subset(a, b)
+    debug_assert_eq!(a.len(), b.len());
+    match a.len() {
+        0 => true,
+        1 => a[0] & !b[0] == 0,
+        2 => (a[0] & !b[0]) | (a[1] & !b[1]) == 0,
+        3 => (a[0] & !b[0]) | (a[1] & !b[1]) | (a[2] & !b[2]) == 0,
+        _ => a.iter().zip(b).all(|(x, y)| x & !y == 0),
+    }
 }
 
 /// Whether the cubes with words `a` and `b` are disjoint: some variable's
@@ -265,16 +274,21 @@ impl CubeMatrix {
         &self.sigs
     }
 
-    /// The whole arena as one flat word slice (`len() * stride()` words).
-    #[inline]
-    pub fn words_flat(&self) -> &[u64] {
-        &self.words
-    }
-
     /// ORs every row into `acc` column-wise; `acc` must be `stride()` long.
+    /// The stride-1 case — most NOVA covers — collapses to one flat OR fold
+    /// over the whole arena.
     #[inline]
     pub fn fold_or_into(&self, acc: &mut [u64]) {
-        simd::fold_or_strided(&self.words, self.stride, acc);
+        debug_assert_eq!(acc.len(), self.stride);
+        if self.stride == 1 {
+            acc[0] |= self.words.iter().fold(0, |a, &w| a | w);
+            return;
+        }
+        for row in self.words.chunks_exact(self.stride) {
+            for (a, w) in acc.iter_mut().zip(row) {
+                *a |= w;
+            }
+        }
     }
 
     /// Whether any row is the universal row (signature scan only).
@@ -553,6 +567,72 @@ mod tests {
 
     fn cube(s: &str) -> Cube {
         Cube::parse(&space(), s).expect("parse cube")
+    }
+
+    /// SplitMix64, to exercise every row width with irregular data.
+    fn rng_stream(seed: u64, n: usize) -> Vec<u64> {
+        let mut s = seed;
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn subset_matches_reference_across_widths() {
+        for n in 0..=20 {
+            let a = rng_stream(7 + n as u64, n);
+            for case in 0..4 {
+                let b: Vec<u64> = match case {
+                    0 => a.clone(),                                    // equal
+                    1 => a.iter().map(|w| w | 0xf0f0).collect(),       // superset
+                    2 => a.iter().map(|w| w & !0x8000_0001).collect(), // subset-ish
+                    _ => rng_stream(99 + n as u64, n),                 // unrelated
+                };
+                let reference = a.iter().zip(&b).all(|(x, y)| x & !y == 0);
+                assert_eq!(row_subset(&a, &b), reference, "n={n} case={case}");
+            }
+        }
+    }
+
+    #[test]
+    fn folds_match_reference_across_widths() {
+        // 32 binary variables fill one 64-bit word exactly.
+        for n in 0..=40 {
+            let sp = CubeSpace::binary(32 * n);
+            let a = rng_stream(n as u64, n);
+            let s = Sig::of(&sp, &a);
+            assert_eq!(s.orbits, a.iter().fold(0, |s, &w| s | w), "n={n}");
+            assert_eq!(s.ones, a.iter().map(|w| w.count_ones()).sum(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn strided_column_fold() {
+        for stride in 1..=5usize {
+            let sp = CubeSpace::binary(32 * stride);
+            let rows = 7;
+            let words = rng_stream(13, rows * stride);
+            let mut m = CubeMatrix::new();
+            m.reset(&sp);
+            for row in words.chunks_exact(stride) {
+                m.push_row(&sp, row);
+            }
+            let mut acc = vec![0u64; stride];
+            m.fold_or_into(&mut acc);
+            let mut reference = vec![0u64; stride];
+            for r in 0..rows {
+                for k in 0..stride {
+                    reference[k] |= words[r * stride + k];
+                }
+            }
+            assert_eq!(acc, reference, "stride={stride}");
+        }
     }
 
     #[test]

@@ -90,16 +90,6 @@ pub fn minimize_with(f: &Cover, d: &Cover, opts: MinimizeOptions) -> (Cover, Min
     minimize_with_ctl(f, d, opts, &RunCtl::unlimited()).expect("unlimited ctl never cancels")
 }
 
-/// Logs the process's SIMD dispatch decision into the tracer exactly once
-/// (the `espresso.simd.dispatch.*` counter from the tentpole spec).
-fn log_dispatch_once(t: &nova_trace::Tracer) {
-    static LOGGED: std::sync::Once = std::sync::Once::new();
-    LOGGED.call_once(|| match crate::simd::dispatch_tier() {
-        crate::simd::DispatchTier::Portable => t.incr("espresso.simd.dispatch.portable", 1),
-        crate::simd::DispatchTier::Avx2 => t.incr("espresso.simd.dispatch.avx2", 1),
-    });
-}
-
 /// [`minimize_with`] under a [`RunCtl`]: the EXPAND/IRREDUNDANT/REDUCE loop
 /// charges the handle once per pass (weighted by the live cube count) and
 /// unwinds with [`Cancelled`] when the deadline or budget fires, so a
@@ -114,7 +104,6 @@ pub fn minimize_with_ctl(
     ctl: &RunCtl,
 ) -> Result<(Cover, MinimizeStats), Cancelled> {
     let tracer = ctl.tracer().clone();
-    log_dispatch_once(&tracer);
     let _minimize_span = tracer.span("espresso.minimize");
     let scratch_before = crate::scratch::thread_stats();
     let initial_cubes = f.len();

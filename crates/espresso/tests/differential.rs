@@ -214,9 +214,9 @@ fn universe_split(space: &CubeSpace, v: usize) -> Vec<Cube> {
 
 #[test]
 fn kernels_match_legacy_across_chunk_boundary_widths() {
-    // Strides 1..=9 cross every portable-chunk (4-word) and AVX2-lane
-    // boundary, plus the WIDE_MIN_WORDS dispatch threshold; 32 binary
-    // variables occupy exactly one 64-bit word.
+    // Strides 1..=9 cover the 1–3-word arms of the subset test and the
+    // plain loop past them; 32 binary variables occupy exactly one 64-bit
+    // word.
     for w in 1..=9usize {
         let space = CubeSpace::binary(32 * w);
         assert_eq!(space.words(), w, "stride setup for width {w}");

@@ -35,6 +35,8 @@
 //! # Ok::<(), fsm::encode::EncodingError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod benchmarks;
 pub mod encode;

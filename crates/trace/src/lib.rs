@@ -40,6 +40,8 @@
 //! which is how the portfolio engine reports per-algorithm counter and
 //! histogram snapshots.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod prom;
 pub mod report;
