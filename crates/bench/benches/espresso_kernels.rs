@@ -3,7 +3,7 @@
 //!
 //! Besides wall time this binary measures *heap allocation counts* through a
 //! counting global allocator, and runs every kernel in two flavours — the
-//! arena-backed hot path and the frozen `espresso::legacy` reference — so
+//! arena-backed hot path and the frozen `espresso-legacy` reference — so
 //! the allocation and latency win of the flat-matrix rewrite is a printed,
 //! regression-checkable number rather than a claim.
 
@@ -12,8 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use espresso::factor::output_expr;
 use espresso::{
-    complement, containment, cube_in_cover, legacy, minimize, tautology, Cover, Cube, CubeSpace,
+    complement, containment, cube_in_cover, minimize, tautology, Cover, Cube, CubeSpace,
 };
+use espresso_legacy as legacy;
 use fsm::{symbolic_cover, SplitMix64};
 use nova_bench::microbench::Harness;
 

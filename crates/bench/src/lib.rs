@@ -5,12 +5,12 @@
 
 #![forbid(unsafe_code)]
 
-use fsm::benchmarks::{Benchmark, Provenance};
+use fsm::benchmarks::Benchmark;
 use nova_core::driver::{random_baseline, run, Algorithm, EvalResult, RandomStats};
 use nova_core::exact::{iexact_code, ExactOptions};
+use nova_core::extract_input_constraints;
 use nova_core::hybrid::{ihybrid_code, HybridOptions};
 use nova_core::poset::InputGraph;
-use nova_core::{extract_input_constraints, iohybrid_code, symbolic_minimize};
 use std::time::Instant;
 
 pub mod microbench;
@@ -173,13 +173,6 @@ pub fn report(bench: &Benchmark, with_exact: bool) -> MachineReport {
     }
 }
 
-/// One `iohybrid_code` run end to end (used by the iohybrid benches).
-pub fn iohybrid_once(bench: &Benchmark) -> EvalResult {
-    let sym = symbolic_minimize(&bench.fsm);
-    let out = iohybrid_code(&sym, None, HybridOptions::default());
-    nova_core::evaluate(&bench.fsm, &out.hybrid.encoding)
-}
-
 /// Machines small enough for the quick harness runs (used by `--quick` and
 /// the criterion benches).
 pub fn is_quick(b: &Benchmark) -> bool {
@@ -199,13 +192,5 @@ pub fn opt_col<T: std::fmt::Display>(v: Option<T>) -> String {
     match v {
         Some(x) => x.to_string(),
         None => "-".to_string(),
-    }
-}
-
-/// Table-footnote flag for a provenance.
-pub fn provenance_flag(p: Provenance) -> &'static str {
-    match p {
-        Provenance::Reconstructed => "",
-        Provenance::Synthetic => "*",
     }
 }

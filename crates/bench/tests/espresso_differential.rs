@@ -1,7 +1,7 @@
 //! Suite-level result-identity: on every benchmark FSM of the NOVA suite,
 //! the arena-backed ESPRESSO kernels must minimize both the symbolic cover
 //! and an encoded PLA to *exactly* the cover the frozen pre-arena
-//! implementation (`espresso::legacy`) produces — same cubes, same cost,
+//! implementation (`espresso-legacy`) produces — same cubes, same cost,
 //! same iteration count. This pins the perf rewrite to the seed behaviour on
 //! the real workload, not just on random covers.
 //!
@@ -18,7 +18,8 @@
 //! checked against the exact minimizer (`espresso::exact`): the exact cover
 //! must be equivalent to the PLA, and ESPRESSO may never need fewer cubes.
 
-use espresso::{legacy, minimize_with, Cover, MinimizeOptions};
+use espresso::{minimize_with, Cover, MinimizeOptions};
+use espresso_legacy as legacy;
 use fsm::benchmarks::suite;
 use fsm::encode::{encode, Encoding};
 use fsm::symbolic::symbolic_cover;

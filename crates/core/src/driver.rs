@@ -183,7 +183,7 @@ impl StageTimes {
 /// driver promoted it instead of discarding the work.
 #[derive(Debug, Clone)]
 pub struct Degradation {
-    /// Why the run was cancelled (deadline, budget, or external stop).
+    /// Why the run was cancelled (deadline, budget, or stop).
     pub reason: CancelReason,
     /// Which search offered the snapshot (e.g. `"ihybrid.project"`).
     pub source: &'static str,

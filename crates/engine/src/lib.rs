@@ -366,13 +366,18 @@ pub fn eval_to_json(r: &EvalResult) -> Json {
 /// scoped worker threads. Workers claim indices in ascending order from one
 /// atomic counter, so every index below the counter has been claimed — the
 /// property the batch reorder window's deadlock freedom rests on. This is
-/// the engine's only scheduler.
+/// the engine's only scheduler. One worker is the calling thread itself,
+/// so its thread-local scratch pools serve every index.
 pub(crate) fn claim_loop<F>(items: usize, jobs: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    let next = AtomicUsize::new(0);
     let workers = jobs.clamp(1, items.max(1));
+    if workers == 1 {
+        (0..items).for_each(f);
+        return;
+    }
+    let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers {
             let (next, f) = (&next, &f);
@@ -688,6 +693,14 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_runs_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for r in run_jobs(5, 1, |_| std::thread::current().id()) {
+            assert_eq!(r.expect("no job panics"), caller);
+        }
+    }
+
+    #[test]
     fn panicking_algorithm_degrades_to_failed() {
         // Drive the degradation path through run_portfolio's mapping by
         // checking run_jobs' contract directly on the portfolio shape: a
@@ -804,8 +817,8 @@ mod tests {
         let fork = tracer.fork();
         let ctl = RunCtl::new(None, None, fork.clone());
         let run = run_contained(Algorithm::IExact, &ctl, &fork, None, |ctl, cell| {
-            ctl.count_face();
-            ctl.count_backtrack();
+            ctl.count_faces(1);
+            ctl.count_backtracks(1);
             ctl.tracer().incr("test.partial", 7);
             let _s = ctl.tracer().span("dies-inside");
             cell.add(|s| s.embed = Duration::from_millis(3));

@@ -6,9 +6,10 @@
 //! well-formed `nova-bench-stream/1` document, which a resumable stream
 //! continues byte-identically after a cut.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
 use espresso::{FaultKind, FaultPlan};
@@ -279,6 +280,57 @@ fn batch_counters_reach_the_session_tracer() {
         "queue-depth gauge missing: {:?}",
         snap.gauges
     );
+}
+
+/// A corpus whose first two machines each wait for the other to be
+/// materialized, so two batch workers are guaranteed a machine each.
+struct Rendezvous {
+    inner: ScaleSpec,
+    both: Barrier,
+}
+
+impl MachineSource for Rendezvous {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn name(&self, i: usize) -> String {
+        self.inner.name(i)
+    }
+    fn machine(&self, i: usize) -> Fsm {
+        if i < 2 {
+            self.both.wait();
+        }
+        self.inner.machine(i)
+    }
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+}
+
+#[test]
+fn batch_workers_are_the_only_threads() {
+    // Whole portfolios per worker (DESIGN §15): at `batch_jobs: 2` every
+    // span of the sweep is recorded on one of the two workers, so their
+    // thread-local scratch pools serve every machine they run.
+    let tracer = Tracer::enabled();
+    let cfg = EngineConfig {
+        tracer: tracer.clone(),
+        ..config()
+    };
+    let src = Rendezvous {
+        inner: ScaleSpec::parse("machines=6,states=6,inputs=2,outputs=2,seed=3")
+            .expect("valid spec"),
+        both: Barrier::new(2),
+    };
+    let bcfg = BatchConfig {
+        batch_jobs: 2,
+        ..BatchConfig::default()
+    };
+    let mut n = 0usize;
+    run_batch(&src, &cfg, &bcfg, &mut |_, _| n += 1);
+    assert_eq!(n, 6);
+    let tids: BTreeSet<u64> = tracer.collected_events().iter().map(|e| e.tid).collect();
+    assert_eq!(tids.len(), 2, "span thread ids: {tids:?}");
 }
 
 #[test]

@@ -1,23 +1,41 @@
 //! Frozen pre-arena reference implementations of the ESPRESSO kernels.
 //!
-//! This module is a verbatim snapshot of the `Vec<Cube>`-based kernels as
-//! they existed before the flat [`CubeMatrix`](crate::matrix::CubeMatrix)
+//! This crate is a verbatim snapshot of the `Vec<Cube>`-based kernels as
+//! they existed before the flat [`CubeMatrix`](espresso::matrix::CubeMatrix)
 //! arena rewrite. It exists for two reasons:
 //!
 //! 1. **Differential testing** — the arena kernels are required to be
 //!    result-identical to these functions on every input (see
-//!    `tests/differential.rs` and the suite-wide checks in `nova-bench`).
+//!    `crates/espresso/tests/differential.rs` and the suite-wide checks in
+//!    `nova-bench`).
 //! 2. **Benchmarking** — the `espresso_kernels` bench times legacy vs arena
 //!    side by side and counts heap allocations for both, so the speedup and
 //!    allocation reduction are tracked artifacts rather than claims.
 //!
-//! Do not "fix" or optimize this module: its value is that it does not
-//! change. New work goes into the arena path.
+//! Only dev-dependencies name this crate, so no shipped binary links it.
+//! Do not "fix" or optimize it: its value is that it does not change. New
+//! work goes into the arena path.
 
-use crate::cover::{Cover, CoverCost};
-use crate::cube::{supercube, Cube};
-use crate::minimize::{MinimizeOptions, MinimizeStats, MAX_ITERATIONS};
-use crate::space::CubeSpace;
+#![forbid(unsafe_code)]
+
+use espresso::{supercube, Cover, CoverCost, Cube, CubeSpace, MinimizeOptions, MinimizeStats};
+
+/// Most reduce/expand/irredundant improvement iterations between two
+/// LAST_GASP steps, frozen at the bound `espresso::minimize` uses.
+const MAX_ITERATIONS: usize = 8;
+
+/// Cofactor of `f` with respect to cube `p` (cubes disjoint from `p` drop
+/// out).
+fn cofactor(f: &Cover, p: &Cube) -> Cover {
+    let cubes = f.iter().filter_map(|c| c.cofactor(f.space(), p)).collect();
+    Cover::from_cubes(f.space().clone(), cubes)
+}
+
+/// Whether any single cube of `f` contains `c` (sufficient but not
+/// necessary for cover containment).
+fn single_cube_contains(f: &Cover, c: &Cube) -> bool {
+    f.iter().any(|d| c.is_subset_of(d))
+}
 
 /// Pre-arena single-cube containment minimization (the routine that was
 /// duplicated between `Cover::absorb` and `tautology::absorb_in_place`).
@@ -140,7 +158,7 @@ pub fn cube_in_cover(f: &Cover, c: &Cube) -> bool {
     if c.is_empty(f.space()) {
         return true;
     }
-    let cf = f.cofactor(c);
+    let cf = cofactor(f, c);
     taut_rec(f.space(), cf.into_iter().collect())
 }
 
@@ -350,7 +368,7 @@ pub fn expand(f: &mut Cover, d: &Cover) {
                 .iter()
                 .enumerate()
                 .any(|(j, other)| j != i && !covered[j] && t.is_subset_of(other))
-                || d.single_cube_contains(&t)
+                || single_cube_contains(d, &t)
                 || cube_in_cover(&oracle, &t);
             if ok {
                 c = t;

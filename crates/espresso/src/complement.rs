@@ -5,7 +5,7 @@
 //! level appends its result rows to one shared output matrix and branch
 //! covers are written into reused buffers, so complementation performs no
 //! heap allocation after warm-up. Results are bit-identical to the frozen
-//! [`crate::legacy`] reference.
+//! reference in the `espresso-legacy` crate.
 //!
 //! The smallest cover of a complement can be exponentially larger than the
 //! cover itself, so the complement ESPRESSO takes once per minimization
@@ -277,7 +277,6 @@ pub fn sharp(f: &Cover, g: &Cover) -> Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legacy;
     use crate::tautology::{covers_equivalent, cube_in_cover, tautology};
 
     fn cover(space: &CubeSpace, strs: &[&str]) -> Cover {
@@ -334,25 +333,6 @@ mod tests {
         let f = cover(&sp, &["10 11 01", "01 10 11"]);
         let ff = complement(&complement(&f));
         assert!(covers_equivalent(&f, &ff));
-    }
-
-    #[test]
-    fn complement_matches_legacy_exactly() {
-        let sp = CubeSpace::binary(4);
-        let cases: &[&[&str]] = &[
-            &[],
-            &["10 11 01 11"],
-            &["10 11 01 11", "11 10 10 11", "01 01 11 10"],
-            &["10 10 10 10", "01 01 01 01", "11 11 10 01", "10 01 11 11"],
-        ];
-        for strs in cases {
-            let f = cover(&sp, strs);
-            assert_eq!(
-                complement(&f).cubes(),
-                legacy::complement(&f).cubes(),
-                "case {strs:?}"
-            );
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! three integer compares before any cube word is read.
 //!
 //! The keep/remove decisions are bit-for-bit identical to the legacy
-//! routine (see [`crate::legacy::absorb_in_place`]): degenerate cubes are
+//! routine (`espresso_legacy::absorb_in_place`): degenerate cubes are
 //! dropped first, then a cube is removed when it is contained in another
 //! kept cube, keeping the earliest copy of exact duplicates.
 //!
@@ -147,7 +147,6 @@ pub fn any_row_contains(m: &CubeMatrix, c: &[u64], sig_c: Sig) -> bool {
 mod tests {
     use super::*;
     use crate::cover::Cover;
-    use crate::legacy;
 
     fn cover(strs: &[&str]) -> Cover {
         let sp = CubeSpace::binary_with_output(2, 2);
@@ -156,33 +155,6 @@ mod tests {
             f.push_parsed(s).unwrap();
         }
         f
-    }
-
-    #[test]
-    fn matches_legacy_on_duplicates_and_containment() {
-        let cases: &[&[&str]] = &[
-            &["10 11 11", "10 01 01", "10 11 11", "01 10 10"],
-            &["10 00 11", "01 11 10"],
-            &["11 11 11", "10 10 10", "01 01 01"],
-            &["10 10 10", "10 10 10", "10 10 10"],
-            &[],
-        ];
-        for strs in cases {
-            let f = cover(strs);
-            let sp = f.space().clone();
-            let mut ours = f.cubes().to_vec();
-            let mut theirs = f.cubes().to_vec();
-            absorb_cubes(&sp, &mut ours);
-            legacy::absorb_in_place(&sp, &mut theirs);
-            assert_eq!(ours, theirs, "case {strs:?}");
-
-            let mut m = CubeMatrix::new();
-            m.reset(&sp);
-            m.extend_cubes(&sp, f.cubes());
-            let mut keep = Vec::new();
-            absorb_matrix(&mut m, &mut keep);
-            assert_eq!(m.to_cubes(&sp), theirs, "matrix case {strs:?}");
-        }
     }
 
     #[test]

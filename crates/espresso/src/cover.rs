@@ -126,20 +126,6 @@ impl Cover {
         supercube(&self.space, &self.cubes)
     }
 
-    /// Cofactor of the cover with respect to cube `p` (cubes disjoint from
-    /// `p` drop out).
-    pub fn cofactor(&self, p: &Cube) -> Cover {
-        let cubes = self
-            .cubes
-            .iter()
-            .filter_map(|c| c.cofactor(&self.space, p))
-            .collect();
-        Cover {
-            space: self.space.clone(),
-            cubes,
-        }
-    }
-
     /// Union of two covers (cube lists concatenated).
     ///
     /// # Panics
@@ -175,13 +161,6 @@ impl Cover {
         }
         out.absorb();
         out
-    }
-
-    /// Whether any single cube of the cover contains `c` (sufficient but not
-    /// necessary for cover containment; see [`crate::tautology::cube_in_cover`]
-    /// for the exact test).
-    pub fn single_cube_contains(&self, c: &Cube) -> bool {
-        self.cubes.iter().any(|d| c.is_subset_of(d))
     }
 
     /// Total admitted-part count over all cubes (a proxy for PLA column
@@ -264,15 +243,6 @@ mod tests {
         let mut f = cover(&["10 00 11", "01 11 10"]);
         f.absorb();
         assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn cofactor_drops_disjoint_cubes() {
-        let f = cover(&["10 11 11", "01 11 10"]);
-        let p = Cube::parse(f.space(), "10 11 11").unwrap();
-        let cf = f.cofactor(&p);
-        assert_eq!(cf.len(), 1);
-        assert!(cf.cubes()[0].is_full(cf.space()));
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //! * the complement behind ESPRESSO's off-set polls
 //!   [`RunCtl::cancelled`], which charges nothing.
 //!
-//! When the handle is cancelled (externally via [`RunCtl::cancel`], by an
-//! expired wall-clock deadline, or by an exhausted node budget) those loops
-//! unwind promptly and the run reports a clean [`Cancelled`] instead of
-//! hanging. The same handle accumulates the run counters surfaced in the
-//! engine's telemetry.
+//! When the handle is cancelled (by an expired wall-clock deadline, an
+//! exhausted node budget, or an injected fault) those loops unwind promptly
+//! and the run reports a clean [`Cancelled`] instead of hanging. The same
+//! handle accumulates the run counters surfaced in the engine's telemetry.
 
 use crate::fault::{FaultArm, FaultKind, FaultPlan};
 use nova_trace::Tracer;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -29,13 +28,13 @@ use std::time::Instant;
 const DEADLINE_CHECK_PERIOD: u64 = 64;
 
 /// Error returned by ctl-aware entry points when the run was cancelled by a
-/// deadline, an exhausted budget, or an external stop.
+/// deadline, an exhausted budget, or a stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled;
 
 impl std::fmt::Display for Cancelled {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("run cancelled (deadline, budget or external stop)")
+        f.write_str("run cancelled (deadline, budget or stop)")
     }
 }
 
@@ -44,7 +43,7 @@ impl std::error::Error for Cancelled {}
 /// Why a run was cancelled, when it was (latched by the first cause).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelReason {
-    /// External stop: [`RunCtl::cancel`] or an injected cancel fault.
+    /// Stop: an injected cancel fault.
     Stop = 1,
     /// The wall-clock deadline expired (real or injected).
     Deadline = 2,
@@ -98,8 +97,6 @@ pub struct BestSoFar {
 
 #[derive(Debug)]
 struct CtlInner {
-    /// External / latched stop flag. Once set it never clears.
-    stop: AtomicBool,
     /// Remaining work units; `u64::MAX` means unlimited.
     fuel: AtomicU64,
     /// Wall-clock deadline, checked every [`DEADLINE_CHECK_PERIOD`] charges.
@@ -107,8 +104,8 @@ struct CtlInner {
     /// Structured tracer for this run (disabled by default: one relaxed
     /// atomic load per span/metric call, no allocation).
     tracer: Tracer,
-    /// Why the stop flag was latched (0 = not cancelled); set once by the
-    /// first cause, never overwritten.
+    /// The stop latch: why the run was cancelled (0 = live). Set once by
+    /// the first cause, never overwritten or cleared.
     reason: AtomicU8,
     /// Armed fault plan. `None` (the default) keeps every instrumentation
     /// point at one atomic load; chaos tests arm a plan after construction.
@@ -155,7 +152,6 @@ impl RunCtl {
     pub fn new(fuel: Option<u64>, deadline: Option<Instant>, tracer: Tracer) -> Self {
         RunCtl {
             inner: Arc::new(CtlInner {
-                stop: AtomicBool::new(false),
                 fuel: AtomicU64::new(fuel.unwrap_or(u64::MAX)),
                 deadline,
                 tracer,
@@ -183,19 +179,8 @@ impl RunCtl {
         &self.inner.tracer
     }
 
-    /// The request id carried by this run's tracer session, or 0 when the
-    /// run is not serving a tagged request. Forked tracers share the id, so
-    /// every stage of a run reports the same value.
-    pub fn request_id(&self) -> u64 {
-        self.inner.tracer.request_id()
-    }
-
-    /// Latches the stop flag; every subsequent [`RunCtl::charge`] fails.
-    pub fn cancel(&self) {
-        self.cancel_with(CancelReason::Stop);
-    }
-
-    /// Latches the stop flag, recording `reason` if none is set yet.
+    /// Latches the stop, recording `reason` if none is set yet; every
+    /// subsequent [`RunCtl::charge`] fails.
     fn cancel_with(&self, reason: CancelReason) {
         let _ = self.inner.reason.compare_exchange(
             0,
@@ -203,7 +188,6 @@ impl RunCtl {
             Ordering::Relaxed,
             Ordering::Relaxed,
         );
-        self.inner.stop.store(true, Ordering::Relaxed);
     }
 
     /// Why the run was cancelled (`None` while it is still live).
@@ -211,10 +195,10 @@ impl RunCtl {
         CancelReason::from_u8(self.inner.reason.load(Ordering::Relaxed))
     }
 
-    /// Has the run been cancelled (stop flag, expired deadline, or
+    /// Has the run been cancelled (latched stop, expired deadline, or
     /// exhausted budget)?
     pub fn cancelled(&self) -> bool {
-        if self.inner.stop.load(Ordering::Relaxed) {
+        if self.inner.reason.load(Ordering::Relaxed) != 0 {
             return true;
         }
         if let Some(d) = self.inner.deadline {
@@ -267,7 +251,7 @@ impl RunCtl {
     /// (face verification, projection step, espresso iteration).
     pub fn charge(&self, units: u64) -> Result<(), Cancelled> {
         self.fault_tick();
-        if self.inner.stop.load(Ordering::Relaxed) {
+        if self.inner.reason.load(Ordering::Relaxed) != 0 {
             return Err(Cancelled);
         }
         let before = self.inner.work.fetch_add(units, Ordering::Relaxed);
@@ -280,7 +264,7 @@ impl RunCtl {
                 return Err(Cancelled);
             }
         }
-        // Budget: saturating decrement; exhaustion latches the stop flag.
+        // Budget: saturating decrement; exhaustion latches the stop.
         let mut fuel = self.inner.fuel.load(Ordering::Relaxed);
         if fuel == u64::MAX {
             return Ok(());
@@ -311,11 +295,6 @@ impl RunCtl {
     /// ignored (the plan is shared by every clone).
     pub fn arm_faults(&self, plan: &FaultPlan) {
         let _ = self.inner.fault.set(Arc::new(FaultArm::new(plan)));
-    }
-
-    /// Is a fault plan armed on this handle?
-    pub fn fault_armed(&self) -> bool {
-        self.inner.fault.get().is_some()
     }
 
     /// Announces the active pipeline stage (the driver calls this at each
@@ -356,22 +335,10 @@ impl RunCtl {
             .take()
     }
 
-    /// One candidate face tried by the embedding search.
-    pub fn count_face(&self) {
-        self.fault_tick();
-        self.inner.faces_tried.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// `n` candidate faces tried (batched flush of a local counter).
     pub fn count_faces(&self, n: u64) {
         self.fault_tick();
         self.inner.faces_tried.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One backtrack taken by the embedding search.
-    pub fn count_backtrack(&self) {
-        self.fault_tick();
-        self.inner.backtracks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `n` backtracks taken (batched flush of a local counter).
@@ -419,14 +386,9 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    #[test]
-    fn request_id_rides_the_tracer_session() {
-        let ctl = RunCtl::unlimited();
-        assert_eq!(ctl.request_id(), 0, "untagged runs report 0");
-        let tracer = Tracer::enabled();
-        tracer.set_request_id(0xfeed);
-        let tagged = RunCtl::new(None, None, tracer.fork());
-        assert_eq!(tagged.request_id(), 0xfeed, "forks share the id");
+    /// A live handle whose first observed operation latches `Stop`.
+    fn cancel_on_first_op(ctl: &RunCtl) {
+        ctl.arm_faults(&FaultPlan::single("*", 1, FaultKind::Cancel));
     }
 
     #[test]
@@ -439,11 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn explicit_cancel_latches() {
+    fn stop_latches() {
         let ctl = RunCtl::unlimited();
-        ctl.cancel();
-        assert!(ctl.cancelled());
+        cancel_on_first_op(&ctl);
         assert_eq!(ctl.charge(1), Err(Cancelled));
+        assert!(ctl.cancelled());
+        assert_eq!(ctl.charge(1), Err(Cancelled), "the latch holds");
+        assert_eq!(ctl.cancel_reason(), Some(CancelReason::Stop));
     }
 
     #[test]
@@ -484,9 +448,8 @@ mod tests {
     fn counters_accumulate() {
         let ctl = RunCtl::unlimited();
         ctl.charge(5).unwrap();
-        ctl.count_face();
-        ctl.count_face();
-        ctl.count_backtrack();
+        ctl.count_faces(2);
+        ctl.count_backtracks(1);
         ctl.count_espresso_iteration();
         ctl.count_cubes(10, 3);
         let c = ctl.counters();
@@ -502,8 +465,10 @@ mod tests {
     fn clones_share_state() {
         let a = RunCtl::unlimited();
         let b = a.clone();
-        b.cancel();
+        cancel_on_first_op(&a);
+        assert_eq!(b.charge(1), Err(Cancelled));
         assert!(a.cancelled());
+        assert_eq!(a.cancel_reason(), Some(CancelReason::Stop));
     }
 
     #[test]
@@ -514,15 +479,17 @@ mod tests {
 
     #[test]
     fn cancel_reasons_are_latched_by_first_cause() {
-        let external = RunCtl::unlimited();
-        assert_eq!(external.cancel_reason(), None);
-        external.cancel();
-        assert_eq!(external.cancel_reason(), Some(CancelReason::Stop));
+        let stop = RunCtl::unlimited();
+        assert_eq!(stop.cancel_reason(), None);
+        cancel_on_first_op(&stop);
+        let _ = stop.charge(1);
+        assert_eq!(stop.cancel_reason(), Some(CancelReason::Stop));
 
         let budget = RunCtl::new(Some(1), None, Tracer::disabled());
         let _ = budget.charge(1);
         assert_eq!(budget.cancel_reason(), Some(CancelReason::Budget));
-        budget.cancel(); // Later causes do not overwrite the first.
+        cancel_on_first_op(&budget);
+        let _ = budget.charge(1); // Later causes do not overwrite the first.
         assert_eq!(budget.cancel_reason(), Some(CancelReason::Budget));
 
         let deadline = RunCtl::new(None, Some(Instant::now()), Tracer::disabled());
@@ -534,7 +501,6 @@ mod tests {
     fn injected_cancel_fires_at_the_scheduled_charge() {
         let ctl = RunCtl::unlimited();
         ctl.arm_faults(&FaultPlan::single("*", 3, FaultKind::Cancel));
-        assert!(ctl.fault_armed());
         assert!(ctl.charge(1).is_ok());
         assert!(ctl.charge(1).is_ok());
         assert_eq!(ctl.charge(1), Err(Cancelled));
@@ -583,9 +549,9 @@ mod tests {
     fn count_calls_are_observed_operations_too() {
         let ctl = RunCtl::unlimited();
         ctl.arm_faults(&FaultPlan::single("*", 3, FaultKind::Cancel));
-        ctl.count_face();
+        ctl.count_faces(1);
         ctl.count_espresso_iteration();
-        ctl.count_backtrack(); // third op fires
+        ctl.count_backtracks(1); // third op fires
         assert!(ctl.cancelled());
     }
 

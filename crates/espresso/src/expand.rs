@@ -204,26 +204,4 @@ mod tests {
         }
         assert!(verify_minimized(&f, &orig, &d));
     }
-
-    #[test]
-    fn expand_matches_legacy() {
-        use crate::legacy;
-        let sp = CubeSpace::binary_with_output(3, 2);
-        let cases: &[(&[&str], &[&str])] = &[
-            (
-                &["10 10 10 10", "10 10 01 10", "01 10 10 01"],
-                &["10 01 11 11"],
-            ),
-            (&["11 10 11 10", "10 11 10 10", "11 11 01 01"], &[]),
-        ];
-        for (fs, ds) in cases {
-            let mut ours = cover(&sp, fs);
-            let mut theirs = ours.clone();
-            let d = cover(&sp, ds);
-            let off = CubeMatrix::from_cover(&complement(&ours.union(&d)));
-            expand(&mut ours, &off);
-            legacy::expand(&mut theirs, &d);
-            assert_eq!(ours, theirs, "case {fs:?} / {ds:?}");
-        }
-    }
 }

@@ -37,11 +37,12 @@ pub const PIPELINE_STAGES: [&str; 4] = [
 /// What a firing fault does to the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Latch the stop flag, as an external `cancel()` would.
+    /// Latch the run's stop with the `Stop` reason.
     Cancel,
-    /// Simulate a wall-clock deadline expiry (stop flag + deadline reason).
+    /// Simulate a wall-clock deadline expiry (latch with the deadline
+    /// reason).
     Deadline,
-    /// Zero the remaining node budget (stop flag + budget reason).
+    /// Zero the remaining node budget (latch with the budget reason).
     Budget,
     /// Panic right at the instrumentation point, exercising the engine's
     /// containment and the telemetry-survival guarantees.

@@ -160,22 +160,4 @@ mod tests {
         assert!(verify_minimized(&f, &orig, &d));
         assert!(f.len() < orig.len());
     }
-
-    #[test]
-    fn irredundant_matches_legacy() {
-        use crate::legacy;
-        let sp = CubeSpace::binary_with_output(3, 2);
-        let cases: &[&[&str]] = &[
-            &["10 11 11 10", "11 10 11 10", "10 10 11 10", "11 11 01 01"],
-            &["10 11 11 11", "11 10 11 11", "10 10 11 11", "01 01 11 11"],
-        ];
-        for fs in cases {
-            let mut ours = cover(&sp, fs);
-            let mut theirs = ours.clone();
-            let d = Cover::empty(sp.clone());
-            irredundant(&mut ours, &d);
-            legacy::irredundant(&mut theirs, &d);
-            assert_eq!(ours, theirs, "case {fs:?}");
-        }
-    }
 }

@@ -47,7 +47,6 @@ pub mod expand;
 pub mod factor;
 pub mod fault;
 pub mod irredundant;
-pub mod legacy;
 pub mod matrix;
 pub mod minimize;
 pub mod pla;

@@ -20,8 +20,9 @@ use crate::reduce::{reduce, reduce_cube_against};
 use crate::tautology::verify_minimized;
 
 /// Most reduce/expand/irredundant improvement iterations between two
-/// LAST_GASP steps (`legacy` mirrors the loop with the same bound).
-pub(crate) const MAX_ITERATIONS: usize = 8;
+/// LAST_GASP steps (the frozen reference in `espresso-legacy` runs the
+/// loop with the same bound).
+const MAX_ITERATIONS: usize = 8;
 
 /// Tuning knobs for [`minimize_with`]. The full loop always extracts
 /// essential primes after the first pass (ESSENTIAL_PRIMES in ESPRESSO)

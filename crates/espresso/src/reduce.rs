@@ -174,25 +174,4 @@ mod tests {
         assert!(verify_minimized(&f, &on, &d));
         assert_eq!(f.cubes()[0].display(&sp).to_string(), "10 10 1");
     }
-
-    #[test]
-    fn reduce_matches_legacy() {
-        use crate::legacy;
-        let sp = CubeSpace::binary_with_output(3, 2);
-        let cases: &[(&[&str], &[&str])] = &[
-            (&["11 10 11 10", "10 11 10 10", "11 11 01 01"], &[]),
-            (
-                &["10 11 11 10", "11 10 11 10", "11 11 10 01"],
-                &["01 01 01 11"],
-            ),
-        ];
-        for (fs, ds) in cases {
-            let mut ours = cover(&sp, fs);
-            let mut theirs = ours.clone();
-            let d = cover(&sp, ds);
-            reduce(&mut ours, &d);
-            legacy::reduce(&mut theirs, &d);
-            assert_eq!(ours, theirs, "case {fs:?} / {ds:?}");
-        }
-    }
 }

@@ -10,7 +10,7 @@
 //! per-thread [`Scratch`] pool: branch covers are written into reused
 //! buffers instead of fresh `Vec<Cube>`s, so the descent performs no heap
 //! allocation after warm-up. Results are bit-identical to the frozen
-//! [`crate::legacy`] reference (pinned by differential tests).
+//! reference in the `espresso-legacy` crate (pinned by differential tests).
 
 use crate::containment::{absorb_matrix, any_row_contains};
 use crate::cover::Cover;

@@ -1,17 +1,17 @@
 //! Differential tests: the arena-backed kernels must produce results
-//! bit-identical to the frozen pre-arena implementations in
-//! `espresso::legacy`, across randomized covers in mixed binary /
-//! multiple-valued spaces.
+//! bit-identical to the frozen pre-arena implementations in the
+//! `espresso-legacy` crate, across randomized covers in mixed binary /
+//! multiple-valued spaces and a table of fixed cases.
 //!
 //! The RNG is the repo's canonical SplitMix64 (`fsm::rng`, no external
 //! crates, reproducible offline) — the same stream every seeded component
 //! draws from.
 
-use espresso::legacy;
 use espresso::{
     complement, containment, cube_in_cover, minimize_with, tautology, Cover, Cube, CubeMatrix,
     CubeSpace, MinimizeOptions, VarKind,
 };
+use espresso_legacy as legacy;
 use fsm::SplitMix64;
 
 /// The space zoo: plain binary, binary+output, and mixed multi-valued shapes
@@ -76,6 +76,120 @@ fn random_cover(rng: &mut SplitMix64, space: &CubeSpace, max_cubes: u64) -> Cove
     let n = rng.below_u64(max_cubes + 1);
     let cubes = (0..n).map(|_| random_cube(rng, space)).collect();
     Cover::from_cubes(space.clone(), cubes)
+}
+
+/// A kernel a fixed case runs through both implementations.
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    Complement,
+    Absorb,
+    Expand,
+    Irredundant,
+    Reduce,
+}
+
+impl Kernel {
+    /// The space the kernel's fixed cases are written in.
+    fn space(self) -> CubeSpace {
+        match self {
+            Kernel::Complement => CubeSpace::binary(4),
+            Kernel::Absorb => CubeSpace::binary_with_output(2, 2),
+            Kernel::Expand | Kernel::Irredundant | Kernel::Reduce => {
+                CubeSpace::binary_with_output(3, 2)
+            }
+        }
+    }
+}
+
+fn parse_cover(space: &CubeSpace, strs: &[&str]) -> Cover {
+    let mut f = Cover::empty(space.clone());
+    for s in strs {
+        f.push_parsed(s).unwrap();
+    }
+    f
+}
+
+#[test]
+fn fixed_cases_match_legacy() {
+    use Kernel::*;
+    // Each row is a kernel, an ON-set F and a don't-care set D: duplicates,
+    // degenerate cubes, containment chains and covers a DC cube widens.
+    let cases: &[(Kernel, &[&str], &[&str])] = &[
+        (Complement, &[], &[]),
+        (Complement, &["10 11 01 11"], &[]),
+        (
+            Complement,
+            &["10 11 01 11", "11 10 10 11", "01 01 11 10"],
+            &[],
+        ),
+        (
+            Complement,
+            &["10 10 10 10", "01 01 01 01", "11 11 10 01", "10 01 11 11"],
+            &[],
+        ),
+        (
+            Absorb,
+            &["10 11 11", "10 01 01", "10 11 11", "01 10 10"],
+            &[],
+        ),
+        (Absorb, &["10 00 11", "01 11 10"], &[]),
+        (Absorb, &["11 11 11", "10 10 10", "01 01 01"], &[]),
+        (Absorb, &["10 10 10", "10 10 10", "10 10 10"], &[]),
+        (Absorb, &[], &[]),
+        (
+            Expand,
+            &["10 10 10 10", "10 10 01 10", "01 10 10 01"],
+            &["10 01 11 11"],
+        ),
+        (Expand, &["11 10 11 10", "10 11 10 10", "11 11 01 01"], &[]),
+        (
+            Irredundant,
+            &["10 11 11 10", "11 10 11 10", "10 10 11 10", "11 11 01 01"],
+            &[],
+        ),
+        (
+            Irredundant,
+            &["10 11 11 11", "11 10 11 11", "10 10 11 11", "01 01 11 11"],
+            &[],
+        ),
+        (Reduce, &["11 10 11 10", "10 11 10 10", "11 11 01 01"], &[]),
+        (
+            Reduce,
+            &["10 11 11 10", "11 10 11 10", "11 11 10 01"],
+            &["01 01 01 11"],
+        ),
+    ];
+    for &(kernel, fs, ds) in cases {
+        let space = kernel.space();
+        let f = parse_cover(&space, fs);
+        let d = parse_cover(&space, ds);
+        let (mut ours, mut theirs) = (f.clone(), f.clone());
+        match kernel {
+            Complement => (ours, theirs) = (complement(&f), legacy::complement(&f)),
+            Absorb => {
+                containment::absorb_cubes(&space, ours.cubes_mut());
+                legacy::absorb_in_place(&space, theirs.cubes_mut());
+                // The in-place matrix scan the unate recursion runs.
+                let mut m = CubeMatrix::from_cover(&f);
+                containment::absorb_matrix(&mut m, &mut Vec::new());
+                assert_eq!(m.to_cubes(&space), theirs.cubes(), "matrix {fs:?}");
+            }
+            Expand => {
+                let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
+                espresso::expand::expand(&mut ours, &off);
+                legacy::expand(&mut theirs, &d);
+            }
+            Irredundant => {
+                espresso::irredundant::irredundant(&mut ours, &d);
+                legacy::irredundant(&mut theirs, &d);
+            }
+            Reduce => {
+                espresso::reduce::reduce(&mut ours, &d);
+                legacy::reduce(&mut theirs, &d);
+            }
+        }
+        assert_eq!(ours, theirs, "{kernel:?} {fs:?} / {ds:?}");
+    }
 }
 
 #[test]
