@@ -1,28 +1,47 @@
 //! Regenerates every table and figure of the NOVA paper.
 //!
 //! Usage:
-//!   tables [--quick] [--no-exact] [all|table1|table2|table3|table4|table5|table6|table7|figures|compare]...
+//!   tables [--quick] [--no-exact] [all|table1|table2|table3|table4|table5|table6|table7|figures|compare|sweep]...
 //!
 //! `--quick` restricts to the small/medium machines; `--no-exact` skips the
 //! budgeted iexact runs (they dominate wall-clock on the mid-size machines).
+//! No id (or `all`) prints them all. An unknown flag or id exits 2 before
+//! any machine is evaluated.
 
 use nova_bench::{report, tables, MachineReport};
 use nova_engine::{effective_jobs, run_jobs};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let no_exact = args.iter().any(|a| a == "--no-exact");
-    let mut wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
+const TABLES: [&str; 10] = [
+    "table1", "table2", "table3", "table4", "table5", "table6", "table7", "figures", "compare",
+    "sweep",
+];
+
+const USAGE: &str = "usage: tables [--quick] [--no-exact] [all|table1|table2|table3|table4|table5|table6|table7|figures|compare|sweep]...";
+
+fn main() -> ExitCode {
+    let (mut quick, mut no_exact) = (false, false);
+    let mut wanted: Vec<&str> = Vec::new();
+    for a in std::env::args().skip(1) {
+        match a.as_str() {
+            "--quick" => quick = true,
+            "--no-exact" => no_exact = true,
+            "-h" | "--help" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            "all" => wanted.push("all"),
+            id => match TABLES.iter().find(|t| **t == id) {
+                Some(t) => wanted.push(*t),
+                None => {
+                    eprintln!("tables: unknown argument {id:?}\n{USAGE}");
+                    return ExitCode::from(2);
+                }
+            },
+        }
+    }
     if wanted.is_empty() || wanted.contains(&"all") {
-        wanted = vec![
-            "table1", "table2", "table3", "table4", "table5", "table6", "table7", "figures",
-            "compare", "sweep",
-        ];
+        wanted = TABLES.to_vec();
     }
 
     let machines = nova_bench::table_one_machines(quick);
@@ -85,11 +104,9 @@ fn main() {
             "sweep" => {
                 tables::length_sweep(&["lion", "bbtas", "dk27", "shiftreg", "train11", "ex3"], 3)
             }
-            other => {
-                eprintln!("unknown table id: {other}");
-                continue;
-            }
+            _ => unreachable!("ids are checked before evaluating"),
         };
         println!("{text}");
     }
+    ExitCode::SUCCESS
 }

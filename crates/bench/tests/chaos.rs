@@ -85,7 +85,7 @@ fn fault_grid_sweep_holds_the_robustness_contract() {
                     }
 
                     // 2. JSON is well-formed, whatever happened.
-                    let compact = report.to_json().to_compact();
+                    let compact = suite_to_json(std::slice::from_ref(&report)).to_compact();
                     json::parse(&compact).unwrap_or_else(|e| panic!("{ctx}: bad JSON: {e}"));
 
                     // 3. A degraded run exposes reason + a *valid* encoding.
@@ -94,6 +94,7 @@ fn fault_grid_sweep_holds_the_robustness_contract() {
                             assert_eq!(d.encoding.codes().len(), fsm.num_states(), "{ctx}");
                             verify_encoding(&fsm, &d.encoding);
                             assert!(compact.contains(d.reason.tag()), "{ctx}");
+                            assert!(compact.contains("\"degraded_codes\""), "{ctx}");
                         }
                         if let Outcome::Done(r) = &run.outcome {
                             verify_encoding(&fsm, &r.encoding);

@@ -15,7 +15,8 @@
 //!   -m             state-minimize the machine first
 //!   -p             print the minimized encoded PLA
 //!   -s             print machine statistics only
-//!   --json         emit the run report as JSON instead of text
+//!   --json         print the run as a nova-bench/1 JSON document (the
+//!                  one --remote prints) instead of text
 //!   --portfolio    race all algorithms concurrently, keep the best area
 //!   --timeout-ms   wall-clock deadline for the whole portfolio
 //!   --budget N     deterministic node budget per algorithm
@@ -29,8 +30,9 @@
 //!                  "STAGE:NTH:KIND[,...]" (KIND: cancel|deadline|budget|
 //!                  panic; STAGE "*" = any) or "seed:N" for a derived plan
 //!   --remote A     send the machine to a resident `nova serve` at A
-//!                  instead of encoding in-process; prints the service's
-//!                  nova-bench/1 JSON response
+//!                  instead of encoding in-process; pretty-prints the
+//!                  service's nova-bench/1 answer under the machine's local
+//!                  name, the document --json prints for the same run
 //!
 //!   bench          sweep a corpus (default: the embedded benchmark suite)
 //!                  through the batch engine, one portfolio per machine:
@@ -100,7 +102,7 @@ use espresso::FaultPlan;
 use fsm::minimize_states::minimize_states;
 use fsm::Fsm;
 use nova_core::driver::Algorithm;
-use nova_engine::{run_one, run_portfolio, EngineConfig};
+use nova_engine::{run_one, run_portfolio, suite_to_json, EngineConfig, PortfolioReport};
 use nova_trace::json::Json;
 use nova_trace::Tracer;
 use std::io::Read as _;
@@ -315,7 +317,19 @@ fn write_trace(args: &Args, tracer: &Tracer) -> bool {
     }
 }
 
-fn print_portfolio_text(report: &nova_engine::PortfolioReport) {
+/// Writes the trace, then says by the exit code whether any run of
+/// `report` left a usable encoding.
+fn finish(args: &Args, tracer: &Tracer, report: &PortfolioReport) -> ExitCode {
+    if !write_trace(args, tracer) {
+        ExitCode::from(EXIT_IO)
+    } else if report.best().is_some() || report.best_degraded().is_some() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(EXIT_NO_RESULT)
+    }
+}
+
+fn print_portfolio_text(report: &PortfolioReport) {
     println!(
         "# portfolio on {} ({:.1} ms)",
         report.machine,
@@ -814,8 +828,8 @@ fn trace_report_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `--remote`: ship the machine to a resident service and print its
-/// nova-bench/1 response, mapping HTTP statuses onto the CLI exit codes.
+/// `--remote`: ship the machine to a resident service and pretty-print its
+/// nova-bench/1 answer, mapping HTTP statuses onto the CLI exit codes.
 fn remote_main(addr: &str, machine: &Fsm, args: &Args) -> ExitCode {
     let options = nova_serve::EncodeOptions {
         algorithms: if args.portfolio {
@@ -848,18 +862,28 @@ fn remote_main(addr: &str, machine: &Fsm, args: &Args) -> ExitCode {
         );
         return ExitCode::from(nova_serve::client::status_exit_code(resp.status));
     }
-    println!("{}", resp.body);
+    let Ok(mut doc) = nova_trace::json::parse(&resp.body) else {
+        println!("{}", resp.body);
+        return ExitCode::from(EXIT_NO_RESULT);
+    };
+    // The service names every machine "request"; print it under the name a
+    // local run gives it, so the answer reads as `--json` prints it.
+    if let Some(Json::Arr(machines)) = doc.get_mut("machines") {
+        for m in machines {
+            if let Some(name) = m.get_mut("machine") {
+                *name = Json::str(machine.name());
+            }
+        }
+    }
+    println!("{}", doc.to_pretty());
     // Mirror the local exit contract: a completed or degraded encoding is
     // success; a report where nothing finished is "no result".
-    let has_result = nova_trace::json::parse(&resp.body)
-        .ok()
-        .and_then(|doc| match doc.get("machines") {
-            Some(Json::Arr(machines)) => machines.first().map(|m| {
-                m.get("best").is_some_and(|b| *b != Json::Null) || m.get("degraded").is_some()
-            }),
-            _ => None,
-        })
-        .unwrap_or(false);
+    let has_result = match doc.get("machines") {
+        Some(Json::Arr(machines)) => machines.first().is_some_and(|m| {
+            m.get("best").is_some_and(|b| *b != Json::Null) || m.get("degraded").is_some()
+        }),
+        _ => false,
+    };
     if has_result {
         ExitCode::SUCCESS
     } else {
@@ -899,7 +923,10 @@ fn main() -> ExitCode {
         let cfg = engine_config(&args, &tracer);
         let report = run_portfolio(&machine, machine.name(), &cfg);
         if args.json {
-            println!("{}", report.to_json().to_pretty());
+            println!(
+                "{}",
+                suite_to_json(std::slice::from_ref(&report)).to_pretty()
+            );
         } else {
             print_portfolio_text(&report);
             let encoding = report
@@ -918,14 +945,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        if !write_trace(&args, &tracer) {
-            return ExitCode::from(EXIT_IO);
-        }
-        return if report.best().is_some() || report.best_degraded().is_some() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(EXIT_NO_RESULT)
-        };
+        return finish(&args, &tracer, &report);
     }
 
     if !args.json {
@@ -955,19 +975,16 @@ fn main() -> ExitCode {
     // tracer — one telemetry path for every mode.
     let algo_run = run_one(&machine, args.algorithm, &engine_config(&args, &tracer));
     if args.json {
-        let mut pairs = vec![("machine".into(), Json::str(machine.name()))];
-        if let Json::Obj(rest) = algo_run.to_json() {
-            pairs.extend(rest);
-        }
-        println!("{}", Json::Obj(pairs).to_pretty());
-        if !write_trace(&args, &tracer) {
-            return ExitCode::from(EXIT_IO);
-        }
-        return if algo_run.outcome.result().is_some() || algo_run.outcome.degradation().is_some() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(EXIT_NO_RESULT)
+        let report = PortfolioReport {
+            machine: machine.name().to_string(),
+            wall: algo_run.wall,
+            runs: vec![algo_run],
         };
+        println!(
+            "{}",
+            suite_to_json(std::slice::from_ref(&report)).to_pretty()
+        );
+        return finish(&args, &tracer, &report);
     }
 
     if let Some(d) = algo_run.outcome.degradation() {

@@ -457,10 +457,42 @@ fn nova_reads_stdin_via_explicit_dash() {
     assert!(stdout.contains("\"machine\": \"stdin\""), "{stdout}");
 }
 
+/// `doc` without the fields that differ between two runs of the same
+/// machine: wall and stage times, deadline overshoot, tracer metrics, the
+/// counters (a shared derivation's espresso counters stay on whichever run
+/// derived it) and the summary's throughput.
+fn without_run_dependent_fields(doc: json::Json) -> json::Json {
+    const DROPPED: [&str; 6] = [
+        "wall_ms",
+        "stages_ms",
+        "overshoot_ms",
+        "metrics",
+        "counters",
+        "machines_per_sec",
+    ];
+    match doc {
+        json::Json::Obj(pairs) => json::Json::Obj(
+            pairs
+                .into_iter()
+                .filter(|(k, _)| !DROPPED.contains(&k.as_str()))
+                .map(|(k, v)| (k, without_run_dependent_fields(v)))
+                .collect(),
+        ),
+        json::Json::Arr(items) => json::Json::Arr(
+            items
+                .into_iter()
+                .map(without_run_dependent_fields)
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
 /// Full service loop as real processes: boot `nova serve`, encode through
 /// `nova --remote` twice (second answer must replay the first byte for
-/// byte), map a server-rejected body onto the parse exit code, then
-/// SIGTERM the server and require a clean drain (exit 0).
+/// byte, and match a local `--json` run), map a server-rejected body onto
+/// the parse exit code, then SIGTERM the server and require a clean drain
+/// (exit 0).
 #[test]
 fn nova_serve_remote_round_trip_and_sigterm_drain() {
     use std::io::{BufRead as _, BufReader};
@@ -498,6 +530,23 @@ fn nova_serve_remote_round_trip_and_sigterm_drain() {
     let (second, stderr, code) = encode();
     assert_eq!(code, 0, "{stderr}");
     assert_eq!(first, second, "cache hit replays byte-identically");
+
+    // The remote answer is the document a local `--json` run prints, codes
+    // included, once the fields a rerun does not repeat are dropped.
+    let (local, stderr, code) = run_with_code(
+        env!("CARGO_BIN_EXE_nova"),
+        &["-e", "ihybrid", "--json", "-"],
+        TOY_KISS,
+    );
+    assert_eq!(code, 0, "{stderr}");
+    let deterministic =
+        |text: &str| without_run_dependent_fields(json::parse(text).expect("nova-bench/1 JSON"));
+    assert_eq!(
+        deterministic(&first),
+        deterministic(&local),
+        "{first}\n{local}"
+    );
+    assert!(first.contains("\"codes\": ["), "{first}");
 
     // A body the server rejects (HTTP 400) maps onto the parse exit code.
     let (_, stderr, code) = run_with_code(

@@ -37,9 +37,10 @@ pub struct ExactOptions {
     /// Budget on candidate face verifications across the whole run
     /// (`None` = unlimited). The paper's `max_work` "magic number".
     pub max_work: Option<u64>,
-    /// Restrict category-1 constraints to minimum-dimension faces
-    /// (the `semiexact_code` restriction; skips the free-level enumeration
-    /// entirely).
+    /// Restrict category-1 constraints to minimum-dimension faces (skips
+    /// the free-level enumeration entirely). Paper §IV-4.1 gives this
+    /// restriction to `semiexact_code`; [`semiexact_code`] here does not
+    /// apply it, so this option is the only way to select it.
     pub min_dimension_faces_only: bool,
     /// Upper bound on the cube dimension tried (defaults to 16; the paper's
     /// trivial bound `#S` is impractical for face enumeration).
@@ -323,9 +324,11 @@ struct Search<'a> {
     ig: &'a InputGraph,
     rel: &'a Relations,
     k: u32,
-    /// Explore levels above each primary's base level (the `iexact_code`
-    /// enumeration); `false` pins primaries to `level_lo` (the
-    /// `semiexact_code` restriction).
+    /// Explore levels above each primary's base level, up to `k - 1` (the
+    /// `iexact_code` enumeration, which `semiexact_code` runs too); `false`
+    /// pins primaries to `level_lo`, the paper's `semiexact_code`
+    /// restriction, which only [`ExactOptions::min_dimension_faces_only`]
+    /// selects.
     free_levels: bool,
     /// Base (minimum) candidate level per node; only meaningful for
     /// non-singleton primaries.
@@ -1151,9 +1154,13 @@ fn debit(remaining: &mut Option<u64>, spent: u64) {
     }
 }
 
-/// `semiexact_code`: bounded search on a fixed dimension with
-/// minimum-dimension faces only (Section IV-4.1). Returns the embedding when
-/// all given constraints can be satisfied within the budget.
+/// `semiexact_code` (Section IV-4.1): the `iexact_code` search bounded to
+/// one dimension `k` and `max_work` candidate faces. Returns the embedding
+/// when all given constraints can be satisfied within the budget.
+///
+/// Unlike the paper, which restricts each primary constraint to
+/// minimum-dimension faces, every non-singleton primary may take any level
+/// up to `k - 1`, as in `iexact_code`.
 pub fn semiexact_code(
     num_states: usize,
     constraints: &[StateSet],

@@ -185,24 +185,20 @@ pub fn ihybrid_code_ctl(
 
     // Phase 1: greedy weight-ordered acceptance through semiexact_code.
     let mut sic: Vec<WeightedConstraint> = Vec::new();
-    let mut ric: Vec<WeightedConstraint> = Vec::new();
     let mut codes: Option<Vec<u64>> = None;
     for &c in &ics.constraints {
         let mut attempt: Vec<StateSet> = sic.iter().map(|w| w.set).collect();
         attempt.push(c.set);
-        match semiexact_code_ctl(n, &attempt, min_length, opts.max_work, ctl)? {
-            Some(embedding) => {
-                offer_snapshot(
-                    ctl,
-                    &ics.constraints,
-                    &embedding.codes,
-                    min_length,
-                    "ihybrid.semiexact",
-                );
-                codes = Some(embedding.codes);
-                sic.push(c);
-            }
-            None => ric.push(c),
+        if let Some(embedding) = semiexact_code_ctl(n, &attempt, min_length, opts.max_work, ctl)? {
+            offer_snapshot(
+                ctl,
+                &ics.constraints,
+                &embedding.codes,
+                min_length,
+                "ihybrid.semiexact",
+            );
+            codes = Some(embedding.codes);
+            sic.push(c);
         }
     }
     // Pathological fallback: no semiexact call succeeded (or there were no

@@ -51,7 +51,7 @@ pub use batch::{
 };
 
 use espresso::{FaultPlan, RunCounters, RunCtl};
-use fsm::Fsm;
+use fsm::{Encoding, Fsm};
 use nova_core::driver::{
     run_traced_shared, Algorithm, Degradation, EvalResult, FrontEnd, RunStatus, StageCell,
     StageTimes,
@@ -216,58 +216,6 @@ impl PortfolioReport {
             .filter_map(|(i, r)| r.outcome.degradation().map(|d| (i, d)))
             .min_by_key(|(i, d)| (d.encoding.bits(), *i))
     }
-
-    /// JSON form of the whole report. `best` stays a *completed* winner
-    /// (`null` otherwise) so downstream area diffs never mix degraded
-    /// encodings in; an anytime fallback is surfaced separately under
-    /// `degraded` when no run completed.
-    pub fn to_json(&self) -> Json {
-        let best = self
-            .best()
-            .map(|(i, _)| Json::str(self.runs[i].algorithm.name()))
-            .unwrap_or(Json::Null);
-        let mut pairs = vec![
-            ("machine".into(), Json::str(&self.machine)),
-            ("best".into(), best),
-        ];
-        if self.best().is_none() {
-            if let Some((i, d)) = self.best_degraded() {
-                pairs.push((
-                    "degraded".into(),
-                    degradation_summary(self.runs[i].algorithm, d),
-                ));
-            }
-        }
-        pairs.push(("wall_ms".into(), Json::Float(millis(self.wall))));
-        pairs.push((
-            "runs".into(),
-            Json::Arr(self.runs.iter().map(AlgoRun::to_json).collect()),
-        ));
-        Json::Obj(pairs)
-    }
-}
-
-/// Machine-level summary of the winning degraded run.
-fn degradation_summary(algorithm: Algorithm, d: &Degradation) -> Json {
-    Json::Obj(vec![
-        ("algorithm".into(), Json::str(algorithm.name())),
-        ("reason".into(), Json::str(d.reason.tag())),
-        ("source".into(), Json::str(d.source)),
-        ("bits".into(), Json::uint(d.encoding.bits() as u64)),
-    ])
-}
-
-/// JSON form of a degraded (anytime) outcome.
-fn degradation_to_json(d: &Degradation) -> Json {
-    Json::Obj(vec![
-        ("reason".into(), Json::str(d.reason.tag())),
-        ("source".into(), Json::str(d.source)),
-        ("bits".into(), Json::uint(d.encoding.bits() as u64)),
-        (
-            "codes".into(),
-            Json::Arr(d.encoding.codes().iter().map(|&c| Json::uint(c)).collect()),
-        ),
-    ])
 }
 
 fn millis(d: Duration) -> f64 {
@@ -307,59 +255,6 @@ pub fn report_fingerprint(report: &PortfolioReport) -> String {
         out.push('\n');
     }
     out
-}
-
-impl AlgoRun {
-    /// JSON form of one run.
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("algorithm".into(), Json::str(self.algorithm.name())),
-            ("outcome".into(), Json::str(self.outcome.tag())),
-        ];
-        match &self.outcome {
-            Outcome::Done(r) => pairs.push(("result".into(), eval_to_json(r))),
-            Outcome::Degraded(d) => pairs.push(("degraded".into(), degradation_to_json(d))),
-            Outcome::Failed(msg) => pairs.push(("error".into(), Json::str(msg))),
-            _ => {}
-        }
-        pairs.push(("wall_ms".into(), Json::Float(millis(self.wall))));
-        pairs.push(("stages_ms".into(), stages_to_json(&self.stages)));
-        if let Some(o) = self.overshoot {
-            pairs.push(("overshoot_ms".into(), Json::Float(millis(o))));
-        }
-        pairs.push((
-            "counters".into(),
-            Json::Obj(vec![
-                ("work".into(), Json::uint(self.counters.work)),
-                ("faces_tried".into(), Json::uint(self.counters.faces_tried)),
-                ("backtracks".into(), Json::uint(self.counters.backtracks)),
-                (
-                    "espresso_iterations".into(),
-                    Json::uint(self.counters.espresso_iterations),
-                ),
-                ("cubes_in".into(), Json::uint(self.counters.cubes_in)),
-                ("cubes_out".into(), Json::uint(self.counters.cubes_out)),
-            ]),
-        ));
-        if !self.metrics.is_empty() {
-            pairs.push(("metrics".into(), self.metrics.to_json()));
-        }
-        Json::Obj(pairs)
-    }
-}
-
-/// JSON form of a completed evaluation.
-pub fn eval_to_json(r: &EvalResult) -> Json {
-    Json::Obj(vec![
-        ("bits".into(), Json::uint(r.bits as u64)),
-        ("cubes".into(), Json::uint(r.cubes as u64)),
-        ("area".into(), Json::uint(r.area)),
-        ("literals".into(), Json::uint(r.literals as u64)),
-        (
-            "codes".into(),
-            Json::Arr(r.encoding.codes().iter().map(|&c| Json::uint(c)).collect()),
-        ),
-    ])
 }
 
 /// Calls `f(index)` for every index in `0..items` over at most `jobs`
@@ -539,88 +434,107 @@ fn run_contained(
     }
 }
 
-fn stages_to_json(stages: &StageTimes) -> Json {
-    Json::Obj(vec![
-        (
-            "constraints".into(),
-            Json::Float(millis(stages.constraints)),
-        ),
-        ("embed".into(), Json::Float(millis(stages.embed))),
-        ("encode".into(), Json::Float(millis(stages.encode))),
-        ("espresso".into(), Json::Float(millis(stages.espresso))),
-    ])
-}
-
-/// The per-machine object of the `nova-bench/1` report (and of each
-/// `nova-bench-stream/1` line): the winning algorithm with its
-/// area/cubes/bits, and per algorithm the outcome, area and stage wall
-/// times.
+/// The `nova-bench/1` machine object, the one JSON form of a
+/// [`PortfolioReport`]: what `nova --json` prints, what `nova serve`
+/// answers, and each entry of `--bench-out` and line of `--stream`. It names
+/// the completed winner (`best`, with its area, cubes, bits and literals)
+/// or, when no run completed, the best degraded run under `degraded`; and
+/// per algorithm the outcome with all it produced: a done run's area, cubes,
+/// bits, literals and state codes, a degraded run's reason, bits, source and
+/// codes, a failed run's error, plus its stage wall times and counters.
 pub fn machine_summary_json(rep: &PortfolioReport) -> Json {
     machine_summary_json_with(rep, true)
 }
 
-/// [`machine_summary_json`] with the wall-clock fields (`wall_ms`,
-/// `stages_ms`, `overshoot_ms`) and each run's non-empty `metrics` optional:
-/// `timings: false` emits only the deterministic fields, so two sweeps of the
-/// same corpus — interrupted, resumed, or run end to end — produce
-/// byte-identical lines. Resumable streams use this.
+/// [`machine_summary_json`], optionally without the fields that differ
+/// between reruns: `timings: false` leaves out `wall_ms`, `stages_ms`,
+/// `overshoot_ms`, each run's `counters` and its non-empty `metrics`, so two
+/// sweeps of the same corpus — interrupted, resumed, or run end to end —
+/// produce byte-identical lines. Resumable streams use this. The counters
+/// are not wall-clock, but a shared derivation's espresso counters stay on
+/// whichever run derived it, and that depends on thread timing.
 pub fn machine_summary_json_with(rep: &PortfolioReport, timings: bool) -> Json {
+    let uint = |v: usize| Json::uint(v as u64);
+    let codes = |e: &Encoding| Json::Arr(e.codes().iter().map(|&c| Json::uint(c)).collect());
     let mut pairs = vec![("machine".into(), Json::str(&rep.machine))];
     match rep.best() {
         Some((i, best)) => {
             pairs.push(("best".into(), Json::str(rep.runs[i].algorithm.name())));
             pairs.push(("area".into(), Json::uint(best.area)));
-            pairs.push(("cubes".into(), Json::uint(best.cubes as u64)));
-            pairs.push(("bits".into(), Json::uint(best.bits as u64)));
-            pairs.push(("literals".into(), Json::uint(best.literals as u64)));
+            pairs.push(("cubes".into(), uint(best.cubes)));
+            pairs.push(("bits".into(), uint(best.bits)));
+            pairs.push(("literals".into(), uint(best.literals)));
         }
         None => {
             pairs.push(("best".into(), Json::Null));
             if let Some((i, d)) = rep.best_degraded() {
-                pairs.push((
-                    "degraded".into(),
-                    degradation_summary(rep.runs[i].algorithm, d),
-                ));
+                let degraded = vec![
+                    ("algorithm".into(), Json::str(rep.runs[i].algorithm.name())),
+                    ("reason".into(), Json::str(d.reason.tag())),
+                    ("source".into(), Json::str(d.source)),
+                    ("bits".into(), uint(d.encoding.bits())),
+                ];
+                pairs.push(("degraded".into(), Json::Obj(degraded)));
             }
         }
     }
     if timings {
         pairs.push(("wall_ms".into(), Json::Float(millis(rep.wall))));
     }
-    pairs.push((
-        "runs".into(),
-        Json::Arr(
-            rep.runs
-                .iter()
-                .map(|run| {
-                    let mut rp = vec![
-                        ("algorithm".into(), Json::str(run.algorithm.name())),
-                        ("outcome".into(), Json::str(run.outcome.tag())),
-                    ];
-                    if let Some(res) = run.outcome.result() {
-                        rp.push(("area".into(), Json::uint(res.area)));
-                        rp.push(("cubes".into(), Json::uint(res.cubes as u64)));
-                    }
-                    if let Some(d) = run.outcome.degradation() {
-                        rp.push(("degraded_reason".into(), Json::str(d.reason.tag())));
-                        rp.push(("degraded_bits".into(), Json::uint(d.encoding.bits() as u64)));
-                    }
-                    if timings {
-                        rp.push(("wall_ms".into(), Json::Float(millis(run.wall))));
-                        rp.push(("stages_ms".into(), stages_to_json(&run.stages)));
-                        if let Some(o) = run.overshoot {
-                            rp.push(("overshoot_ms".into(), Json::Float(millis(o))));
-                        }
-                        if !run.metrics.is_empty() {
-                            rp.push(("metrics".into(), run.metrics.to_json()));
-                        }
-                    }
-                    rp
-                })
-                .map(Json::Obj)
-                .collect(),
-        ),
-    ));
+    let runs = rep.runs.iter().map(|run| {
+        let mut rp = vec![
+            ("algorithm".into(), Json::str(run.algorithm.name())),
+            ("outcome".into(), Json::str(run.outcome.tag())),
+        ];
+        match &run.outcome {
+            Outcome::Done(r) => {
+                rp.push(("area".into(), Json::uint(r.area)));
+                rp.push(("cubes".into(), uint(r.cubes)));
+                rp.push(("bits".into(), uint(r.bits)));
+                rp.push(("literals".into(), uint(r.literals)));
+                rp.push(("codes".into(), codes(&r.encoding)));
+            }
+            Outcome::Degraded(d) => {
+                rp.push(("degraded_reason".into(), Json::str(d.reason.tag())));
+                rp.push(("degraded_bits".into(), uint(d.encoding.bits())));
+                rp.push(("degraded_source".into(), Json::str(d.source)));
+                rp.push(("degraded_codes".into(), codes(&d.encoding)));
+            }
+            Outcome::Failed(msg) => rp.push(("error".into(), Json::str(msg))),
+            Outcome::Unsolved | Outcome::Timeout => {}
+        }
+        if timings {
+            let (s, c) = (&run.stages, &run.counters);
+            rp.push(("wall_ms".into(), Json::Float(millis(run.wall))));
+            let stages = vec![
+                ("constraints".into(), Json::Float(millis(s.constraints))),
+                ("embed".into(), Json::Float(millis(s.embed))),
+                ("encode".into(), Json::Float(millis(s.encode))),
+                ("espresso".into(), Json::Float(millis(s.espresso))),
+            ];
+            rp.push(("stages_ms".into(), Json::Obj(stages)));
+            if let Some(o) = run.overshoot {
+                rp.push(("overshoot_ms".into(), Json::Float(millis(o))));
+            }
+            let counters = vec![
+                ("work".into(), Json::uint(c.work)),
+                ("faces_tried".into(), Json::uint(c.faces_tried)),
+                ("backtracks".into(), Json::uint(c.backtracks)),
+                (
+                    "espresso_iterations".into(),
+                    Json::uint(c.espresso_iterations),
+                ),
+                ("cubes_in".into(), Json::uint(c.cubes_in)),
+                ("cubes_out".into(), Json::uint(c.cubes_out)),
+            ];
+            rp.push(("counters".into(), Json::Obj(counters)));
+            if !run.metrics.is_empty() {
+                rp.push(("metrics".into(), run.metrics.to_json()));
+            }
+        }
+        Json::Obj(rp)
+    });
+    pairs.push(("runs".into(), Json::Arr(runs.collect())));
     Json::Obj(pairs)
 }
 
@@ -856,7 +770,7 @@ mod tests {
         assert!(evs.iter().any(|e| e.name == "espresso.minimize"));
         let with_metrics = report.runs.iter().filter(|r| !r.metrics.is_empty());
         assert!(with_metrics.count() > 0, "no run captured metrics");
-        let j = report.to_json().to_compact();
+        let j = suite_to_json(std::slice::from_ref(&report)).to_compact();
         assert!(j.contains("\"metrics\""), "report JSON lacks metrics: {j}");
         // Timed machine summaries (stream lines, --bench-out entries) carry
         // them too; resumable lines never do.
@@ -885,7 +799,9 @@ mod tests {
         for run in &report.runs {
             assert!(run.metrics.is_empty(), "{}", run.algorithm.name());
         }
-        assert!(!report.to_json().to_compact().contains("\"metrics\""));
+        assert!(!suite_to_json(std::slice::from_ref(&report))
+            .to_compact()
+            .contains("\"metrics\""));
         assert!(!machine_summary_json(&report)
             .to_compact()
             .contains("\"metrics\""));
@@ -931,13 +847,29 @@ mod tests {
     #[test]
     fn report_serializes_to_json() {
         let report = run_portfolio(&machine("lion"), "lion", &EngineConfig::default());
-        let j = report.to_json().to_compact();
+        let j = machine_summary_json(&report).to_compact();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"machine\":\"lion\""));
         assert!(j.contains("\"runs\":["));
         assert!(j.contains("\"counters\""));
-        let pretty = report.to_json().to_pretty();
+        let pretty = machine_summary_json(&report).to_pretty();
         assert!(pretty.contains("\n  \"machine\": \"lion\""));
+        // Every done run carries the codes behind its area; the counters
+        // stay out of resumable lines.
+        let doc = json::parse(&j).expect("machine object parses");
+        let Some(Json::Arr(runs)) = doc.get("runs") else {
+            panic!("runs missing: {j}");
+        };
+        for (run, json) in report.runs.iter().zip(runs) {
+            let r = run.outcome.result().expect("lion always solves");
+            let codes: Vec<Json> = r.encoding.codes().iter().map(|&c| Json::uint(c)).collect();
+            assert_eq!(json.get("codes"), Some(&Json::Arr(codes)), "{j}");
+            assert_eq!(json.get("bits"), Some(&Json::uint(r.bits as u64)));
+            assert_eq!(json.get("literals"), Some(&Json::uint(r.literals as u64)));
+        }
+        let resumable = machine_summary_json_with(&report, false).to_compact();
+        assert!(resumable.contains("\"codes\":["), "{resumable}");
+        assert!(!resumable.contains("\"counters\""), "{resumable}");
     }
 
     #[test]
@@ -1019,10 +951,12 @@ mod tests {
         assert!(report.best().is_none(), "no run completes under the fault");
         let (_, d) = report.best_degraded().expect("anytime fallback");
         assert_eq!(d.encoding.codes().len(), fsm.num_states());
-        let j = report.to_json().to_compact();
+        let j = machine_summary_json(&report).to_compact();
         assert!(j.contains("\"best\":null"));
         assert!(j.contains("\"degraded\""));
         assert!(j.contains("\"outcome\":\"degraded\""));
+        assert!(j.contains("\"degraded_source\""), "{j}");
+        assert!(j.contains("\"degraded_codes\":["), "{j}");
     }
 
     #[test]
@@ -1042,10 +976,11 @@ mod tests {
         let report = run_portfolio(&m, "m", &cfg);
         let run = &report.runs[0];
         assert!(run.overshoot.is_some(), "a run under a deadline records it");
-        assert!(run.to_json().to_compact().contains("\"overshoot_ms\""));
-        assert!(machine_summary_json(&report)
-            .to_compact()
-            .contains("\"overshoot_ms\""));
+        let timed = machine_summary_json(&report);
+        let Some(Json::Arr(runs)) = timed.get("runs") else {
+            panic!("runs missing");
+        };
+        assert!(runs[0].get("overshoot_ms").is_some());
         assert!(!machine_summary_json_with(&report, false)
             .to_compact()
             .contains("overshoot_ms"));
@@ -1063,7 +998,9 @@ mod tests {
         };
         let report = run_portfolio(&m, "m", &cfg);
         assert_eq!(report.runs[0].overshoot, None);
-        assert!(!report.to_json().to_compact().contains("overshoot_ms"));
+        assert!(!suite_to_json(std::slice::from_ref(&report))
+            .to_compact()
+            .contains("overshoot_ms"));
         assert!(!machine_summary_json(&report)
             .to_compact()
             .contains("overshoot_ms"));
@@ -1082,5 +1019,15 @@ mod tests {
             panic!("expected failed, got {}", run.outcome.tag());
         };
         assert!(msg.contains("nova-chaos"), "{msg}");
+        let report = PortfolioReport {
+            machine: "lion".into(),
+            wall: run.wall,
+            runs: vec![run.clone()],
+        };
+        let line = machine_summary_json_with(&report, false);
+        let Some(Json::Arr(runs)) = line.get("runs") else {
+            panic!("runs missing");
+        };
+        assert_eq!(runs[0].get("error"), Some(&Json::str(msg)));
     }
 }

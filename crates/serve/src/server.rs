@@ -17,7 +17,8 @@
 //!    [`nova_engine::EngineConfig`] — deadlines and budgets ride the
 //!    engine's own `RunCtl` plumbing, so a request that runs out of time
 //!    returns the anytime `Degraded` best-so-far encoding, not an error —
-//!    and [`nova_engine::run_portfolio`] produces a `nova-bench/1` report.
+//!    and [`nova_engine::run_portfolio`] produces a report. The answer is
+//!    its compact `nova-bench/1` document, with every run's state codes.
 //! 4. Fully deterministic reports (every run `done`/`unsolved`, no fault
 //!    plan) are frozen into the cache as exact response bytes; repeated
 //!    requests are byte-identical by construction.
@@ -563,7 +564,7 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     {
         shared.metrics.incr("serve.degraded", 1);
     }
-    let body = Arc::new(suite_to_json(&[report]).to_pretty().into_bytes());
+    let body = Arc::new(suite_to_json(&[report]).to_compact().into_bytes());
 
     // Only fully deterministic reports are admissible: a run that saw a
     // deadline, degradation, or failure is not a replayable artifact.

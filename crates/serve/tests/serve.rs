@@ -151,6 +151,44 @@ fn degraded_results_are_returned_but_never_cached() {
 }
 
 #[test]
+fn answers_carry_the_codes_behind_each_area() {
+    let (handle, addr) = start(ServerConfig::default());
+    let text = kiss("bbtas");
+    let resp = client::post_kiss(&addr, &text, "").expect("post");
+    let doc = assert_bench_schema(&resp);
+    assert!(!resp.body.contains('\n'), "answers are compact");
+    // The codes index the states of the machine the server parsed.
+    let machine = fsm::Fsm::parse_kiss_named("request", &text).expect("KISS2 parses");
+    let Some(Json::Arr(machines)) = doc.get("machines") else {
+        panic!("machines missing: {}", resp.body);
+    };
+    let Some(Json::Arr(runs)) = machines[0].get("runs") else {
+        panic!("runs missing: {}", resp.body);
+    };
+    assert_eq!(runs.len(), nova_core::Algorithm::ALL.len());
+    for run in runs {
+        assert_eq!(run.get("outcome"), Some(&Json::str("done")), "{run:?}");
+        let (Some(Json::Int(bits)), Some(Json::Arr(codes))) = (run.get("bits"), run.get("codes"))
+        else {
+            panic!("a done run carries bits and codes: {run:?}");
+        };
+        let codes = codes
+            .iter()
+            .map(|c| match c {
+                Json::Int(c) => *c as u64,
+                other => panic!("code {other:?}"),
+            })
+            .collect();
+        let encoding = fsm::Encoding::new(*bits as usize, codes).expect("a valid encoding");
+        let eval = nova_core::evaluate(&machine, &encoding);
+        assert_eq!(run.get("area"), Some(&Json::uint(eval.area)), "{run:?}");
+        assert_eq!(run.get("cubes"), Some(&Json::uint(eval.cubes as u64)));
+    }
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn concurrent_posts_all_answer_valid_reports() {
     let (handle, addr) = start(ServerConfig {
         workers: 4,

@@ -56,6 +56,14 @@ impl Json {
         }
     }
 
+    /// [`Json::get`] for editing the value in place.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
