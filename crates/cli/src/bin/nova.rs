@@ -3,26 +3,27 @@
 //! encoding, statistics, and (optionally) the minimized encoded PLA.
 //!
 //! ```text
-//! nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE] [FILE.kiss2 | -]
-//! nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [FILE.kiss2 | -]
+//! nova [-e ALG | --portfolio] [-b BITS] [-m] [-p | --json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [FILE.kiss2 | -]
+//! nova -s [-m] [--bench NAME] [FILE.kiss2 | -]
+//! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [-m] [--json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--bench NAME] [FILE.kiss2 | -]
 //! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
 //! nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]
 //! nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]
-//! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [--budget N] [--timeout-ms N] [FILE.kiss2 | -]
 //!
-//!   -e ALG         encoding algorithm (default ihybrid)
+//!   -e ALG         run one encoding algorithm (default ihybrid)
+//!   --portfolio    race all algorithms concurrently, keep the best area
 //!   -b BITS        target code length (default: minimum)
 //!   -m             state-minimize the machine first
-//!   -p             print the minimized encoded PLA
+//!   -p             also print the winning run's minimized encoded PLA
 //!   -s             print machine statistics only
 //!   --json         print the run as a nova-bench/1 JSON document (the
 //!                  one --remote prints) instead of text
-//!   --portfolio    race all algorithms concurrently, keep the best area
-//!   --timeout-ms   wall-clock deadline for the whole portfolio
+//!   --timeout-ms   wall-clock deadline for the whole run
 //!   --budget N     deterministic node budget per algorithm
-//!   --jobs N       portfolio worker threads, each running one algorithm
-//!                  at a time (default: available parallelism)
-//!   --trace FILE   write a structured trace of the run to FILE
+//!   --jobs N       worker threads, each running one algorithm at a time
+//!                  (default: available parallelism)
+//!   --trace FILE   write a structured trace of the run to FILE, whether
+//!                  or not any algorithm finishes
 //!   --trace-format chrome (default; open in Perfetto / chrome://tracing)
 //!                  or jsonl (one event per line, schema nova-trace/1)
 //!   --bench NAME   run on the embedded benchmark NAME instead of a file
@@ -33,6 +34,17 @@
 //!                  instead of encoding in-process; pretty-prints the
 //!                  service's nova-bench/1 answer under the machine's local
 //!                  name, the document --json prints for the same run
+//!
+//!   A run is a portfolio: `-e ALG` races one algorithm, `--portfolio` all
+//!   nine, locally or through --remote alike. Both print one text report:
+//!   the machine line, `# portfolio on`, each run's `# algorithm` and
+//!   `# counters` lines, `# best:` and the winner's `# codes:` (a degraded
+//!   anytime result's codes when no run finished), then, with -p, the
+//!   completed winner's minimized PLA. When no run leaves an encoding, one
+//!   stderr line names how each ended. Refused before any input is read
+//!   (exit 2), since one flag would silently drop the other: -s with
+//!   --json, -p, --portfolio, --remote or --trace; -p with --json; -e with
+//!   --portfolio; --remote with -p or --trace.
 //!
 //!   bench          sweep a corpus (default: the embedded benchmark suite)
 //!                  through the batch engine, one portfolio per machine:
@@ -102,7 +114,8 @@ use espresso::FaultPlan;
 use fsm::minimize_states::minimize_states;
 use fsm::Fsm;
 use nova_core::driver::Algorithm;
-use nova_engine::{run_one, run_portfolio, suite_to_json, EngineConfig, PortfolioReport};
+use nova_engine::{run_portfolio, suite_to_json, EngineConfig, Outcome, PortfolioReport};
+use nova_serve::EncodeOptions;
 use nova_trace::json::Json;
 use nova_trace::Tracer;
 use std::io::Read as _;
@@ -124,11 +137,13 @@ const EXIT_UNKNOWN_BENCH: u8 = 5;
 fn usage() -> ! {
     let algs: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
     eprintln!(
-        "usage: nova [-e ALG] [-b BITS] [-m] [-p] [-s] [--json] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [--fault-plan SPEC] [--remote ADDR] [FILE.kiss2 | -]\n\
-         \u{20}      nova --portfolio [--timeout-ms N] [--budget N] [--jobs N] [--json] [--trace FILE] [--fault-plan SPEC] [FILE.kiss2 | -]\n\
+        "usage: nova [-e ALG | --portfolio] [-b BITS] [-m] [-p | --json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [FILE.kiss2 | -]\n\
+         \u{20}      nova -s [-m] [--bench NAME] [FILE.kiss2 | -]\n\
+         \u{20}      nova --remote ADDR [-e ALG | --portfolio] [-b BITS] [-m] [--json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--bench NAME] [FILE.kiss2 | -]\n\
          \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
          \u{20}      nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]\n\
          \u{20}      nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]\n\
+         -e and --portfolio print one text report (-p adds the winner's minimized PLA); -s takes no other output flag\n\
          ALG: {} (or onehot)",
         algs.join(" | ")
     );
@@ -162,30 +177,32 @@ fn num<T: std::str::FromStr>(rest: &mut dyn Iterator<Item = String>) -> T {
         .unwrap_or_else(|| usage())
 }
 
-/// The options the single-machine parser and `nova bench` share: the
-/// engine's limits, the fault plan and the session trace.
+/// The session trace `--trace` asks for.
 #[derive(Default)]
 struct RunOpts {
-    timeout_ms: Option<u64>,
-    budget: Option<u64>,
-    jobs: usize,
-    fault_plan: Option<FaultPlan>,
     trace: Option<String>,
     trace_format: TraceFormat,
 }
 
 impl RunOpts {
-    /// Takes `flag` (and its value from `rest`) when it is a shared option;
-    /// returns `false` to leave it to the caller's own flags.
-    fn parse_flag(&mut self, flag: &str, rest: &mut dyn Iterator<Item = String>) -> bool {
+    /// Takes `flag` (and its value from `rest`) when it is an option the
+    /// single-machine parser and `nova bench` share: an engine limit or the
+    /// fault plan, into the service's `opts`, or the session trace. Returns
+    /// `false` to leave it to the caller's own flags.
+    fn parse_flag(
+        &mut self,
+        opts: &mut EncodeOptions,
+        flag: &str,
+        rest: &mut dyn Iterator<Item = String>,
+    ) -> bool {
         match flag {
-            "--timeout-ms" => self.timeout_ms = Some(num(rest)),
-            "--budget" => self.budget = Some(num(rest)),
-            "--jobs" => self.jobs = num(rest),
+            "--timeout-ms" => opts.timeout_ms = Some(num(rest)),
+            "--budget" => opts.budget = Some(num(rest)),
+            "--jobs" => opts.jobs = num(rest),
             "--fault-plan" => {
                 let spec = value(rest);
                 match FaultPlan::parse(&spec) {
-                    Ok(plan) => self.fault_plan = Some(plan),
+                    Ok(plan) => opts.fault_plan = Some(plan),
                     Err(e) => {
                         eprintln!("nova: bad --fault-plan {spec:?}: {e}");
                         std::process::exit(EXIT_USAGE as i32);
@@ -213,27 +230,15 @@ impl RunOpts {
             Tracer::disabled()
         }
     }
-
-    fn engine_config(&self, tracer: &Tracer) -> EngineConfig {
-        EngineConfig {
-            jobs: self.jobs,
-            timeout: self.timeout_ms.map(Duration::from_millis),
-            node_budget: self.budget,
-            tracer: tracer.clone(),
-            fault_plan: self.fault_plan.clone(),
-            ..EngineConfig::default()
-        }
-    }
 }
 
 struct Args {
-    algorithm: Algorithm,
-    bits: Option<u32>,
+    /// The runs and their limits, as `POST /encode` decodes them.
+    encode: EncodeOptions,
     state_minimize: bool,
     print_pla: bool,
     stats_only: bool,
     json: bool,
-    portfolio: bool,
     run: RunOpts,
     bench: Option<String>,
     remote: Option<String>,
@@ -242,31 +247,31 @@ struct Args {
 
 fn parse_args(argv: &[String]) -> Args {
     let mut out = Args {
-        algorithm: Algorithm::IHybrid,
-        bits: None,
+        encode: EncodeOptions::default(),
         state_minimize: false,
         print_pla: false,
         stats_only: false,
         json: false,
-        portfolio: false,
         run: RunOpts::default(),
         bench: None,
         remote: None,
         file: None,
     };
+    let mut algorithm = None;
+    let mut portfolio = false;
     let mut args = argv.iter().cloned();
     while let Some(a) = args.next() {
-        if out.run.parse_flag(&a, &mut args) {
+        if out.run.parse_flag(&mut out.encode, &a, &mut args) {
             continue;
         }
         match a.as_str() {
-            "-e" => out.algorithm = parse_algorithm(&value(&mut args)),
-            "-b" => out.bits = Some(num(&mut args)),
+            "-e" => algorithm = Some(parse_algorithm(&value(&mut args))),
+            "-b" => out.encode.bits = Some(num(&mut args)),
             "-m" => out.state_minimize = true,
             "-p" => out.print_pla = true,
             "-s" => out.stats_only = true,
             "--json" => out.json = true,
-            "--portfolio" => out.portfolio = true,
+            "--portfolio" => portfolio = true,
             "--bench" => out.bench = Some(value(&mut args)),
             "--remote" => out.remote = Some(value(&mut args)),
             "-h" | "--help" => usage(),
@@ -277,14 +282,22 @@ fn parse_args(argv: &[String]) -> Args {
             _ => usage(),
         }
     }
-    out
-}
-
-fn engine_config(args: &Args, tracer: &Tracer) -> EngineConfig {
-    EngineConfig {
-        target_bits: args.bits,
-        ..args.run.engine_config(tracer)
+    // Refused combinations: in each, one flag would silently drop the other.
+    let remote = out.remote.is_some();
+    let trace = out.run.trace.is_some();
+    if (out.stats_only && (out.json || out.print_pla || portfolio || remote || trace))
+        || (out.print_pla && out.json)
+        || (algorithm.is_some() && portfolio)
+        || (remote && (out.print_pla || trace))
+    {
+        usage();
     }
+    out.encode.algorithms = if portfolio {
+        Algorithm::ALL.to_vec()
+    } else {
+        vec![algorithm.unwrap_or(Algorithm::IHybrid)]
+    };
+    out
 }
 
 /// Writes the session trace into `file` in `format`.
@@ -301,153 +314,163 @@ fn write_trace_to(
     w.flush()
 }
 
-/// Writes the session trace to `--trace` in the selected format. Returns
-/// `false` (after printing a diagnostic) when the file cannot be written.
-fn write_trace(args: &Args, tracer: &Tracer) -> bool {
-    let Some(path) = &args.run.trace else {
-        return true;
-    };
-    match std::fs::File::create(path).and_then(|f| write_trace_to(tracer, args.run.trace_format, f))
-    {
-        Ok(()) => true,
-        Err(e) => {
+/// Writes the trace, then says by the exit code whether any run of
+/// `report` left a usable encoding; when none did, one stderr line names
+/// how each run ended.
+fn finish(run: &RunOpts, tracer: &Tracer, report: &PortfolioReport) -> ExitCode {
+    if let Some(path) = &run.trace {
+        if let Err(e) =
+            std::fs::File::create(path).and_then(|f| write_trace_to(tracer, run.trace_format, f))
+        {
             eprintln!("nova: cannot write trace {path}: {e}");
-            false
+            return ExitCode::from(EXIT_IO);
         }
     }
-}
-
-/// Writes the trace, then says by the exit code whether any run of
-/// `report` left a usable encoding.
-fn finish(args: &Args, tracer: &Tracer, report: &PortfolioReport) -> ExitCode {
-    if !write_trace(args, tracer) {
-        ExitCode::from(EXIT_IO)
-    } else if report.best().is_some() || report.best_degraded().is_some() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(EXIT_NO_RESULT)
+    if report.best().is_some() || report.best_degraded().is_some() {
+        return ExitCode::SUCCESS;
     }
+    let ended: Vec<String> = report
+        .runs
+        .iter()
+        .map(|r| format!("{} {}", r.algorithm.name(), r.outcome.tag()))
+        .collect();
+    eprintln!("nova: {} on this machine", ended.join(", "));
+    ExitCode::from(EXIT_NO_RESULT)
 }
 
-fn print_portfolio_text(report: &PortfolioReport) {
+fn print_machine_line(machine: &Fsm) {
+    println!(
+        "# {}: {} states, {} inputs, {} outputs, {} rows",
+        machine.name(),
+        machine.num_states(),
+        machine.num_inputs(),
+        machine.num_outputs(),
+        machine.num_transitions()
+    );
+}
+
+/// The one text report of a local run: the machine, each run's outcome and
+/// counters, the winner and its codes (or the best degraded run's) and,
+/// when `print_pla` is set, the completed winner's minimized PLA.
+fn print_text(machine: &Fsm, report: &PortfolioReport, print_pla: bool) {
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    print_machine_line(machine);
     println!(
         "# portfolio on {} ({:.1} ms)",
         report.machine,
-        report.wall.as_secs_f64() * 1e3
+        ms(report.wall)
     );
     for run in &report.runs {
-        match run.outcome.result() {
-            Some(r) => println!(
-                "#   {:<10} {:>2} bits {:>4} cubes area {:>7} lits {:>4}  ({:.1} ms, work {})",
-                run.algorithm.name(),
-                r.bits,
-                r.cubes,
-                r.area,
-                r.literals,
-                run.wall.as_secs_f64() * 1e3,
-                run.counters.work,
+        let (name, wall) = (run.algorithm.name(), ms(run.wall));
+        match &run.outcome {
+            Outcome::Done(r) => println!(
+                "# algorithm {name}: {} bits, {} cubes, area {}, {} factored literals ({wall:.1} ms)",
+                r.bits, r.cubes, r.area, r.literals
             ),
-            None if run.outcome.degradation().is_some() => {
-                let d = run.outcome.degradation().expect("checked");
-                println!(
-                    "#   {:<10} degraded ({}, {} bits via {})  ({:.1} ms, work {})",
-                    run.algorithm.name(),
-                    d.reason.tag(),
-                    d.encoding.bits(),
-                    d.source,
-                    run.wall.as_secs_f64() * 1e3,
-                    run.counters.work,
-                )
-            }
-            None => println!(
-                "#   {:<10} {}  ({:.1} ms, work {})",
-                run.algorithm.name(),
-                run.outcome.tag(),
-                run.wall.as_secs_f64() * 1e3,
-                run.counters.work,
+            Outcome::Degraded(d) => println!(
+                "# algorithm {name}: degraded anytime result ({}, {} bits via {}) ({wall:.1} ms)",
+                d.reason.tag(),
+                d.encoding.bits(),
+                d.source
             ),
+            other => println!("# algorithm {name}: {} ({wall:.1} ms)", other.tag()),
         }
+        let c = &run.counters;
+        println!(
+            "# counters: work {} faces {} backtracks {} espresso-iters {} cubes {}->{}",
+            c.work, c.faces_tried, c.backtracks, c.espresso_iterations, c.cubes_in, c.cubes_out
+        );
     }
-    match report.best() {
-        Some((i, best)) => println!(
-            "# best: {} with area {}",
-            report.runs[i].algorithm.name(),
-            best.area
-        ),
-        None => match report.best_degraded() {
-            Some((i, d)) => println!(
+    let best = report.best();
+    let encoding = match (best, report.best_degraded()) {
+        (Some((i, r)), _) => {
+            println!(
+                "# best: {} with area {}",
+                report.runs[i].algorithm.name(),
+                r.area
+            );
+            Some(&r.encoding)
+        }
+        (None, Some((i, d))) => {
+            println!(
                 "# best: none finished; degraded fallback from {} ({}, {} bits)",
                 report.runs[i].algorithm.name(),
                 d.reason.tag(),
                 d.encoding.bits(),
-            ),
-            None => println!("# best: none (no algorithm finished)"),
-        },
+            );
+            Some(&d.encoding)
+        }
+        (None, None) => {
+            println!("# best: none (no algorithm finished)");
+            None
+        }
+    };
+    if let Some(encoding) = encoding {
+        println!("# codes:");
+        for (s, sname) in machine.state_names().iter().enumerate() {
+            println!(
+                ".code {} {:0width$b}",
+                sname,
+                encoding.code(fsm::StateId(s)),
+                width = encoding.bits()
+            );
+        }
+    }
+    if let Some((_, r)) = best.filter(|_| print_pla) {
+        let mut pla = fsm::encode::encode(machine, &r.encoding);
+        pla.on = espresso::minimize(&pla.on, &pla.dc);
+        print!(
+            "{}",
+            espresso::pla::write_pla(&pla.on, &espresso::Cover::empty(pla.on.space().clone()))
+        );
     }
 }
 
-fn print_counters_text(c: &espresso::RunCounters) {
-    println!(
-        "# counters: work {} faces {} backtracks {} espresso-iters {} cubes {}->{}",
-        c.work, c.faces_tried, c.backtracks, c.espresso_iterations, c.cubes_in, c.cubes_out
-    );
-}
-
 fn read_machine(args: &Args) -> Result<Fsm, ExitCode> {
-    if let Some(name) = &args.bench {
+    let machine = if let Some(name) = &args.bench {
         let Some(b) = fsm::benchmarks::by_name(name) else {
             eprintln!("nova: unknown embedded benchmark {name:?}");
             return Err(ExitCode::from(EXIT_UNKNOWN_BENCH));
         };
-        let mut machine = b.fsm;
-        if args.state_minimize {
-            let r = minimize_states(&machine);
-            if r.merged > 0 {
-                eprintln!("nova: state minimization removed {} states", r.merged);
+        b.fsm
+    } else {
+        let text = match args.file.as_deref() {
+            Some(path) if path != "-" => match std::fs::read_to_string(path) {
+                Ok(t) => t,
+                Err(e) => {
+                    eprintln!("nova: cannot read {path}: {e}");
+                    return Err(ExitCode::from(EXIT_IO));
+                }
+            },
+            _ => {
+                let mut t = String::new();
+                if std::io::stdin().read_to_string(&mut t).is_err() {
+                    eprintln!("nova: cannot read stdin");
+                    return Err(ExitCode::from(EXIT_IO));
+                }
+                t
             }
-            machine = r.fsm;
-        }
+        };
+        let name = args
+            .file
+            .as_deref()
+            .filter(|p| *p != "-")
+            .and_then(|p| p.rsplit('/').next())
+            .map(|p| p.trim_end_matches(".kiss2"))
+            .unwrap_or("stdin");
+        Fsm::parse_kiss_named(name, &text).map_err(|e| {
+            eprintln!("nova: {e}");
+            ExitCode::from(EXIT_PARSE)
+        })?
+    };
+    if !args.state_minimize {
         return Ok(machine);
     }
-    let text = match args.file.as_deref() {
-        Some(path) if path != "-" => match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("nova: cannot read {path}: {e}");
-                return Err(ExitCode::from(EXIT_IO));
-            }
-        },
-        _ => {
-            let mut t = String::new();
-            if std::io::stdin().read_to_string(&mut t).is_err() {
-                eprintln!("nova: cannot read stdin");
-                return Err(ExitCode::from(EXIT_IO));
-            }
-            t
-        }
-    };
-    let name = args
-        .file
-        .as_deref()
-        .filter(|p| *p != "-")
-        .and_then(|p| p.rsplit('/').next())
-        .map(|p| p.trim_end_matches(".kiss2"))
-        .unwrap_or("stdin");
-    let mut machine = match Fsm::parse_kiss_named(name, &text) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("nova: {e}");
-            return Err(ExitCode::from(EXIT_PARSE));
-        }
-    };
-    if args.state_minimize {
-        let r = minimize_states(&machine);
-        if r.merged > 0 {
-            eprintln!("nova: state minimization removed {} states", r.merged);
-        }
-        machine = r.fsm;
+    let r = minimize_states(&machine);
+    if r.merged > 0 {
+        eprintln!("nova: state minimization removed {} states", r.merged);
     }
-    Ok(machine)
+    Ok(r.fsm)
 }
 
 /// `nova bench`, the one sweep entry point: sweep a corpus (embedded suite,
@@ -462,11 +485,12 @@ fn bench_main(argv: &[String]) -> ExitCode {
     let mut batch_jobs = 1usize;
     let mut stream: Option<String> = None;
     let mut bench_out: Option<String> = None;
+    let mut opts = EncodeOptions::default();
     let mut run = RunOpts::default();
     let mut resume = false;
     let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
-        if run.parse_flag(&a, &mut it) {
+        if run.parse_flag(&mut opts, &a, &mut it) {
             continue;
         }
         match a.as_str() {
@@ -519,7 +543,7 @@ fn bench_main(argv: &[String]) -> ExitCode {
         }
     };
     let tracer = run.tracer();
-    let cfg = run.engine_config(&tracer);
+    let cfg = opts.engine_config(&tracer);
     let bcfg = nova_engine::BatchConfig {
         batch_jobs,
         ..nova_engine::BatchConfig::default()
@@ -552,9 +576,9 @@ fn bench_main(argv: &[String]) -> ExitCode {
             // under others would not continue byte-identically.
             let options = format!(
                 "budget={:?} timeout_ms={:?} fault_plan={}",
-                run.budget,
-                run.timeout_ms,
-                cfg.fault_plan
+                opts.budget,
+                opts.timeout_ms,
+                opts.fault_plan
                     .as_ref()
                     .map(|p| p.to_spec())
                     .unwrap_or_else(|| "-".into()),
@@ -709,19 +733,15 @@ fn serve_main(args: &[String]) -> ExitCode {
         addr: "127.0.0.1:7171".into(),
         ..nova_serve::ServerConfig::default()
     };
-    let mut it = args.iter();
-    let num =
-        |v: Option<&String>| -> usize { v.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()) };
+    let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => cfg.addr = it.next().cloned().unwrap_or_else(|| usage()),
-            "--workers" => cfg.workers = num(it.next()),
-            "--cache-entries" => cfg.cache.max_entries = num(it.next()),
-            "--cache-bytes" => cfg.cache.max_bytes = num(it.next()),
-            "--queue-depth" => cfg.queue_depth = num(it.next()),
-            "--trace-dir" => {
-                cfg.trace_dir = Some(it.next().cloned().unwrap_or_else(|| usage()).into())
-            }
+            "--addr" => cfg.addr = value(&mut it),
+            "--workers" => cfg.workers = num(&mut it),
+            "--cache-entries" => cfg.cache.max_entries = num(&mut it),
+            "--cache-bytes" => cfg.cache.max_bytes = num(&mut it),
+            "--queue-depth" => cfg.queue_depth = num(&mut it),
+            "--trace-dir" => cfg.trace_dir = Some(value(&mut it).into()),
             _ => usage(),
         }
     }
@@ -830,19 +850,7 @@ fn trace_report_main(args: &[String]) -> ExitCode {
 
 /// `--remote`: ship the machine to a resident service and pretty-print its
 /// nova-bench/1 answer, mapping HTTP statuses onto the CLI exit codes.
-fn remote_main(addr: &str, machine: &Fsm, args: &Args) -> ExitCode {
-    let options = nova_serve::EncodeOptions {
-        algorithms: if args.portfolio {
-            Algorithm::ALL.to_vec()
-        } else {
-            vec![args.algorithm]
-        },
-        bits: args.bits,
-        budget: args.run.budget,
-        timeout_ms: args.run.timeout_ms,
-        jobs: args.run.jobs,
-        fault_plan: args.run.fault_plan.clone(),
-    };
+fn remote_main(addr: &str, machine: &Fsm, options: &EncodeOptions) -> ExitCode {
     // A 503 (the server's admission queue is full) is retried, up to 3
     // tries, after the server's Retry-After; an unreachable server still
     // fails fast.
@@ -893,72 +901,23 @@ fn remote_main(addr: &str, machine: &Fsm, args: &Args) -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("bench") {
-        return bench_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
-        return serve_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("trace-report") {
-        return trace_report_main(&argv[1..]);
+    match argv.first().map(String::as_str) {
+        Some("bench") => return bench_main(&argv[1..]),
+        Some("serve") => return serve_main(&argv[1..]),
+        Some("trace-report") => return trace_report_main(&argv[1..]),
+        _ => {}
     }
     let args = parse_args(&argv);
-    let tracer = args.run.tracer();
-
-    // Client mode: the machine is encoded by a resident nova-serve.
-    if let Some(addr) = args.remote.clone() {
-        let machine = match read_machine(&args) {
-            Ok(m) => m,
-            Err(code) => return code,
-        };
-        return remote_main(&addr, &machine, &args);
-    }
-
     let machine = match read_machine(&args) {
         Ok(m) => m,
         Err(code) => return code,
     };
-
-    if args.portfolio {
-        let cfg = engine_config(&args, &tracer);
-        let report = run_portfolio(&machine, machine.name(), &cfg);
-        if args.json {
-            println!(
-                "{}",
-                suite_to_json(std::slice::from_ref(&report)).to_pretty()
-            );
-        } else {
-            print_portfolio_text(&report);
-            let encoding = report
-                .best()
-                .map(|(_, best)| &best.encoding)
-                .or_else(|| report.best_degraded().map(|(_, d)| &d.encoding));
-            if let Some(encoding) = encoding {
-                println!("# codes:");
-                for (s, sname) in machine.state_names().iter().enumerate() {
-                    println!(
-                        ".code {} {:0width$b}",
-                        sname,
-                        encoding.code(fsm::StateId(s)),
-                        width = encoding.bits()
-                    );
-                }
-            }
-        }
-        return finish(&args, &tracer, &report);
-    }
-
-    if !args.json {
-        println!(
-            "# {}: {} states, {} inputs, {} outputs, {} rows",
-            machine.name(),
-            machine.num_states(),
-            machine.num_inputs(),
-            machine.num_outputs(),
-            machine.num_transitions()
-        );
+    // Client mode: the machine is encoded by a resident nova-serve.
+    if let Some(addr) = &args.remote {
+        return remote_main(addr, &machine, &args.encode);
     }
     if args.stats_only {
+        print_machine_line(&machine);
         let ics = nova_core::extract_input_constraints(&machine);
         println!("# minimized symbolic cover: {} terms", ics.mv_cover_size);
         for c in &ics.constraints {
@@ -970,84 +929,21 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-
-    // Single runs go through the engine for stage times, counters and the
-    // tracer — one telemetry path for every mode.
-    let algo_run = run_one(&machine, args.algorithm, &engine_config(&args, &tracer));
+    // `-e ALG` is the one-algorithm portfolio `--remote` sends: every local
+    // run takes this one path, whatever it races.
+    let tracer = args.run.tracer();
+    let report = run_portfolio(
+        &machine,
+        machine.name(),
+        &args.encode.engine_config(&tracer),
+    );
     if args.json {
-        let report = PortfolioReport {
-            machine: machine.name().to_string(),
-            wall: algo_run.wall,
-            runs: vec![algo_run],
-        };
         println!(
             "{}",
             suite_to_json(std::slice::from_ref(&report)).to_pretty()
         );
-        return finish(&args, &tracer, &report);
+    } else {
+        print_text(&machine, &report, args.print_pla);
     }
-
-    if let Some(d) = algo_run.outcome.degradation() {
-        println!(
-            "# algorithm {}: degraded anytime result ({}, {} bits via {})",
-            args.algorithm.name(),
-            d.reason.tag(),
-            d.encoding.bits(),
-            d.source
-        );
-        print_counters_text(&algo_run.counters);
-        println!("# codes:");
-        for (s, sname) in machine.state_names().iter().enumerate() {
-            println!(
-                ".code {} {:0width$b}",
-                sname,
-                d.encoding.code(fsm::StateId(s)),
-                width = d.encoding.bits()
-            );
-        }
-        if !write_trace(&args, &tracer) {
-            return ExitCode::from(EXIT_IO);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let Some(result) = algo_run.outcome.result() else {
-        eprintln!(
-            "nova: {} {} on this machine",
-            args.algorithm.name(),
-            algo_run.outcome.tag()
-        );
-        return ExitCode::from(EXIT_NO_RESULT);
-    };
-    println!(
-        "# algorithm {}: {} bits, {} cubes, area {}, {} factored literals",
-        args.algorithm.name(),
-        result.bits,
-        result.cubes,
-        result.area,
-        result.literals
-    );
-    print_counters_text(&algo_run.counters);
-    println!("# codes:");
-    for (s, sname) in machine.state_names().iter().enumerate() {
-        println!(
-            ".code {} {:0width$b}",
-            sname,
-            result.encoding.code(fsm::StateId(s)),
-            width = result.bits
-        );
-    }
-
-    if args.print_pla {
-        let mut pla = fsm::encode::encode(&machine, &result.encoding);
-        pla.on = espresso::minimize(&pla.on, &pla.dc);
-        print!(
-            "{}",
-            espresso::pla::write_pla(&pla.on, &espresso::Cover::empty(pla.on.space().clone()))
-        );
-    }
-    if !write_trace(&args, &tracer) {
-        return ExitCode::from(EXIT_IO);
-    }
-    ExitCode::SUCCESS
+    finish(&args.run, &tracer, &report)
 }

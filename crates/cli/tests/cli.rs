@@ -84,6 +84,12 @@ fn nova_prints_pla_with_p() {
     assert!(ok);
     assert!(stdout.contains(".i 2"));
     assert!(stdout.contains(".e"));
+    // A portfolio prints its winner's PLA the same way.
+    let (stdout, stderr, ok) =
+        run_with_stdin(env!("CARGO_BIN_EXE_nova"), &["--portfolio", "-p"], TOY_KISS);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(".i 2"), "{stdout}");
+    assert!(stdout.contains(".e"), "{stdout}");
 }
 
 #[test]
@@ -223,6 +229,63 @@ fn nova_trace_jsonl_has_schema_header() {
     for line in text.lines() {
         json::parse(line).expect("every jsonl line parses");
     }
+}
+
+/// The `B` events of a `nova-trace/1` JSONL trace, by span name.
+fn span_begins(text: &str, name: &str) -> usize {
+    text.lines()
+        .map(|l| json::parse(l).expect("every jsonl line parses"))
+        .filter(|e| {
+            e.get("ev") == Some(&json::Json::str("B"))
+                && e.get("name") == Some(&json::Json::str(name))
+        })
+        .count()
+}
+
+#[test]
+fn nova_single_run_is_a_one_algorithm_portfolio() {
+    let path = temp_path("single.jsonl");
+    let path_s = path.to_str().unwrap();
+    let (_, stderr, ok) = run_with_stdin(
+        env!("CARGO_BIN_EXE_nova"),
+        &[
+            "-e",
+            "ihybrid",
+            "--trace",
+            path_s,
+            "--trace-format",
+            "jsonl",
+        ],
+        TOY_KISS,
+    );
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(span_begins(&text, "portfolio"), 1, "{text}");
+    assert_eq!(span_begins(&text, "algo.ihybrid"), 1, "{text}");
+}
+
+#[test]
+fn nova_writes_the_trace_of_a_run_without_result() {
+    let path = temp_path("failed.jsonl");
+    let path_s = path.to_str().unwrap();
+    let (_, stderr, code) = run_with_code(
+        env!("CARGO_BIN_EXE_nova"),
+        &[
+            "--fault-plan",
+            "*:1:panic",
+            "--trace",
+            path_s,
+            "--trace-format",
+            "jsonl",
+        ],
+        TOY_KISS,
+    );
+    assert_eq!(code, 1, "{stderr}");
+    let text = std::fs::read_to_string(&path).expect("trace file written");
+    std::fs::remove_file(&path).ok();
+    let first = text.lines().next().expect("non-empty");
+    assert!(first.contains("\"schema\":\"nova-trace/1\""), "{first}");
 }
 
 #[test]
@@ -389,6 +452,33 @@ fn nova_exit_code_bad_flag_value() {
         let (_, stderr, code) = run_with_code(env!("CARGO_BIN_EXE_nova"), args, TOY_KISS);
         assert_eq!(code, 2, "{args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn nova_exit_code_refused_flag_combinations() {
+    // In each pair one flag would drop the other. The file does not exist,
+    // so exit 2 (not 4) shows the refusal comes before any input is read.
+    let trace = temp_path("refused.json");
+    let trace_s = trace.to_str().unwrap();
+    let remote = ["--remote", "127.0.0.1:9"];
+    for args in [
+        &["-s", "--json"][..],
+        &["-s", "-p"],
+        &["-s", "--portfolio"],
+        &["-s", remote[0], remote[1]],
+        &["-s", "--trace", trace_s],
+        &["-p", "--json"],
+        &["-e", "kiss", "--portfolio"],
+        &[remote[0], remote[1], "-p"],
+        &[remote[0], remote[1], "--trace", trace_s],
+    ] {
+        let args = [args, &["/nonexistent/path.kiss2"]].concat();
+        let (stdout, stderr, code) = run_with_code(env!("CARGO_BIN_EXE_nova"), &args, "");
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage:"), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(!trace.exists(), "{args:?} wrote a trace");
     }
 }
 

@@ -3,41 +3,14 @@
 //! search and the direct code-assignment fallback, so the per-call and
 //! per-node `Vec` churn of the old implementation disappears after warm-up.
 //!
-//! The pool keeps reuse statistics ([`EmbedScratchStats`]) which the search
-//! entry points flush into the run's tracer as `embed.scratch.*` counters,
-//! so allocation regressions show up in `--trace` output exactly like the
-//! ESPRESSO ones.
+//! The pool keeps the ESPRESSO pool's reuse statistics ([`ScratchStats`]),
+//! which the search entry points flush into the run's tracer as
+//! `embed.scratch.*` counters, so allocation regressions show up in
+//! `--trace` output exactly like the ESPRESSO ones.
 
 use crate::face::Face;
+use espresso::ScratchStats;
 use std::cell::RefCell;
-
-/// Cumulative reuse statistics of one embedding scratch pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EmbedScratchStats {
-    /// Buffers handed out (across all buffer kinds).
-    pub acquires: u64,
-    /// Acquires that had to allocate (pool empty). Stops growing after
-    /// warm-up.
-    pub fresh_allocs: u64,
-    /// High-water mark of simultaneously live buffers.
-    pub live_peak: u64,
-}
-
-impl EmbedScratchStats {
-    /// Acquires served from the pool without allocating.
-    pub fn reuses(&self) -> u64 {
-        self.acquires - self.fresh_allocs
-    }
-
-    /// Component-wise difference (for before/after deltas).
-    pub fn delta_from(&self, earlier: &EmbedScratchStats) -> EmbedScratchStats {
-        EmbedScratchStats {
-            acquires: self.acquires - earlier.acquires,
-            fresh_allocs: self.fresh_allocs - earlier.fresh_allocs,
-            live_peak: self.live_peak.max(earlier.live_peak),
-        }
-    }
-}
 
 macro_rules! pooled {
     ($acquire:ident, $release:ident, $field:ident, $t:ty) => {
@@ -68,7 +41,7 @@ pub struct EmbedScratch {
     cands: Vec<Vec<(u32, u64)>>,
     orbits: Vec<Vec<Face>>,
     live: u64,
-    stats: EmbedScratchStats,
+    stats: ScratchStats,
 }
 
 impl EmbedScratch {
@@ -95,7 +68,7 @@ impl EmbedScratch {
     pooled!(acquire_orbits, release_orbits, orbits, Face);
 
     /// Snapshot of the pool's statistics.
-    pub fn stats(&self) -> EmbedScratchStats {
+    pub fn stats(&self) -> ScratchStats {
         self.stats
     }
 }
@@ -117,10 +90,10 @@ pub fn with_embed_scratch<R>(f: impl FnOnce(&mut EmbedScratch) -> R) -> R {
 
 /// Snapshot of the calling thread's pool statistics (for before/after
 /// deltas around a search).
-pub fn thread_stats() -> EmbedScratchStats {
+pub fn thread_stats() -> ScratchStats {
     POOL.with(|cell| match cell.try_borrow() {
         Ok(pool) => pool.stats(),
-        Err(_) => EmbedScratchStats::default(),
+        Err(_) => ScratchStats::default(),
     })
 }
 

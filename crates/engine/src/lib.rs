@@ -258,32 +258,30 @@ pub fn report_fingerprint(report: &PortfolioReport) -> String {
 }
 
 /// Calls `f(index)` for every index in `0..items` over at most `jobs`
-/// scoped worker threads. Workers claim indices in ascending order from one
-/// atomic counter, so every index below the counter has been claimed — the
+/// workers. Workers claim indices in ascending order from one atomic
+/// counter, so every index below the counter has been claimed — the
 /// property the batch reorder window's deadlock freedom rests on. This is
-/// the engine's only scheduler. One worker is the calling thread itself,
-/// so its thread-local scratch pools serve every index.
+/// the engine's only scheduler. The calling thread is always one of the
+/// workers, so `jobs` workers spawn `jobs - 1` scoped threads and the
+/// caller's thread-local scratch pools serve every index it claims.
 pub(crate) fn claim_loop<F>(items: usize, jobs: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
     let workers = jobs.clamp(1, items.max(1));
-    if workers == 1 {
-        (0..items).for_each(f);
-        return;
-    }
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let (next, f) = (&next, &f);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items {
-                    break;
-                }
-                f(i);
-            });
+    let claim = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= items {
+            break;
         }
+        f(i);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(claim);
+        }
+        claim();
     });
 }
 
@@ -356,8 +354,9 @@ pub fn run_portfolio(fsm: &Fsm, machine: &str, cfg: &EngineConfig) -> PortfolioR
     }
 }
 
-/// Runs a single algorithm under the engine's limits and telemetry (the
-/// `nova --json` single-run path).
+/// Runs a single algorithm under the engine's limits and telemetry, on a
+/// fresh front end: the solo reference a portfolio's runs are compared
+/// against. `nova -e ALG` runs a one-algorithm [`run_portfolio`] instead.
 pub fn run_one(fsm: &Fsm, algorithm: Algorithm, cfg: &EngineConfig) -> AlgoRun {
     let deadline = cfg.timeout.map(|t| Instant::now() + t);
     run_one_under(fsm, algorithm, cfg, deadline, &FrontEnd::new())
@@ -612,6 +611,23 @@ mod tests {
         for r in run_jobs(5, 1, |_| std::thread::current().id()) {
             assert_eq!(r.expect("no job panics"), caller);
         }
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        // Both jobs wait for each other, so each runs on its own worker;
+        // with two workers one of them is the caller.
+        let caller = std::thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let ids: Vec<_> = run_jobs(2, 2, |_| {
+            both.wait();
+            std::thread::current().id()
+        })
+        .into_iter()
+        .map(|r| r.expect("no job panics"))
+        .collect();
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&caller), "{ids:?} vs caller {caller:?}");
     }
 
     #[test]

@@ -17,15 +17,16 @@ use crate::matrix::CubeMatrix;
 use crate::space::CubeSpace;
 use std::cell::RefCell;
 
-/// Cumulative reuse statistics of one scratch pool.
+/// Cumulative reuse statistics of one scratch pool: this crate's matrix
+/// pool, or nova-core's embedding-search pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchStats {
-    /// Matrices handed out.
+    /// Buffers handed out.
     pub acquires: u64,
-    /// Acquires that had to allocate a new matrix (pool empty). After
+    /// Acquires that had to allocate a new buffer (pool empty). After
     /// warm-up this stops growing.
     pub fresh_allocs: u64,
-    /// High-water mark of simultaneously live matrices (bounds the pool
+    /// High-water mark of simultaneously live buffers (bounds the pool
     /// size: it never holds more than this many).
     pub live_peak: u64,
 }

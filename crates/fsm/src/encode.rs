@@ -2,6 +2,7 @@
 //! PLA cover ready for two-level minimization.
 
 use crate::machine::{Fsm, StateId, Trit};
+use crate::symbolic::apply_input_pattern;
 use espresso::{complement, Cover, Cube, CubeSpace};
 use std::error::Error;
 use std::fmt;
@@ -119,16 +120,6 @@ impl EncodedPla {
     }
 }
 
-fn set_input_pattern(space: &CubeSpace, cube: &mut Cube, pattern: &[Trit]) {
-    for (v, t) in pattern.iter().enumerate() {
-        match t {
-            Trit::Zero => cube.set_part(space, v, 0),
-            Trit::One => cube.set_part(space, v, 1),
-            Trit::DontCare => cube.set_var_full(space, v),
-        }
-    }
-}
-
 fn set_state_code(space: &CubeSpace, cube: &mut Cube, base: usize, bits: usize, code: u64) {
     for b in 0..bits {
         let part = (code >> b & 1) as u32;
@@ -162,7 +153,7 @@ pub fn encode(fsm: &Fsm, enc: &Encoding) -> EncodedPla {
 
     for t in fsm.transitions() {
         let mut base = Cube::zero(&space);
-        set_input_pattern(&space, &mut base, &t.input);
+        apply_input_pattern(&space, &mut base, &t.input);
         set_state_code(&space, &mut base, inputs, bits, enc.code(t.present));
 
         let mut on_cube = base.clone();
@@ -223,7 +214,7 @@ pub fn encode(fsm: &Fsm, enc: &Encoding) -> EncodedPla {
         let mut specified = Cover::empty(input_space.clone());
         for t in fsm.transitions().iter().filter(|t| t.present.0 == s) {
             let mut c = Cube::zero(&input_space);
-            set_input_pattern(&input_space, &mut c, &t.input);
+            apply_input_pattern(&input_space, &mut c, &t.input);
             specified.push(c);
         }
         for hole in complement(&specified).iter() {

@@ -55,8 +55,9 @@ impl SymbolicCover {
     }
 }
 
-/// Converts input trits into the binary fields of `cube`.
-fn apply_input_pattern(space: &CubeSpace, cube: &mut Cube, pattern: &[Trit]) {
+/// Converts input trits into the binary fields of `cube` (variables
+/// `0..pattern.len()`).
+pub(crate) fn apply_input_pattern(space: &CubeSpace, cube: &mut Cube, pattern: &[Trit]) {
     for (v, t) in pattern.iter().enumerate() {
         match t {
             Trit::Zero => cube.set_part(space, v, 0),
