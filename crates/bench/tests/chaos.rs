@@ -22,7 +22,7 @@ use fsm::simulate::check_sequence;
 use fsm::{Encoding, Fsm, StateId};
 use nova_core::driver::Algorithm;
 use nova_engine::{
-    report_fingerprint as fingerprint, run_batch, run_one, run_portfolio, suite_to_json,
+    report_fingerprint as fingerprint, run_batch, run_portfolio, suite_to_json, AlgoRun,
     BatchConfig, EngineConfig, Outcome, SuiteSource,
 };
 use nova_trace::{json, Tracer};
@@ -43,11 +43,23 @@ fn machine(name: &str) -> Fsm {
 
 fn config(plan: FaultPlan) -> EngineConfig {
     EngineConfig {
+        fault_plan: Some(plan),
+        ..ihybrid()
+    }
+}
+
+/// The one-algorithm portfolio `nova -e ihybrid` runs.
+fn ihybrid() -> EngineConfig {
+    EngineConfig {
         algorithms: vec![Algorithm::IHybrid],
         jobs: 1,
-        fault_plan: Some(plan),
         ..EngineConfig::default()
     }
+}
+
+/// The one run of a one-algorithm portfolio.
+fn run_alone(fsm: &Fsm, cfg: &EngineConfig) -> AlgoRun {
+    run_portfolio(fsm, fsm.name(), cfg).runs.remove(0)
 }
 
 /// A degraded (or completed) encoding must still *implement the machine*:
@@ -123,11 +135,7 @@ fn espresso_stage_faults_always_degrade_to_the_completed_encoding() {
     for name in MACHINES {
         let fsm = machine(name);
         for kind in [FaultKind::Cancel, FaultKind::Deadline, FaultKind::Budget] {
-            let run = run_one(
-                &fsm,
-                Algorithm::IHybrid,
-                &config(FaultPlan::single("stage.espresso", 1, kind)),
-            );
+            let run = run_alone(&fsm, &config(FaultPlan::single("stage.espresso", 1, kind)));
             let Outcome::Degraded(d) = &run.outcome else {
                 panic!(
                     "{name} {}: expected degraded, got {}",
@@ -147,13 +155,9 @@ fn injected_panics_leave_no_poisoned_state_behind() {
     // the same process: a healthy second run proves no lock, tracer, or
     // global was left poisoned.
     let fsm = machine("lion");
-    let poisoned = run_one(
-        &fsm,
-        Algorithm::IHybrid,
-        &config(FaultPlan::single("*", 1, FaultKind::Panic)),
-    );
+    let poisoned = run_alone(&fsm, &config(FaultPlan::single("*", 1, FaultKind::Panic)));
     assert!(matches!(poisoned.outcome, Outcome::Failed(_)));
-    let clean = run_one(&fsm, Algorithm::IHybrid, &EngineConfig::default());
+    let clean = run_alone(&fsm, &ihybrid());
     let r = clean.outcome.result().expect("clean rerun completes");
     assert!(r.area > 0);
     verify_encoding(&fsm, &r.encoding);
@@ -247,6 +251,6 @@ fn seeded_chaos_runs_replay_identically() {
 fn disabled_fault_layer_is_invisible() {
     // The whole fault machinery must be a no-op when no plan is armed.
     let fsm = machine("lion");
-    let plain = run_one(&fsm, Algorithm::IHybrid, &EngineConfig::default());
+    let plain = run_alone(&fsm, &ihybrid());
     assert!(plain.outcome.result().is_some());
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! nova [-e ALG | --portfolio] [-b BITS] [-m] [-p | --json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [FILE.kiss2 | -]
 //! nova -s [-m] [--bench NAME] [FILE.kiss2 | -]
-//! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [-m] [--json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--bench NAME] [FILE.kiss2 | -]
+//! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [-m] [--json] [--timeout-ms N] [--budget N] [--fault-plan SPEC] [--bench NAME] [FILE.kiss2 | -]
 //! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
 //! nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]
 //! nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]
@@ -21,7 +21,8 @@
 //!   --timeout-ms   wall-clock deadline for the whole run
 //!   --budget N     deterministic node budget per algorithm
 //!   --jobs N       worker threads, each running one algorithm at a time
-//!                  (default: available parallelism)
+//!                  (default: available parallelism; a server runs every
+//!                  request at its own count, so --remote refuses it)
 //!   --trace FILE   write a structured trace of the run to FILE, whether
 //!                  or not any algorithm finishes
 //!   --trace-format chrome (default; open in Perfetto / chrome://tracing)
@@ -42,9 +43,11 @@
 //!   anytime result's codes when no run finished), then, with -p, the
 //!   completed winner's minimized PLA. When no run leaves an encoding, one
 //!   stderr line names how each ended. Refused before any input is read
-//!   (exit 2), since one flag would silently drop the other: -s with
+//!   (exit 2), since one flag would silently drop the other: -s with a run
+//!   flag (-e, -b, --timeout-ms, --budget, --jobs, --fault-plan) or with
 //!   --json, -p, --portfolio, --remote or --trace; -p with --json; -e with
-//!   --portfolio; --remote with -p or --trace.
+//!   --portfolio; --remote with -p, --trace or --jobs; --trace-format
+//!   without --trace (in nova bench too).
 //!
 //!   bench          sweep a corpus (default: the embedded benchmark suite)
 //!                  through the batch engine, one portfolio per machine:
@@ -115,7 +118,6 @@ use fsm::minimize_states::minimize_states;
 use fsm::Fsm;
 use nova_core::driver::Algorithm;
 use nova_engine::{run_portfolio, suite_to_json, EngineConfig, Outcome, PortfolioReport};
-use nova_serve::EncodeOptions;
 use nova_trace::json::Json;
 use nova_trace::Tracer;
 use std::io::Read as _;
@@ -139,11 +141,11 @@ fn usage() -> ! {
     eprintln!(
         "usage: nova [-e ALG | --portfolio] [-b BITS] [-m] [-p | --json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [FILE.kiss2 | -]\n\
          \u{20}      nova -s [-m] [--bench NAME] [FILE.kiss2 | -]\n\
-         \u{20}      nova --remote ADDR [-e ALG | --portfolio] [-b BITS] [-m] [--json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--bench NAME] [FILE.kiss2 | -]\n\
+         \u{20}      nova --remote ADDR [-e ALG | --portfolio] [-b BITS] [-m] [--json] [--timeout-ms N] [--budget N] [--fault-plan SPEC] [--bench NAME] [FILE.kiss2 | -]\n\
          \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
          \u{20}      nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]\n\
          \u{20}      nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]\n\
-         -e and --portfolio print one text report (-p adds the winner's minimized PLA); -s takes no other output flag\n\
+         -e and --portfolio print one text report (-p adds the winner's minimized PLA); -s takes no run flag and no other output flag\n\
          ALG: {} (or onehot)",
         algs.join(" | ")
     );
@@ -181,28 +183,28 @@ fn num<T: std::str::FromStr>(rest: &mut dyn Iterator<Item = String>) -> T {
 #[derive(Default)]
 struct RunOpts {
     trace: Option<String>,
-    trace_format: TraceFormat,
+    trace_format: Option<TraceFormat>,
 }
 
 impl RunOpts {
     /// Takes `flag` (and its value from `rest`) when it is an option the
     /// single-machine parser and `nova bench` share: an engine limit or the
-    /// fault plan, into the service's `opts`, or the session trace. Returns
-    /// `false` to leave it to the caller's own flags.
+    /// fault plan, into `cfg`, or the session trace. Returns `false` to
+    /// leave it to the caller's own flags.
     fn parse_flag(
         &mut self,
-        opts: &mut EncodeOptions,
+        cfg: &mut EngineConfig,
         flag: &str,
         rest: &mut dyn Iterator<Item = String>,
     ) -> bool {
         match flag {
-            "--timeout-ms" => opts.timeout_ms = Some(num(rest)),
-            "--budget" => opts.budget = Some(num(rest)),
-            "--jobs" => opts.jobs = num(rest),
+            "--timeout-ms" => cfg.timeout = Some(Duration::from_millis(num(rest))),
+            "--budget" => cfg.node_budget = Some(num(rest)),
+            "--jobs" => cfg.jobs = num(rest),
             "--fault-plan" => {
                 let spec = value(rest);
                 match FaultPlan::parse(&spec) {
-                    Ok(plan) => opts.fault_plan = Some(plan),
+                    Ok(plan) => cfg.fault_plan = Some(plan),
                     Err(e) => {
                         eprintln!("nova: bad --fault-plan {spec:?}: {e}");
                         std::process::exit(EXIT_USAGE as i32);
@@ -212,14 +214,19 @@ impl RunOpts {
             "--trace" => self.trace = Some(value(rest)),
             "--trace-format" => {
                 self.trace_format = match rest.next().as_deref() {
-                    Some("chrome") => TraceFormat::Chrome,
-                    Some("jsonl") => TraceFormat::Jsonl,
+                    Some("chrome") => Some(TraceFormat::Chrome),
+                    Some("jsonl") => Some(TraceFormat::Jsonl),
                     _ => usage(),
                 }
             }
             _ => return false,
         }
         true
+    }
+
+    /// `--trace-format` without `--trace`: a format with no file to shape.
+    fn format_without_trace(&self) -> bool {
+        self.trace_format.is_some() && self.trace.is_none()
     }
 
     /// The session tracer: enabled only when `--trace` asked for a file.
@@ -230,11 +237,21 @@ impl RunOpts {
             Tracer::disabled()
         }
     }
+
+    /// Writes the session trace into `file` in the `--trace-format`.
+    fn write_trace(&self, tracer: &Tracer, file: std::fs::File) -> std::io::Result<()> {
+        let mut w = std::io::BufWriter::new(file);
+        match self.trace_format.unwrap_or_default() {
+            TraceFormat::Chrome => tracer.write_chrome(&mut w)?,
+            TraceFormat::Jsonl => tracer.write_jsonl(&mut w)?,
+        }
+        w.flush()
+    }
 }
 
 struct Args {
     /// The runs and their limits, as `POST /encode` decodes them.
-    encode: EncodeOptions,
+    engine: EngineConfig,
     state_minimize: bool,
     print_pla: bool,
     stats_only: bool,
@@ -247,7 +264,7 @@ struct Args {
 
 fn parse_args(argv: &[String]) -> Args {
     let mut out = Args {
-        encode: EncodeOptions::default(),
+        engine: EngineConfig::default(),
         state_minimize: false,
         print_pla: false,
         stats_only: false,
@@ -259,14 +276,22 @@ fn parse_args(argv: &[String]) -> Args {
     };
     let mut algorithm = None;
     let mut portfolio = false;
+    // Flags only a run reads, which `-s` would drop, and `--jobs`, which a
+    // server would.
+    let (mut run_flag, mut jobs) = (false, false);
     let mut args = argv.iter().cloned();
     while let Some(a) = args.next() {
-        if out.run.parse_flag(&mut out.encode, &a, &mut args) {
+        run_flag |= matches!(
+            a.as_str(),
+            "-e" | "-b" | "--timeout-ms" | "--budget" | "--jobs" | "--fault-plan"
+        );
+        jobs |= a == "--jobs";
+        if out.run.parse_flag(&mut out.engine, &a, &mut args) {
             continue;
         }
         match a.as_str() {
             "-e" => algorithm = Some(parse_algorithm(&value(&mut args))),
-            "-b" => out.encode.bits = Some(num(&mut args)),
+            "-b" => out.engine.target_bits = Some(num(&mut args)),
             "-m" => out.state_minimize = true,
             "-p" => out.print_pla = true,
             "-s" => out.stats_only = true,
@@ -285,14 +310,15 @@ fn parse_args(argv: &[String]) -> Args {
     // Refused combinations: in each, one flag would silently drop the other.
     let remote = out.remote.is_some();
     let trace = out.run.trace.is_some();
-    if (out.stats_only && (out.json || out.print_pla || portfolio || remote || trace))
+    if (out.stats_only && (run_flag || out.json || out.print_pla || portfolio || remote || trace))
         || (out.print_pla && out.json)
         || (algorithm.is_some() && portfolio)
-        || (remote && (out.print_pla || trace))
+        || (remote && (out.print_pla || trace || jobs))
+        || out.run.format_without_trace()
     {
         usage();
     }
-    out.encode.algorithms = if portfolio {
+    out.engine.algorithms = if portfolio {
         Algorithm::ALL.to_vec()
     } else {
         vec![algorithm.unwrap_or(Algorithm::IHybrid)]
@@ -300,28 +326,12 @@ fn parse_args(argv: &[String]) -> Args {
     out
 }
 
-/// Writes the session trace into `file` in `format`.
-fn write_trace_to(
-    tracer: &Tracer,
-    format: TraceFormat,
-    file: std::fs::File,
-) -> std::io::Result<()> {
-    let mut w = std::io::BufWriter::new(file);
-    match format {
-        TraceFormat::Chrome => tracer.write_chrome(&mut w)?,
-        TraceFormat::Jsonl => tracer.write_jsonl(&mut w)?,
-    }
-    w.flush()
-}
-
 /// Writes the trace, then says by the exit code whether any run of
 /// `report` left a usable encoding; when none did, one stderr line names
 /// how each run ended.
 fn finish(run: &RunOpts, tracer: &Tracer, report: &PortfolioReport) -> ExitCode {
     if let Some(path) = &run.trace {
-        if let Err(e) =
-            std::fs::File::create(path).and_then(|f| write_trace_to(tracer, run.trace_format, f))
-        {
+        if let Err(e) = std::fs::File::create(path).and_then(|f| run.write_trace(tracer, f)) {
             eprintln!("nova: cannot write trace {path}: {e}");
             return ExitCode::from(EXIT_IO);
         }
@@ -485,12 +495,12 @@ fn bench_main(argv: &[String]) -> ExitCode {
     let mut batch_jobs = 1usize;
     let mut stream: Option<String> = None;
     let mut bench_out: Option<String> = None;
-    let mut opts = EncodeOptions::default();
+    let mut cfg = EngineConfig::default();
     let mut run = RunOpts::default();
     let mut resume = false;
     let mut it = argv.iter().cloned();
     while let Some(a) = it.next() {
-        if run.parse_flag(&mut opts, &a, &mut it) {
+        if run.parse_flag(&mut cfg, &a, &mut it) {
             continue;
         }
         match a.as_str() {
@@ -511,6 +521,9 @@ fn bench_main(argv: &[String]) -> ExitCode {
             "--bench-out" => bench_out = Some(value(&mut it)),
             _ => usage(),
         }
+    }
+    if run.format_without_trace() {
+        usage();
     }
     if synthetic.is_some() && !filter.is_empty() {
         eprintln!("nova: --synthetic and --filter are mutually exclusive");
@@ -542,8 +555,7 @@ fn bench_main(argv: &[String]) -> ExitCode {
             &suite
         }
     };
-    let tracer = run.tracer();
-    let cfg = opts.engine_config(&tracer);
+    cfg.tracer = run.tracer();
     let bcfg = nova_engine::BatchConfig {
         batch_jobs,
         ..nova_engine::BatchConfig::default()
@@ -576,9 +588,9 @@ fn bench_main(argv: &[String]) -> ExitCode {
             // under others would not continue byte-identically.
             let options = format!(
                 "budget={:?} timeout_ms={:?} fault_plan={}",
-                opts.budget,
-                opts.timeout_ms,
-                opts.fault_plan
+                cfg.node_budget,
+                cfg.timeout.map(|t| t.as_millis()),
+                cfg.fault_plan
                     .as_ref()
                     .map(|p| p.to_spec())
                     .unwrap_or_else(|| "-".into()),
@@ -638,7 +650,7 @@ fn bench_main(argv: &[String]) -> ExitCode {
         }
     }
     if let Some(f) = trace_file {
-        if let Err(e) = write_trace_to(&tracer, run.trace_format, f) {
+        if let Err(e) = run.write_trace(&cfg.tracer, f) {
             eprintln!(
                 "nova: cannot write trace {}: {e}",
                 run.trace.as_deref().unwrap_or("?")
@@ -850,18 +862,18 @@ fn trace_report_main(args: &[String]) -> ExitCode {
 
 /// `--remote`: ship the machine to a resident service and pretty-print its
 /// nova-bench/1 answer, mapping HTTP statuses onto the CLI exit codes.
-fn remote_main(addr: &str, machine: &Fsm, options: &EncodeOptions) -> ExitCode {
+fn remote_main(addr: &str, machine: &Fsm, cfg: &EngineConfig) -> ExitCode {
     // A 503 (the server's admission queue is full) is retried, up to 3
     // tries, after the server's Retry-After; an unreachable server still
     // fails fast.
-    let resp =
-        match nova_serve::client::post_kiss_retry(addr, &machine.to_kiss(), &options.to_query()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("nova: --remote {addr}: {e}");
-                return ExitCode::from(EXIT_IO);
-            }
-        };
+    let query = nova_serve::wire::to_query(cfg);
+    let resp = match nova_serve::client::post_kiss_retry(addr, &machine.to_kiss(), &query) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("nova: --remote {addr}: {e}");
+            return ExitCode::from(EXIT_IO);
+        }
+    };
     if resp.status != 200 {
         eprintln!(
             "nova: --remote {addr}: {}: {}",
@@ -907,14 +919,14 @@ fn main() -> ExitCode {
         Some("trace-report") => return trace_report_main(&argv[1..]),
         _ => {}
     }
-    let args = parse_args(&argv);
+    let mut args = parse_args(&argv);
     let machine = match read_machine(&args) {
         Ok(m) => m,
         Err(code) => return code,
     };
     // Client mode: the machine is encoded by a resident nova-serve.
     if let Some(addr) = &args.remote {
-        return remote_main(addr, &machine, &args.encode);
+        return remote_main(addr, &machine, &args.engine);
     }
     if args.stats_only {
         print_machine_line(&machine);
@@ -931,12 +943,8 @@ fn main() -> ExitCode {
     }
     // `-e ALG` is the one-algorithm portfolio `--remote` sends: every local
     // run takes this one path, whatever it races.
-    let tracer = args.run.tracer();
-    let report = run_portfolio(
-        &machine,
-        machine.name(),
-        &args.encode.engine_config(&tracer),
-    );
+    args.engine.tracer = args.run.tracer();
+    let report = run_portfolio(&machine, machine.name(), &args.engine);
     if args.json {
         println!(
             "{}",
@@ -945,5 +953,5 @@ fn main() -> ExitCode {
     } else {
         print_text(&machine, &report, args.print_pla);
     }
-    finish(&args.run, &tracer, &report)
+    finish(&args.run, &args.engine.tracer, &report)
 }

@@ -458,7 +458,8 @@ fn nova_exit_code_bad_flag_value() {
 #[test]
 fn nova_exit_code_refused_flag_combinations() {
     // In each pair one flag would drop the other. The file does not exist,
-    // so exit 2 (not 4) shows the refusal comes before any input is read.
+    // so exit 2 (not 4) shows the refusal comes before any input is read;
+    // `nova bench` reads no file, and an unknown machine (exit 5) stands in.
     let trace = temp_path("refused.json");
     let trace_s = trace.to_str().unwrap();
     let remote = ["--remote", "127.0.0.1:9"];
@@ -472,8 +473,22 @@ fn nova_exit_code_refused_flag_combinations() {
         &["-e", "kiss", "--portfolio"],
         &[remote[0], remote[1], "-p"],
         &[remote[0], remote[1], "--trace", trace_s],
+        &["-s", "-e", "kiss"],
+        &["-s", "-b", "3"],
+        &["-s", "--timeout-ms", "5"],
+        &["-s", "--budget", "1"],
+        &["-s", "--jobs", "2"],
+        &["-s", "--fault-plan", "*:1:panic"],
+        &[remote[0], remote[1], "--jobs", "2"],
+        &["--trace-format", "jsonl"],
+        &["bench", "--trace-format", "jsonl"],
     ] {
-        let args = [args, &["/nonexistent/path.kiss2"]].concat();
+        let input: &[&str] = if args[0] == "bench" {
+            &["--filter", "nosuch"]
+        } else {
+            &["/nonexistent/path.kiss2"]
+        };
+        let args = [args, input].concat();
         let (stdout, stderr, code) = run_with_code(env!("CARGO_BIN_EXE_nova"), &args, "");
         assert_eq!(code, 2, "{args:?}: {stderr}");
         assert!(stderr.starts_with("usage:"), "{args:?}: {stderr}");
@@ -529,6 +544,20 @@ fn nova_fault_plan_injected_panic_is_contained() {
     );
     assert_eq!(code, 1, "{stderr}");
     assert!(stderr.contains("failed"), "{stderr}");
+}
+
+#[test]
+fn nova_injected_panic_prints_only_the_failure_line() {
+    // The drill unwinds without the panic hook: no `panicked at` report and
+    // no backtrace note, only the run's own failure line.
+    let (stdout, stderr, code) = run_with_code(
+        env!("CARGO_BIN_EXE_nova"),
+        &["--bench", "lion", "--fault-plan", "*:1:panic"],
+        "",
+    );
+    assert_eq!(code, 1, "{stderr}");
+    assert_eq!(stderr, "nova: ihybrid failed on this machine\n");
+    assert!(stdout.contains("# algorithm ihybrid: failed"), "{stdout}");
 }
 
 #[test]

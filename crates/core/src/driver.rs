@@ -152,8 +152,9 @@ pub fn evaluate(fsm: &Fsm, enc: &Encoding) -> EvalResult {
 /// one. Returns `None` when the algorithm fails (only `IExact`, whose search
 /// is budgeted, or machines too large for `u64` codes).
 pub fn run(fsm: &Fsm, algorithm: Algorithm, target_bits: Option<u32>) -> Option<EvalResult> {
-    match run_traced(fsm, algorithm, target_bits, &RunCtl::unlimited()).status {
-        RunStatus::Done(r) => Some(r),
+    let (ctl, cell, front) = (RunCtl::unlimited(), StageCell::new(), FrontEnd::new());
+    match run_traced(fsm, algorithm, target_bits, &ctl, &cell, &front) {
+        Outcome::Done(r) => Some(r),
         _ => None,
     }
 }
@@ -192,30 +193,53 @@ pub struct Degradation {
     pub encoding: Encoding,
 }
 
-/// How one traced algorithm run ended.
+/// How one algorithm run ended.
 #[derive(Debug, Clone)]
-pub enum RunStatus {
+pub enum Outcome {
     /// The full pipeline completed.
     Done(EvalResult),
-    /// The algorithm gave up within its own limits (`IExact` budget, or a
-    /// machine too large for `u64` codes). Not a cancellation.
+    /// The algorithm gave up within its own limits (the `IExact` work
+    /// budget, or a machine too large for `u64` codes) — not a
+    /// cancellation, not an error.
     Unsolved,
-    /// The [`RunCtl`] deadline/budget fired (or the run was stopped), and
-    /// no valid best-so-far snapshot was available.
-    Cancelled,
-    /// The run was cancelled but a best-so-far snapshot was promoted into
-    /// a valid encoding (not minimized — the deadline already fired).
+    /// The [`RunCtl`] deadline or node budget fired (or the run was
+    /// stopped) mid-run, and no valid best-so-far snapshot was available.
+    Timeout,
+    /// Cancelled mid-run, but a best-so-far snapshot was promoted into a
+    /// valid encoding (not minimized — the deadline already fired).
     Degraded(Degradation),
+    /// The run panicked; the message is retained. Only the engine's panic
+    /// containment ends a run this way: [`run_traced`] never returns it.
+    Failed(String),
 }
 
-/// Result of [`run_traced`]: the status plus the per-stage wall times
-/// accumulated up to the point the run ended.
-#[derive(Debug, Clone)]
-pub struct TracedRun {
-    /// Outcome of the run.
-    pub status: RunStatus,
-    /// Per-stage wall-clock times.
-    pub stages: StageTimes,
+impl Outcome {
+    /// The completed result, if any.
+    pub fn result(&self) -> Option<&EvalResult> {
+        match self {
+            Outcome::Done(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// The degraded anytime result, if any.
+    pub fn degradation(&self) -> Option<&Degradation> {
+        match self {
+            Outcome::Degraded(d) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// Stable lower-case tag used in reports and JSON.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            Outcome::Done(_) => "done",
+            Outcome::Unsolved => "unsolved",
+            Outcome::Timeout => "timeout",
+            Outcome::Degraded(_) => "degraded",
+            Outcome::Failed(_) => "failed",
+        }
+    }
 }
 
 /// A shareable accumulator of [`StageTimes`], readable at any point of a run
@@ -331,41 +355,27 @@ fn stage<T>(
 /// [`run`] under a [`RunCtl`], with per-stage wall-clock telemetry. All four
 /// pipeline stages (constraint extraction, embedding, encoding, ESPRESSO)
 /// check the handle, so a deadline or node budget yields a prompt
-/// [`RunStatus::Cancelled`] instead of a hung worker.
+/// [`Outcome::Timeout`] (or [`Outcome::Degraded`]) instead of a hung
+/// worker. The caller owns the stage-time accumulator and the [`FrontEnd`]:
+/// the engine keeps the cell *outside* its `catch_unwind`, so stage times
+/// recorded before a worker panic are still reported, and passes one front
+/// end per portfolio, so the algorithms of a machine share its constraint
+/// derivations.
 pub fn run_traced(
-    fsm: &Fsm,
-    algorithm: Algorithm,
-    target_bits: Option<u32>,
-    ctl: &RunCtl,
-) -> TracedRun {
-    let cell = StageCell::new();
-    run_traced_shared(fsm, algorithm, target_bits, ctl, &cell, &FrontEnd::new())
-}
-
-/// [`run_traced`] with the stage-time accumulator and the [`FrontEnd`]
-/// owned by the caller: the engine passes a cell it keeps *outside* its
-/// `catch_unwind`, so stage times recorded before a worker panic are still
-/// reported, and one front end per portfolio, so the algorithms of a
-/// machine share its constraint derivations.
-pub fn run_traced_shared(
     fsm: &Fsm,
     algorithm: Algorithm,
     target_bits: Option<u32>,
     ctl: &RunCtl,
     cell: &StageCell,
     front: &FrontEnd,
-) -> TracedRun {
-    let status = match run_traced_inner(fsm, algorithm, target_bits, ctl, cell, front) {
-        Ok(Some(result)) => RunStatus::Done(result),
-        Ok(None) => RunStatus::Unsolved,
+) -> Outcome {
+    match run_traced_inner(fsm, algorithm, target_bits, ctl, cell, front) {
+        Ok(Some(result)) => Outcome::Done(result),
+        Ok(None) => Outcome::Unsolved,
         Err(Cancelled) => match degrade(fsm, ctl) {
-            Some(d) => RunStatus::Degraded(d),
-            None => RunStatus::Cancelled,
+            Some(d) => Outcome::Degraded(d),
+            None => Outcome::Timeout,
         },
-    };
-    TracedRun {
-        status,
-        stages: cell.snapshot(),
     }
 }
 

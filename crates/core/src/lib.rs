@@ -58,8 +58,8 @@ pub use constraint::{
     WeightedConstraint,
 };
 pub use driver::{
-    evaluate, random_baseline, run, run_traced, Algorithm, Degradation, EvalResult, RunStatus,
-    StageTimes, TracedRun, UnknownAlgorithm,
+    evaluate, random_baseline, run, run_traced, Algorithm, Degradation, EvalResult, Outcome,
+    StageTimes, UnknownAlgorithm,
 };
 pub use espresso::{
     BestSoFar, CancelReason, Cancelled, FaultKind, FaultPlan, FaultPoint, RunCounters, RunCtl,

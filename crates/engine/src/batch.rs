@@ -342,7 +342,7 @@ pub fn run_batch_resumable(
 
     // Blocks until `i` is inside the reorder window, then runs machine `i`
     // and pushes its report through the in-order emitter.
-    let run_one = |i: usize| {
+    let run_and_emit = |i: usize| {
         {
             let mut g = lock(&emit);
             while i >= g.next + window {
@@ -375,7 +375,7 @@ pub fn run_batch_resumable(
     // claimed and its worker never waits (`i < next + window` holds for
     // `i == next`): the emission cursor keeps advancing and the window
     // cannot deadlock.
-    crate::claim_loop(remaining, workers, |k| run_one(start + k));
+    crate::claim_loop(remaining, workers, |k| run_and_emit(start + k));
 
     // Every machine completed, so the reorder buffer fully drained.
     {

@@ -52,9 +52,9 @@ pub use batch::{
 
 use espresso::{FaultPlan, RunCounters, RunCtl};
 use fsm::{Encoding, Fsm};
+pub use nova_core::driver::Outcome;
 use nova_core::driver::{
-    run_traced_shared, Algorithm, Degradation, EvalResult, FrontEnd, RunStatus, StageCell,
-    StageTimes,
+    run_traced, Algorithm, Degradation, EvalResult, FrontEnd, StageCell, StageTimes,
 };
 use nova_trace::json::Json;
 use nova_trace::{MetricsSnapshot, Tracer};
@@ -111,52 +111,6 @@ pub fn effective_jobs(jobs: usize) -> usize {
         jobs
     } else {
         std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-}
-
-/// How one algorithm's run ended.
-#[derive(Debug, Clone)]
-pub enum Outcome {
-    /// Full pipeline completed.
-    Done(EvalResult),
-    /// The algorithm gave up within its own limits (e.g. the `iexact`
-    /// work budget) — not a cancellation, not an error.
-    Unsolved,
-    /// The portfolio deadline or node budget fired mid-run.
-    Timeout,
-    /// Cancelled mid-run, but an anytime best-so-far snapshot produced a
-    /// valid (distinct, in-range) encoding — degraded, not lost.
-    Degraded(Degradation),
-    /// The worker panicked; the message is retained.
-    Failed(String),
-}
-
-impl Outcome {
-    /// The completed result, if any.
-    pub fn result(&self) -> Option<&EvalResult> {
-        match self {
-            Outcome::Done(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The degraded anytime result, if any.
-    pub fn degradation(&self) -> Option<&Degradation> {
-        match self {
-            Outcome::Degraded(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Stable lower-case tag used in reports and JSON.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Outcome::Done(_) => "done",
-            Outcome::Unsolved => "unsolved",
-            Outcome::Timeout => "timeout",
-            Outcome::Degraded(_) => "degraded",
-            Outcome::Failed(_) => "failed",
-        }
     }
 }
 
@@ -327,13 +281,13 @@ pub fn run_portfolio(fsm: &Fsm, machine: &str, cfg: &EngineConfig) -> PortfolioR
     let _span = cfg.tracer.span("portfolio");
     let front = FrontEnd::new();
     let runs = run_jobs(cfg.algorithms.len(), effective_jobs(cfg.jobs), |i| {
-        run_one_under(fsm, cfg.algorithms[i], cfg, deadline, &front)
+        run_algorithm(fsm, cfg.algorithms[i], cfg, deadline, &front)
     })
     .into_iter()
     .enumerate()
     .map(|(i, r)| match r {
         Ok(run) => run,
-        // run_one_under contains its own panic guard and reports Failed with
+        // run_algorithm contains its own panic guard and reports Failed with
         // partial telemetry; this arm only fires if the *containment itself*
         // panicked, where no telemetry can be recovered.
         Err(msg) => AlgoRun {
@@ -354,14 +308,6 @@ pub fn run_portfolio(fsm: &Fsm, machine: &str, cfg: &EngineConfig) -> PortfolioR
     }
 }
 
-/// Runs a single algorithm under the engine's limits and telemetry, on a
-/// fresh front end: the solo reference a portfolio's runs are compared
-/// against. `nova -e ALG` runs a one-algorithm [`run_portfolio`] instead.
-pub fn run_one(fsm: &Fsm, algorithm: Algorithm, cfg: &EngineConfig) -> AlgoRun {
-    let deadline = cfg.timeout.map(|t| Instant::now() + t);
-    run_one_under(fsm, algorithm, cfg, deadline, &FrontEnd::new())
-}
-
 /// Extracts a human-readable message from a caught panic payload.
 pub(crate) fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = e.downcast_ref::<&str>() {
@@ -373,7 +319,9 @@ pub(crate) fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn run_one_under(
+/// Runs one algorithm of a portfolio under its own [`RunCtl`] and tracer
+/// fork, inside the engine's panic containment.
+fn run_algorithm(
     fsm: &Fsm,
     algorithm: Algorithm,
     cfg: &EngineConfig,
@@ -386,7 +334,7 @@ fn run_one_under(
         ctl.arm_faults(plan);
     }
     run_contained(algorithm, &ctl, &tracer, deadline, |ctl, cell| {
-        run_traced_shared(fsm, algorithm, cfg.target_bits, ctl, cell, front).status
+        run_traced(fsm, algorithm, cfg.target_bits, ctl, cell, front)
     })
 }
 
@@ -400,7 +348,7 @@ fn run_contained(
     ctl: &RunCtl,
     tracer: &Tracer,
     deadline: Option<Instant>,
-    body: impl FnOnce(&RunCtl, &StageCell) -> RunStatus,
+    body: impl FnOnce(&RunCtl, &StageCell) -> Outcome,
 ) -> AlgoRun {
     let cell = StageCell::new();
     let t = Instant::now();
@@ -409,19 +357,13 @@ fn run_contained(
     } else {
         None
     };
-    let status = catch_unwind(AssertUnwindSafe(|| body(ctl, &cell)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| body(ctl, &cell)))
+        .unwrap_or_else(|e| Outcome::Failed(panic_message(e)));
     drop(span);
     let overshoot = deadline.map(|d| Instant::now().saturating_duration_since(d));
     if let Some(o) = overshoot {
         tracer.observe("engine.deadline.overshoot_ms", o.as_millis() as u64);
     }
-    let outcome = match status {
-        Ok(RunStatus::Done(r)) => Outcome::Done(r),
-        Ok(RunStatus::Unsolved) => Outcome::Unsolved,
-        Ok(RunStatus::Cancelled) => Outcome::Timeout,
-        Ok(RunStatus::Degraded(d)) => Outcome::Degraded(d),
-        Err(e) => Outcome::Failed(panic_message(e)),
-    };
     AlgoRun {
         algorithm,
         outcome,
@@ -578,6 +520,16 @@ mod tests {
             .fsm
     }
 
+    /// `algorithm` alone under `cfg`: the one-algorithm portfolio `nova -e`
+    /// runs.
+    fn solo(fsm: &Fsm, algorithm: Algorithm, cfg: &EngineConfig) -> AlgoRun {
+        let cfg = EngineConfig {
+            algorithms: vec![algorithm],
+            ..cfg.clone()
+        };
+        run_portfolio(fsm, "solo", &cfg).runs.remove(0)
+    }
+
     #[test]
     fn run_jobs_preserves_order_and_catches_panics() {
         let out = run_jobs(8, 4, |i| {
@@ -725,7 +677,7 @@ mod tests {
         // tried are the whole budget: one `max_work` per run (paper §III),
         // not one per root face.
         let dk16 = machine("dk16");
-        let run = run_one(&dk16, Algorithm::IExact, &EngineConfig::default());
+        let run = solo(&dk16, Algorithm::IExact, &EngineConfig::default());
         assert_eq!(run.outcome.tag(), "unsolved");
         let max_work = nova_core::ExactOptions::default()
             .max_work
@@ -921,7 +873,6 @@ mod tests {
         // degrade to a full, valid encoding.
         let fsm = machine("lion");
         let cfg = EngineConfig {
-            algorithms: vec![Algorithm::IHybrid],
             fault_plan: Some(FaultPlan::single(
                 "stage.espresso",
                 1,
@@ -929,7 +880,7 @@ mod tests {
             )),
             ..EngineConfig::default()
         };
-        let run = run_one(&fsm, Algorithm::IHybrid, &cfg);
+        let run = solo(&fsm, Algorithm::IHybrid, &cfg);
         let Outcome::Degraded(d) = &run.outcome else {
             panic!("expected degraded, got {}", run.outcome.tag());
         };
@@ -1030,16 +981,11 @@ mod tests {
             fault_plan: Some(FaultPlan::single("*", 1, espresso::FaultKind::Panic)),
             ..EngineConfig::default()
         };
-        let run = run_one(&fsm, Algorithm::IHybrid, &cfg);
-        let Outcome::Failed(msg) = &run.outcome else {
-            panic!("expected failed, got {}", run.outcome.tag());
+        let report = run_portfolio(&fsm, "lion", &cfg);
+        let Outcome::Failed(msg) = &report.runs[0].outcome else {
+            panic!("expected failed, got {}", report.runs[0].outcome.tag());
         };
         assert!(msg.contains("nova-chaos"), "{msg}");
-        let report = PortfolioReport {
-            machine: "lion".into(),
-            wall: run.wall,
-            runs: vec![run.clone()],
-        };
         let line = machine_summary_json_with(&report, false);
         let Some(Json::Arr(runs)) = line.get("runs") else {
             panic!("runs missing");

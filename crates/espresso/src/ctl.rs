@@ -221,7 +221,9 @@ impl RunCtl {
 
     /// Fires a scheduled fault: the action happens *after* the arm's lock
     /// is released (see [`FaultArm::tick`]), so even an injected panic
-    /// leaves every ctl lock healthy.
+    /// leaves every ctl lock healthy. An injected panic unwinds with its
+    /// message as the payload but without the panic hook: it is a drill
+    /// the engine contains, not a bug worth a `panicked at` report.
     #[cold]
     fn fault_fire(&self, arm: &FaultArm) {
         let Some(firing) = arm.tick() else { return };
@@ -234,7 +236,7 @@ impl RunCtl {
                 }
                 self.cancel_with(CancelReason::Budget);
             }
-            FaultKind::Panic => panic!(
+            FaultKind::Panic => std::panic::resume_unwind(Box::new(format!(
                 "nova-chaos: injected panic at {}:{}",
                 if firing.stage.is_empty() {
                     "<pre-stage>"
@@ -242,7 +244,7 @@ impl RunCtl {
                     &firing.stage
                 },
                 firing.at
-            ),
+            ))),
         }
     }
 

@@ -45,7 +45,8 @@ pub enum FaultKind {
     /// Zero the remaining node budget (latch with the budget reason).
     Budget,
     /// Panic right at the instrumentation point, exercising the engine's
-    /// containment and the telemetry-survival guarantees.
+    /// containment and the telemetry-survival guarantees. The unwind skips
+    /// the panic hook, so a contained drill prints nothing on stderr.
     Panic,
 }
 

@@ -1,7 +1,7 @@
 //! The content-addressed result cache.
 //!
 //! Keys are built by the request layer from `(machine fingerprint,
-//! algorithm list, options)` — see [`crate::wire::EncodeOptions::cache_key`]
+//! algorithm list, options)` — see [`crate::wire::cache_key`]
 //! — and values are the *exact response body bytes* of the first run, so a
 //! cache hit is byte-identical to the original response by construction.
 //! The engine's deterministic-replay guarantee (nova-chaos) is what makes

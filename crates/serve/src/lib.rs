@@ -20,7 +20,8 @@
 //!   An opt-in [`ServerConfig::trace_dir`] writes one `nova-trace/1` JSONL
 //!   per `/encode` request for `nova trace-report`.
 //! * [`cache`] — the LRU byte/entry-bounded result cache.
-//! * [`wire`] — query-string options and the cache-key construction over
+//! * [`wire`] — query-string options, decoded into the request's
+//!   `nova_engine::EngineConfig`, and the cache-key construction over
 //!   [`fsm::fingerprint`].
 //! * [`http`] — the minimal hand-rolled HTTP layer (no dependencies;
 //!   request heads are capped at 64 KiB, bodies at 1 MiB).
@@ -53,4 +54,3 @@ pub mod wire;
 pub use cache::{CacheConfig, CacheStats, ResultCache};
 pub use client::{ClientError, RemoteResponse};
 pub use server::{serve, ServerConfig, ServerHandle};
-pub use wire::EncodeOptions;

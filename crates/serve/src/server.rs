@@ -13,12 +13,13 @@
 //!    the HTTP request, and routes it. `POST /encode` bodies are parsed
 //!    into an [`fsm::Fsm`] (KISS2), fingerprinted
 //!    ([`fsm::fingerprint`]), and looked up in the result cache.
-//! 3. On a miss the request's options become an
-//!    [`nova_engine::EngineConfig`] — deadlines and budgets ride the
+//! 3. On a miss [`nova_engine::run_portfolio`] runs the request under the
+//!    [`nova_engine::EngineConfig`] its query decoded into
+//!    ([`crate::wire::from_query`]) — deadlines and budgets ride the
 //!    engine's own `RunCtl` plumbing, so a request that runs out of time
-//!    returns the anytime `Degraded` best-so-far encoding, not an error —
-//!    and [`nova_engine::run_portfolio`] produces a report. The answer is
-//!    its compact `nova-bench/1` document, with every run's state codes.
+//!    returns the anytime `Degraded` best-so-far encoding, not an error.
+//!    The answer is its compact `nova-bench/1` document, with every run's
+//!    state codes.
 //! 4. Fully deterministic reports (every run `done`/`unsolved`, no fault
 //!    plan) are frozen into the cache as exact response bytes; repeated
 //!    requests are byte-identical by construction.
@@ -44,7 +45,7 @@
 
 use crate::cache::{CacheConfig, ResultCache};
 use crate::http::{parse_query, Request, RequestError, Response};
-use crate::wire::EncodeOptions;
+use crate::wire;
 use fsm::Fsm;
 use nova_engine::{effective_jobs, run_portfolio, suite_to_json, Outcome};
 use nova_trace::json::Json;
@@ -490,8 +491,8 @@ fn parse_machine(req: &Request) -> Result<Fsm, String> {
 }
 
 fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
-    let options = match EncodeOptions::from_query(&parse_query(&req.query)) {
-        Ok(o) => o,
+    let mut cfg = match wire::from_query(&parse_query(&req.query)) {
+        Ok(cfg) => cfg,
         Err(e) => {
             shared.metrics.incr("serve.bad_requests", 1);
             return error_response(400, &e.to_string());
@@ -505,9 +506,9 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
         }
     };
     let fp = fsm::fingerprint(&machine);
-    let key = options.cache_key(&fp);
+    let key = wire::cache_key(&cfg, &fp);
 
-    if options.cacheable() {
+    if wire::cacheable(&cfg) {
         let lookup = Instant::now();
         let hit = lock(&shared.cache).get(&key);
         shared
@@ -525,15 +526,10 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
     // every span in the emitted JSONL carries this request's id — otherwise
     // it runs untraced.
     shared.metrics.incr("serve.engine.runs", 1);
-    let tracer = match &shared.cfg.trace_dir {
-        Some(_) => {
-            let t = Tracer::enabled();
-            t.set_request_id(id);
-            t
-        }
-        None => Tracer::disabled(),
-    };
-    let cfg = options.engine_config(&tracer);
+    if shared.cfg.trace_dir.is_some() {
+        cfg.tracer = Tracer::enabled();
+        cfg.tracer.set_request_id(id);
+    }
     let run_started = Instant::now();
     let report = run_portfolio(&machine, machine.name(), &cfg);
     shared.metrics.observe(
@@ -541,7 +537,7 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
         run_started.elapsed().as_micros() as u64,
     );
     if let Some(dir) = &shared.cfg.trace_dir {
-        write_request_trace(dir, id, &tracer);
+        write_request_trace(dir, id, &cfg.tracer);
     }
     // A `Failed` run is a panic the portfolio contained. The engine is a
     // pure function of (machine, options), so it predicts nothing about
@@ -568,7 +564,7 @@ fn handle_encode(req: &Request, shared: &Shared, id: u64) -> Response {
 
     // Only fully deterministic reports are admissible: a run that saw a
     // deadline, degradation, or failure is not a replayable artifact.
-    if options.cacheable() && deterministic {
+    if wire::cacheable(&cfg) && deterministic {
         lock(&shared.cache).insert(&key, Arc::clone(&body));
     }
 

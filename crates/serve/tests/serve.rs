@@ -126,7 +126,7 @@ fn degraded_results_are_returned_but_never_cached() {
     let (handle, addr) = start(ServerConfig::default());
     // A deterministic injected budget fault mid-espresso: the engine's
     // anytime plumbing degrades to the best-so-far encoding.
-    let q = "algorithms=ihybrid&jobs=1&fault_plan=stage.espresso%3A1%3Abudget";
+    let q = "algorithms=ihybrid&fault_plan=stage.espresso%3A1%3Abudget";
     let first = client::post_kiss(&addr, &kiss("lion"), q).expect("post");
     let doc = assert_bench_schema(&first);
     let m = match doc.get("machines") {
@@ -541,7 +541,7 @@ fn injected_faults_do_not_refuse_other_requests() {
     // is a pure function of (machine, options), so a run of such failures
     // predicts nothing about another machine's request.
     let (handle, addr) = start(ServerConfig::default());
-    let q = "algorithms=ihybrid&jobs=1&fault_plan=*%3A1%3Apanic";
+    let q = "algorithms=ihybrid&fault_plan=*%3A1%3Apanic";
     for i in 0..8 {
         let resp = client::post_kiss(&addr, &kiss("lion"), q).expect("post");
         assert_eq!(resp.status, 200, "faulted request {i}: {}", resp.body);

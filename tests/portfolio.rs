@@ -3,9 +3,7 @@
 
 use espresso::{FaultKind, FaultPlan};
 use nova_core::driver::{run, Algorithm};
-use nova_engine::{
-    report_fingerprint, run_one, run_portfolio, EngineConfig, Outcome, PortfolioReport,
-};
+use nova_engine::{report_fingerprint, run_portfolio, EngineConfig, Outcome, PortfolioReport};
 use std::time::{Duration, Instant};
 
 const SMALL_MACHINES: [&str; 5] = ["lion", "bbtas", "shiftreg", "dk27", "tav"];
@@ -217,7 +215,13 @@ fn portfolio_runs_match_their_solo_runs() {
                 machine: name.to_string(),
                 runs: Algorithm::ALL
                     .into_iter()
-                    .map(|alg| run_one(&m, alg, cfg))
+                    .map(|alg| {
+                        let alone = EngineConfig {
+                            algorithms: vec![alg],
+                            ..cfg.clone()
+                        };
+                        run_portfolio(&m, name, &alone).runs.remove(0)
+                    })
                     .collect(),
                 wall: Duration::ZERO,
             };

@@ -2,7 +2,7 @@
 //! stage-time accounting, span nesting in the JSONL sink, and the
 //! Chrome-trace golden shape.
 
-use nova_engine::{run_one, run_portfolio, EngineConfig};
+use nova_engine::{run_portfolio, EngineConfig};
 use nova_trace::json::{self, Json};
 use nova_trace::Tracer;
 use std::time::Duration;
@@ -41,11 +41,11 @@ fn stage_times_are_nonnegative_and_bounded_by_wall() {
 fn stage_times_flow_through_disabled_tracer_too() {
     // One telemetry path: stage times must be measured even when tracing is
     // off (the default engine config).
-    let run = run_one(
-        &lion(),
-        nova_core::driver::Algorithm::IHybrid,
-        &EngineConfig::default(),
-    );
+    let cfg = EngineConfig {
+        algorithms: vec![nova_core::driver::Algorithm::IHybrid],
+        ..EngineConfig::default()
+    };
+    let run = &run_portfolio(&lion(), "lion", &cfg).runs[0];
     assert!(run.outcome.result().is_some());
     assert!(run.stages.total() > Duration::ZERO);
     assert!(run.metrics.is_empty());
