@@ -7,9 +7,9 @@
 
 use fsm::benchmarks::Benchmark;
 use nova_core::driver::{random_baseline, Algorithm, EvalResult, RandomStats};
-use nova_core::exact::{constraint_satisfied, iexact_code, ExactOptions};
-use nova_core::extract_input_constraints;
+use nova_core::exact::{iexact_code, ExactOptions};
 use nova_core::poset::InputGraph;
+use nova_core::{extract_input_constraints, HybridOutcome};
 use nova_engine::{run_portfolio, EngineConfig};
 
 pub mod microbench;
@@ -167,19 +167,11 @@ pub fn report(bench: &Benchmark, with_exact: bool) -> MachineReport {
         None
     };
 
-    let (codes, bits) = (ihybrid.encoding.codes(), ihybrid.bits as u32);
-    let (mut wsat, mut wunsat) = (0, 0);
-    for c in &ics.constraints {
-        if constraint_satisfied(&c.set, codes, bits) {
-            wsat += c.weight;
-        } else {
-            wunsat += c.weight;
-        }
-    }
+    let split = HybridOutcome::new(&ics, ihybrid.encoding.clone());
     let ihybrid_stats = IhybridStats {
-        wsat,
-        wunsat,
-        clength: bits,
+        wsat: split.weight_satisfied(),
+        wunsat: split.weight_unsatisfied(),
+        clength: ihybrid.bits as u32,
         exact_clength: iexact.as_ref().map(|e| e.bits as u32),
         seconds: (stages.constraints + stages.embed).as_secs_f64(),
     };

@@ -1170,18 +1170,6 @@ pub fn semiexact_code(
     io_semiexact_code(num_states, constraints, &[], k, max_work)
 }
 
-/// [`semiexact_code`] under a [`RunCtl`] (see [`iexact_code_ctl`] for the
-/// `Err` vs `Ok(None)` distinction).
-pub fn semiexact_code_ctl(
-    num_states: usize,
-    constraints: &[StateSet],
-    k: u32,
-    max_work: u64,
-    ctl: &RunCtl,
-) -> Result<Option<Embedding>, Cancelled> {
-    io_semiexact_code_ctl(num_states, constraints, &[], k, max_work, ctl)
-}
-
 /// `io_semiexact_code` (Section VI-6.2.1): `semiexact_code` with an added
 /// mechanism rejecting face assignments that violate an active output
 /// covering relation.

@@ -9,10 +9,10 @@
 //! simply dropped, which is why the algorithm is fast but suboptimal (and
 //! why the paper tailors it to code lengths close to the minimum).
 
-use crate::constraint::{InputConstraints, StateSet, WeightedConstraint};
-use crate::exact::{constraint_satisfied, min_code_length};
+use crate::constraint::{InputConstraints, StateSet};
+use crate::exact::min_code_length;
 use crate::face::{faces_of_level, Face};
-use crate::hybrid::HybridOutcome;
+use crate::hybrid::{offer_scored, HybridOutcome};
 use crate::poset::InputGraph;
 use fsm::{Encoding, StateId};
 use std::collections::HashSet;
@@ -134,24 +134,14 @@ pub fn igreedy_code_ctl(
         codes[s] = v;
     }
 
-    let (satisfied, unsatisfied): (Vec<WeightedConstraint>, Vec<WeightedConstraint>) = ics
-        .constraints
-        .iter()
-        .copied()
-        .partition(|c| constraint_satisfied(&c.set, &codes, k));
     let encoding = Encoding::new(k as usize, codes).expect("codes distinct by construction");
-    Ok(HybridOutcome {
-        encoding,
-        satisfied,
-        unsatisfied,
-        min_length,
-    })
+    Ok(HybridOutcome::new(ics, encoding))
 }
 
 /// Anytime snapshot of a *cancelled* pack loop: fill the not-yet-packed
-/// states with the lowest untaken vertices, score the completed codes by
-/// satisfied-constraint weight, and offer them to the ctl so the driver can
-/// degrade instead of returning nothing.
+/// states with the lowest untaken vertices and offer the completed codes to
+/// the ctl ([`offer_scored`]) so [`crate::driver::run_traced`] can degrade
+/// instead of returning nothing.
 fn offer_packed(
     ctl: &espresso::RunCtl,
     ics: &InputConstraints,
@@ -165,13 +155,7 @@ fn offer_packed(
             *code = free.next().expect("2^k >= n vertices available");
         }
     }
-    let score: u64 = ics
-        .constraints
-        .iter()
-        .filter(|c| constraint_satisfied(&c.set, codes, k))
-        .map(|c| c.weight as u64 + 1)
-        .sum();
-    ctl.offer_best(k, codes, "igreedy.pack", score);
+    offer_scored(ctl, &ics.constraints, &[], codes, k, "igreedy.pack");
 }
 
 /// Consistency of a candidate face with the faces already placed.
@@ -210,6 +194,7 @@ fn fits(set: &StateSet, face: &Face, assigned: &[(StateSet, Face)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::WeightedConstraint;
 
     fn weighted(specs: &[(&str, u32)]) -> InputConstraints {
         let constraints = specs

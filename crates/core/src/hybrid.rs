@@ -2,13 +2,24 @@
 //! satisfaction via the bounded-backtrack `semiexact_code` on the minimum
 //! code length, followed by `project_code` dimension raising (Section
 //! IV-4.2, Proposition 4.2.1) up to the requested code length.
+//!
+//! `kiss_code` is that loop projecting until every constraint holds, and
+//! `iohybrid_code` and `iovariant_code` ([`crate::iohybrid`]) are that loop
+//! with an output-cluster stage between acceptance and projection. All four
+//! run the one private `accept_and_project` below.
 
 use crate::constraint::{InputConstraints, StateSet, WeightedConstraint};
-use crate::exact::{constraint_satisfied, min_code_length, semiexact_code_ctl};
+use crate::exact::{constraint_satisfied, io_semiexact_code_ctl, min_code_length};
+use crate::iohybrid::cluster_satisfied;
+use crate::symbolic_min::OutputCluster;
 use espresso::{Cancelled, RunCtl};
 use fsm::Encoding;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
-/// Tuning knobs for [`ihybrid_code`].
+/// Tuning knobs for [`ihybrid_code`], [`kiss_code`],
+/// [`iohybrid_code`](crate::iohybrid::iohybrid_code) and
+/// [`iovariant_code`](crate::iohybrid::iovariant_code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HybridOptions {
     /// The `max_work` bound on each `semiexact_code` call (the paper's
@@ -45,6 +56,22 @@ pub struct HybridOutcome {
 }
 
 impl HybridOutcome {
+    /// Splits the constraints of `ics` by satisfaction under `encoding`.
+    pub fn new(ics: &InputConstraints, encoding: Encoding) -> HybridOutcome {
+        let bits = encoding.bits() as u32;
+        let (satisfied, unsatisfied) = ics
+            .constraints
+            .iter()
+            .copied()
+            .partition(|c| constraint_satisfied(&c.set, encoding.codes(), bits));
+        HybridOutcome {
+            encoding,
+            satisfied,
+            unsatisfied,
+            min_length: min_code_length(ics.num_states),
+        }
+    }
+
     /// Total weight of satisfied constraints (`wsat` of Table VI).
     pub fn weight_satisfied(&self) -> u32 {
         self.satisfied.iter().map(|c| c.weight).sum()
@@ -56,33 +83,26 @@ impl HybridOutcome {
     }
 }
 
-/// Splits `constraints` by satisfaction under `codes`.
-fn split_by_satisfaction(
-    constraints: &[WeightedConstraint],
-    codes: &[u64],
-    bits: u32,
-) -> (Vec<WeightedConstraint>, Vec<WeightedConstraint>) {
-    constraints
-        .iter()
-        .copied()
-        .partition(|c| constraint_satisfied(&c.set, codes, bits))
-}
-
-/// Offers a complete intermediate code vector to the ctl's best-so-far
-/// slot, scored by the satisfied-constraint weight (ties broken upstream by
-/// last-writer-wins at equal score), so a cancellation mid-phase still
-/// leaves the driver a valid anytime encoding.
-fn offer_snapshot(
+/// Offers a complete code vector to the ctl's best-so-far slot, scored by
+/// Σ(weight + 1) over the satisfied input constraints plus the number of
+/// honoured output clusters (later equal-score offers win), so a
+/// cancellation mid-search still leaves [`crate::driver::run_traced`] a
+/// valid anytime encoding.
+pub(crate) fn offer_scored(
     ctl: &RunCtl,
     constraints: &[WeightedConstraint],
+    clusters: &[OutputCluster],
     codes: &[u64],
     bits: u32,
     source: &'static str,
 ) {
-    let (satisfied, _) = split_by_satisfaction(constraints, codes, bits);
-    let score: u64 =
-        satisfied.iter().map(|c| c.weight as u64).sum::<u64>() + satisfied.len() as u64;
-    ctl.offer_best(bits, codes, source, score);
+    let inputs: u64 = constraints
+        .iter()
+        .filter(|c| constraint_satisfied(&c.set, codes, bits))
+        .map(|c| c.weight as u64 + 1)
+        .sum();
+    let outputs = clusters.iter().filter(|c| cluster_satisfied(codes, c));
+    ctl.offer_best(bits, codes, source, inputs + outputs.count() as u64);
 }
 
 /// `project_code` (Section IV-4.2): adds one dimension to `codes`, raising a
@@ -148,6 +168,116 @@ pub fn project_code(codes: &mut [u64], bits: &mut u32, unsatisfied: &[WeightedCo
     *bits += 1;
 }
 
+/// `iovariant_code`'s companion sets: the input constraints tied only to
+/// proper outputs (`IC_o`), the only ones its first stage accepts, and those
+/// clustered per next state (`IC_i`), which join their cluster's attempt.
+pub(crate) type Companions<'a> = (&'a [StateSet], &'a BTreeMap<usize, Vec<StateSet>>);
+
+/// The constraint-acceptance loop of `ihybrid_code`, `kiss_code`,
+/// `iohybrid_code` and `iovariant_code`, in four steps at the minimum code
+/// length and then past it:
+///
+/// 1. input constraints in weight order, each accepted when one
+///    `semiexact_code` search embeds it with those accepted before;
+/// 2. output clusters by decreasing weight, each accepted when
+///    `io_semiexact_code` embeds its covering pairs with those accepted
+///    before (and, with `companions`, its `IC_i`);
+/// 3. if nothing was accepted, the bare poset's embedding, or sequential
+///    codes as a last resort;
+/// 4. `project_code` until every input constraint holds or the codes reach
+///    `target_bits`.
+///
+/// Each accepted constraint or cluster and each projection offers its codes
+/// to `ctl` ([`offer_scored`]) under `sources` (acceptance, projection), so a
+/// run stopped inside a search degrades to the last codes it accepted,
+/// unless the search's own partial snapshot scores at least as well. Every
+/// search charges `ctl` per candidate face and each projection charges
+/// proportional to the state count.
+pub(crate) fn accept_and_project(
+    ics: &InputConstraints,
+    clusters: &[OutputCluster],
+    companions: Option<Companions>,
+    target_bits: Option<u32>,
+    opts: HybridOptions,
+    sources: [&'static str; 2],
+    ctl: &RunCtl,
+) -> Result<Encoding, Cancelled> {
+    let n = ics.num_states;
+    let min_length = min_code_length(n);
+    assert!(min_length <= 63, "u64 codes support at most 63 state bits");
+    let target = target_bits.unwrap_or(min_length).max(min_length).min(63);
+    let [accepted, projected] = sources;
+    let offer = |codes: &[u64], bits: u32, source: &'static str| {
+        offer_scored(ctl, &ics.constraints, clusters, codes, bits, source)
+    };
+    let search = |sets: &[StateSet], covers: &[(usize, usize)]| {
+        io_semiexact_code_ctl(n, sets, covers, min_length, opts.max_work, ctl)
+    };
+
+    let mut sets: Vec<StateSet> = Vec::new();
+    let mut codes: Option<Vec<u64>> = None;
+    let stage1 = ics
+        .constraints
+        .iter()
+        .filter(|c| companions.is_none_or(|(ic_o, _)| ic_o.contains(&c.set)));
+    for c in stage1 {
+        sets.push(c.set);
+        match search(&sets, &[])? {
+            Some(e) => {
+                offer(&e.codes, min_length, accepted);
+                codes = Some(e.codes);
+            }
+            None => {
+                sets.pop();
+            }
+        }
+    }
+
+    let mut covers: Vec<(usize, usize)> = Vec::new();
+    let mut by_weight: Vec<&OutputCluster> = clusters.iter().collect();
+    by_weight.sort_by_key(|c| Reverse(c.weight));
+    for cluster in by_weight {
+        let mut with_sets = sets.clone();
+        let ic_i = companions.and_then(|(_, ic_i)| ic_i.get(&cluster.next.0));
+        for set in ic_i.into_iter().flatten() {
+            if !with_sets.contains(set) {
+                with_sets.push(*set);
+            }
+        }
+        let mut with_covers = covers.clone();
+        with_covers.extend(cluster.covers.iter().map(|&(u, v)| (u.0, v.0)));
+        if let Some(e) = search(&with_sets, &with_covers)? {
+            offer(&e.codes, min_length, accepted);
+            codes = Some(e.codes);
+            (sets, covers) = (with_sets, with_covers);
+        }
+    }
+
+    let mut codes = match codes {
+        Some(c) => c,
+        None => search(&[], &[])?
+            .map(|e| e.codes)
+            .unwrap_or_else(|| (0..n as u64).collect()),
+    };
+    let mut bits = min_length;
+    offer(&codes, bits, accepted);
+
+    let unsatisfied = |codes: &[u64], bits: u32| -> Vec<WeightedConstraint> {
+        (ics.constraints.iter())
+            .filter(|c| !constraint_satisfied(&c.set, codes, bits))
+            .copied()
+            .collect()
+    };
+    let mut still = unsatisfied(&codes, bits);
+    while !still.is_empty() && bits < target {
+        ctl.charge(1 + codes.len() as u64)?;
+        project_code(&mut codes, &mut bits, &still);
+        offer(&codes, bits, projected);
+        still = unsatisfied(&codes, bits);
+    }
+    Ok(Encoding::new(bits as usize, codes).expect("codes are distinct by construction"))
+}
+
 /// `ihybrid_code`: maximizes the total weight of satisfied input constraints
 /// at the minimum code length by a cycle of `semiexact_code` calls, then
 /// projects into extra dimensions (up to `target_bits`) to satisfy the rest.
@@ -178,59 +308,9 @@ pub fn ihybrid_code_ctl(
     opts: HybridOptions,
     ctl: &RunCtl,
 ) -> Result<HybridOutcome, Cancelled> {
-    let n = ics.num_states;
-    let min_length = min_code_length(n);
-    assert!(min_length <= 63, "u64 codes support at most 63 state bits");
-    let target = target_bits.unwrap_or(min_length).max(min_length).min(63);
-
-    // Phase 1: greedy weight-ordered acceptance through semiexact_code.
-    let mut sic: Vec<WeightedConstraint> = Vec::new();
-    let mut codes: Option<Vec<u64>> = None;
-    for &c in &ics.constraints {
-        let mut attempt: Vec<StateSet> = sic.iter().map(|w| w.set).collect();
-        attempt.push(c.set);
-        if let Some(embedding) = semiexact_code_ctl(n, &attempt, min_length, opts.max_work, ctl)? {
-            offer_snapshot(
-                ctl,
-                &ics.constraints,
-                &embedding.codes,
-                min_length,
-                "ihybrid.semiexact",
-            );
-            codes = Some(embedding.codes);
-            sic.push(c);
-        }
-    }
-    // Pathological fallback: no semiexact call succeeded (or there were no
-    // constraints): take the embedding of the bare poset, or sequential
-    // codes as a last resort.
-    let mut codes = match codes {
-        Some(c) => c,
-        None => semiexact_code_ctl(n, &[], min_length, opts.max_work, ctl)?
-            .map(|e| e.codes)
-            .unwrap_or_else(|| (0..n as u64).collect()),
-    };
-    let mut bits = min_length;
-    offer_snapshot(ctl, &ics.constraints, &codes, bits, "ihybrid.semiexact");
-
-    // Phase 2: projection to larger code lengths.
-    let (_, mut still) = split_by_satisfaction(&ics.constraints, &codes, bits);
-    while !still.is_empty() && bits < target {
-        ctl.charge(1 + codes.len() as u64)?;
-        project_code(&mut codes, &mut bits, &still);
-        offer_snapshot(ctl, &ics.constraints, &codes, bits, "ihybrid.project");
-        let (_, rest) = split_by_satisfaction(&ics.constraints, &codes, bits);
-        still = rest;
-    }
-
-    let (satisfied, unsatisfied) = split_by_satisfaction(&ics.constraints, &codes, bits);
-    let encoding = Encoding::new(bits as usize, codes).expect("codes are distinct by construction");
-    Ok(HybridOutcome {
-        encoding,
-        satisfied,
-        unsatisfied,
-        min_length,
-    })
+    let sources = ["ihybrid.semiexact", "ihybrid.project"];
+    let encoding = accept_and_project(ics, &[], None, target_bits, opts, sources, ctl)?;
+    Ok(HybridOutcome::new(ics, encoding))
 }
 
 /// The KISS baseline: satisfy **all** input constraints by projecting past
@@ -254,6 +334,7 @@ pub fn kiss_code_ctl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iohybrid::{iohybrid_code_problem, IoProblem};
     use fsm::StateId;
 
     fn weighted(specs: &[(&str, u32)]) -> InputConstraints {
@@ -272,18 +353,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn example_4_1_flow() {
-        // Example 4.1: IC with weights 4, 2, 3, 5, 1, 1; minimum length 3,
-        // target 4 bits satisfies everything via one projection step.
-        let ics = weighted(&[
+    /// Example 4.1: IC with weights 4, 2, 3, 5, 1, 1, heaviest first.
+    fn example_4_1() -> InputConstraints {
+        weighted(&[
             ("1000110", 5),
             ("1110000", 4),
             ("0000111", 3),
             ("0111000", 2),
             ("0000011", 1),
             ("0011000", 1),
-        ]);
+        ])
+    }
+
+    /// Example 4.1's set and the input constraints of three small suite
+    /// machines.
+    fn constraint_sets() -> Vec<InputConstraints> {
+        let mut sets = vec![example_4_1()];
+        for name in ["bbtas", "lion", "dk27"] {
+            let m = fsm::benchmarks::by_name(name).expect("embedded").fsm;
+            sets.push(crate::extract_input_constraints(&m));
+        }
+        sets
+    }
+
+    #[test]
+    fn example_4_1_flow() {
+        // Minimum length 3, target 4 bits satisfies everything via one
+        // projection step.
+        let ics = example_4_1();
         let out = ihybrid_code(&ics, Some(4), HybridOptions::default());
         assert_eq!(out.min_length, 3);
         assert!(out.encoding.bits() <= 4);
@@ -357,15 +454,7 @@ mod tests {
 
     #[test]
     fn kiss_satisfies_everything() {
-        let ics = weighted(&[
-            ("1000110", 5),
-            ("1110000", 4),
-            ("0000111", 3),
-            ("0111000", 2),
-            ("0000011", 1),
-            ("0011000", 1),
-        ]);
-        let out = kiss_code(&ics, HybridOptions::default());
+        let out = kiss_code(&example_4_1(), HybridOptions::default());
         assert!(out.unsatisfied.is_empty());
         for c in &out.satisfied {
             assert!(constraint_satisfied(
@@ -394,5 +483,39 @@ mod tests {
         assert_eq!(out.weight_satisfied() + out.weight_unsatisfied(), 6);
         let all_states: Vec<StateId> = (0..4).map(StateId).collect();
         assert_eq!(out.encoding.codes().len(), all_states.len());
+    }
+
+    /// Paper Section VI-6.2.1: `iohybrid_code`'s first stage is
+    /// `ihybrid_code`, so with no output clusters the two give one answer,
+    /// at the minimum length and past it.
+    #[test]
+    fn iohybrid_without_clusters_is_ihybrid() {
+        for ic in constraint_sets() {
+            let problem = IoProblem {
+                ic,
+                ic_clusters: BTreeMap::new(),
+                ic_outputs: Vec::new(),
+                oc_clusters: Vec::new(),
+            };
+            for target in [None, Some(min_code_length(problem.ic.num_states) + 2)] {
+                let ihybrid = ihybrid_code(&problem.ic, target, HybridOptions::default());
+                let io = iohybrid_code_problem(&problem, target, HybridOptions::default());
+                assert_eq!(io.hybrid.encoding, ihybrid.encoding, "target {target:?}");
+                assert_eq!(io.hybrid.satisfied, ihybrid.satisfied);
+            }
+        }
+    }
+
+    #[test]
+    fn kiss_is_ihybrid_at_its_target_length() {
+        for ic in constraint_sets() {
+            let target = min_code_length(ic.num_states) + ic.constraints.len() as u32;
+            let kiss = kiss_code(&ic, HybridOptions::default());
+            let ihybrid = ihybrid_code(&ic, Some(target.min(63)), HybridOptions::default());
+            assert_eq!(kiss.encoding, ihybrid.encoding);
+            assert_eq!(kiss.satisfied, ihybrid.satisfied);
+            assert_eq!(kiss.unsatisfied, ihybrid.unsatisfied);
+            assert_eq!(kiss.min_length, ihybrid.min_length);
+        }
     }
 }

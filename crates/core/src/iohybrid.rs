@@ -1,13 +1,14 @@
 //! `iohybrid_code` and `iovariant_code` (Section VI-6.2): encoding for
 //! simultaneous input and output constraint satisfaction, plus the
 //! `out_encoder` fallback for pure output-constraint instances.
+//!
+//! Both run `ihybrid_code`'s constraint-acceptance loop ([`crate::hybrid`])
+//! with an output-cluster stage between its input stage and `project_code`;
+//! `iovariant_code` only changes which input constraints travel with a
+//! cluster.
 
-use crate::constraint::InputConstraints;
-use crate::constraint::{StateSet, WeightedConstraint};
-use crate::exact::{
-    constraint_satisfied, io_semiexact_code_ctl, min_code_length, semiexact_code_ctl,
-};
-use crate::hybrid::{project_code, HybridOptions, HybridOutcome};
+use crate::constraint::{InputConstraints, StateSet};
+use crate::hybrid::{accept_and_project, Companions, HybridOptions, HybridOutcome};
 use crate::symbolic_min::{OutputCluster, SymbolicMin};
 use espresso::{Cancelled, RunCtl};
 use fsm::{Encoding, StateId};
@@ -27,17 +28,6 @@ pub struct IoProblem {
     pub ic_outputs: Vec<StateSet>,
     /// Output-constraint clusters (`OC_i`).
     pub oc_clusters: Vec<OutputCluster>,
-}
-
-impl From<&SymbolicMin> for IoProblem {
-    fn from(sym: &SymbolicMin) -> Self {
-        IoProblem {
-            ic: sym.ic.clone(),
-            ic_clusters: sym.ic_clusters.clone(),
-            ic_outputs: sym.ic_outputs.clone(),
-            oc_clusters: sym.oc_clusters.clone(),
-        }
-    }
 }
 
 /// Outcome of the input/output encoding algorithms: the usual hybrid
@@ -65,55 +55,11 @@ fn cover_holds(codes: &[u64], u: StateId, v: StateId) -> bool {
     cu | cv == cu && cu != cv
 }
 
-fn cluster_satisfied(codes: &[u64], cluster: &OutputCluster) -> bool {
+pub(crate) fn cluster_satisfied(codes: &[u64], cluster: &OutputCluster) -> bool {
     cluster
         .covers
         .iter()
         .all(|&(u, v)| cover_holds(codes, u, v))
-}
-
-/// Offers a complete intermediate code vector to the ctl's best-so-far
-/// slot, scored by satisfied input-constraint weight plus honoured output
-/// clusters, so a cancellation mid-stage still leaves the driver a valid
-/// anytime encoding.
-fn offer_snapshot(ctl: &RunCtl, sym: &IoProblem, codes: &[u64], bits: u32, source: &'static str) {
-    let (hs, sc, _) = split_io(&sym.ic.constraints, &sym.oc_clusters, codes, bits);
-    let score: u64 = hs
-        .satisfied
-        .iter()
-        .map(|c| c.weight as u64 + 1)
-        .sum::<u64>()
-        + sc.len() as u64;
-    ctl.offer_best(bits, codes, source, score);
-}
-
-fn split_io(
-    constraints: &[WeightedConstraint],
-    clusters: &[OutputCluster],
-    codes: &[u64],
-    bits: u32,
-) -> (HybridSplit, Vec<OutputCluster>, Vec<OutputCluster>) {
-    let (satisfied, unsatisfied): (Vec<WeightedConstraint>, Vec<WeightedConstraint>) = constraints
-        .iter()
-        .copied()
-        .partition(|c| constraint_satisfied(&c.set, codes, bits));
-    let (sc, uc): (Vec<OutputCluster>, Vec<OutputCluster>) = clusters
-        .iter()
-        .cloned()
-        .partition(|c| cluster_satisfied(codes, c));
-    (
-        HybridSplit {
-            satisfied,
-            unsatisfied,
-        },
-        sc,
-        uc,
-    )
-}
-
-struct HybridSplit {
-    satisfied: Vec<WeightedConstraint>,
-    unsatisfied: Vec<WeightedConstraint>,
 }
 
 /// `out_encoder` (Saldanha): encodes a pure output-constraint instance by
@@ -162,7 +108,8 @@ pub fn iohybrid_code(
     target_bits: Option<u32>,
     opts: HybridOptions,
 ) -> IoOutcome {
-    io_encode(&IoProblem::from(sym), target_bits, opts, false)
+    iohybrid_code_ctl(sym, target_bits, opts, &RunCtl::unlimited())
+        .expect("unlimited ctl never cancels")
 }
 
 /// [`iohybrid_code`] under a [`RunCtl`]: all three stages (semiexact input
@@ -173,7 +120,7 @@ pub fn iohybrid_code_ctl(
     opts: HybridOptions,
     ctl: &RunCtl,
 ) -> Result<IoOutcome, Cancelled> {
-    io_encode_ctl(&IoProblem::from(sym), target_bits, opts, false, ctl)
+    io_encode(&sym.ic, &sym.oc_clusters, None, target_bits, opts, ctl)
 }
 
 /// [`iohybrid_code`] on a standalone [`IoProblem`] instance.
@@ -182,7 +129,16 @@ pub fn iohybrid_code_problem(
     target_bits: Option<u32>,
     opts: HybridOptions,
 ) -> IoOutcome {
-    io_encode(problem, target_bits, opts, false)
+    let unlimited = RunCtl::unlimited();
+    io_encode(
+        &problem.ic,
+        &problem.oc_clusters,
+        None,
+        target_bits,
+        opts,
+        &unlimited,
+    )
+    .expect("unlimited ctl never cancels")
 }
 
 /// `iovariant_code` (Section VI-6.2.2): like `iohybrid_code` but the i-th
@@ -194,7 +150,8 @@ pub fn iovariant_code(
     target_bits: Option<u32>,
     opts: HybridOptions,
 ) -> IoOutcome {
-    io_encode(&IoProblem::from(sym), target_bits, opts, true)
+    iovariant_code_ctl(sym, target_bits, opts, &RunCtl::unlimited())
+        .expect("unlimited ctl never cancels")
 }
 
 /// [`iovariant_code`] under a [`RunCtl`].
@@ -204,7 +161,15 @@ pub fn iovariant_code_ctl(
     opts: HybridOptions,
     ctl: &RunCtl,
 ) -> Result<IoOutcome, Cancelled> {
-    io_encode_ctl(&IoProblem::from(sym), target_bits, opts, true, ctl)
+    let companions = Some((sym.ic_outputs.as_slice(), &sym.ic_clusters));
+    io_encode(
+        &sym.ic,
+        &sym.oc_clusters,
+        companions,
+        target_bits,
+        opts,
+        ctl,
+    )
 }
 
 /// [`iovariant_code`] on a standalone [`IoProblem`] instance.
@@ -213,130 +178,43 @@ pub fn iovariant_code_problem(
     target_bits: Option<u32>,
     opts: HybridOptions,
 ) -> IoOutcome {
-    io_encode(problem, target_bits, opts, true)
+    let companions = Some((problem.ic_outputs.as_slice(), &problem.ic_clusters));
+    let unlimited = RunCtl::unlimited();
+    io_encode(
+        &problem.ic,
+        &problem.oc_clusters,
+        companions,
+        target_bits,
+        opts,
+        &unlimited,
+    )
+    .expect("unlimited ctl never cancels")
 }
 
+/// Encodes `(ic, clusters)` with the shared acceptance loop, or with
+/// `out_encoder` when there are clusters but no input constraints.
 fn io_encode(
-    sym: &IoProblem,
+    ic: &InputConstraints,
+    clusters: &[OutputCluster],
+    companions: Option<Companions>,
     target_bits: Option<u32>,
     opts: HybridOptions,
-    variant: bool,
-) -> IoOutcome {
-    io_encode_ctl(sym, target_bits, opts, variant, &RunCtl::unlimited())
-        .expect("unlimited ctl never cancels")
-}
-
-fn io_encode_ctl(
-    sym: &IoProblem,
-    target_bits: Option<u32>,
-    opts: HybridOptions,
-    variant: bool,
     ctl: &RunCtl,
 ) -> Result<IoOutcome, Cancelled> {
-    let n = sym.ic.num_states;
-    let min_length = min_code_length(n);
-    assert!(min_length <= 63, "u64 codes support at most 63 state bits");
-    let target = target_bits.unwrap_or(min_length).max(min_length).min(63);
-
-    // Pure output-constraint instance: defer to out_encoder.
-    if sym.ic.constraints.is_empty() && !sym.oc_clusters.is_empty() {
-        let encoding = out_encoder(n, &sym.oc_clusters);
-        let codes = encoding.codes().to_vec();
-        let bits = encoding.bits() as u32;
-        let (hs, sc, uc) = split_io(&sym.ic.constraints, &sym.oc_clusters, &codes, bits);
-        return Ok(IoOutcome {
-            hybrid: HybridOutcome {
-                encoding,
-                satisfied: hs.satisfied,
-                unsatisfied: hs.unsatisfied,
-                min_length,
-            },
-            satisfied_clusters: sc,
-            unsatisfied_clusters: uc,
-        });
-    }
-
-    // Stage 1: input constraints, exactly as in ihybrid_code. In the
-    // variant, IC_o (output-only input constraints) seed the pot first;
-    // cluster-companion constraints join with their cluster instead.
-    let stage1_constraints: Vec<WeightedConstraint> = if variant {
-        sym.ic
-            .constraints
-            .iter()
-            .filter(|c| sym.ic_outputs.contains(&c.set))
-            .copied()
-            .collect()
+    let encoding = if ic.constraints.is_empty() && !clusters.is_empty() {
+        out_encoder(ic.num_states, clusters)
     } else {
-        sym.ic.constraints.clone()
+        let sources = ["iohybrid.embed", "iohybrid.project"];
+        accept_and_project(ic, clusters, companions, target_bits, opts, sources, ctl)?
     };
-    let mut sic: Vec<StateSet> = Vec::new();
-    let mut codes: Option<Vec<u64>> = None;
-    for c in &stage1_constraints {
-        let mut attempt = sic.clone();
-        attempt.push(c.set);
-        if let Some(e) = semiexact_code_ctl(n, &attempt, min_length, opts.max_work, ctl)? {
-            codes = Some(e.codes);
-            sic.push(c.set);
-        }
-    }
-
-    // Stage 2: output clusters in decreasing weight order.
-    let mut soc: Vec<(usize, usize)> = Vec::new();
-    let mut clusters: Vec<&OutputCluster> = sym.oc_clusters.iter().collect();
-    clusters.sort_by_key(|c| std::cmp::Reverse(c.weight));
-    for cluster in clusters {
-        let mut covers = soc.clone();
-        covers.extend(cluster.covers.iter().map(|&(u, v)| (u.0, v.0)));
-        let mut attempt = sic.clone();
-        if variant {
-            // Companion input constraints must come along.
-            if let Some(companions) = sym.ic_clusters.get(&cluster.next.0) {
-                for ic in companions {
-                    if !attempt.contains(ic) {
-                        attempt.push(*ic);
-                    }
-                }
-            }
-        }
-        if let Some(e) =
-            io_semiexact_code_ctl(n, &attempt, &covers, min_length, opts.max_work, ctl)?
-        {
-            codes = Some(e.codes);
-            soc = covers;
-            sic = attempt;
-        }
-    }
-
-    let mut codes = match codes {
-        Some(c) => c,
-        None => semiexact_code_ctl(n, &[], min_length, opts.max_work, ctl)?
-            .map(|e| e.codes)
-            .unwrap_or_else(|| (0..n as u64).collect()),
-    };
-    let mut bits = min_length;
-    offer_snapshot(ctl, sym, &codes, bits, "iohybrid.embed");
-
-    // Stage 3: projection for the leftover input constraints.
-    let (mut split, _, _) = split_io(&sym.ic.constraints, &sym.oc_clusters, &codes, bits);
-    while !split.unsatisfied.is_empty() && bits < target {
-        ctl.charge(1 + codes.len() as u64)?;
-        project_code(&mut codes, &mut bits, &split.unsatisfied);
-        offer_snapshot(ctl, sym, &codes, bits, "iohybrid.project");
-        let (s, _, _) = split_io(&sym.ic.constraints, &sym.oc_clusters, &codes, bits);
-        split = s;
-    }
-
-    let (hs, sc, uc) = split_io(&sym.ic.constraints, &sym.oc_clusters, &codes, bits);
-    let encoding = Encoding::new(bits as usize, codes).expect("codes distinct by construction");
+    let (satisfied_clusters, unsatisfied_clusters) = clusters
+        .iter()
+        .cloned()
+        .partition(|c| cluster_satisfied(encoding.codes(), c));
     Ok(IoOutcome {
-        hybrid: HybridOutcome {
-            encoding,
-            satisfied: hs.satisfied,
-            unsatisfied: hs.unsatisfied,
-            min_length,
-        },
-        satisfied_clusters: sc,
-        unsatisfied_clusters: uc,
+        hybrid: HybridOutcome::new(ic, encoding),
+        satisfied_clusters,
+        unsatisfied_clusters,
     })
 }
 

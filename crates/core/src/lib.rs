@@ -20,7 +20,8 @@
 //! * [`symbolic_min`] — symbolic minimization revisited (Section VI-6.1),
 //!   producing the paired `(IC, OC)` constraint sets.
 //! * [`iohybrid`] — `iohybrid_code`, `iovariant_code` and `out_encoder` for
-//!   ordered face hypercube embedding.
+//!   ordered face hypercube embedding. ihybrid, kiss, iohybrid and
+//!   iovariant share one constraint-acceptance loop in [`hybrid`].
 //! * [`mustang`] — the MUSTANG baseline (fanout / fanin weight models).
 //! * [`driver`] — the end-to-end pipeline: encode, ESPRESSO-minimize, and
 //!   report #bits / #cubes / PLA area / factored literals, plus the random
@@ -64,9 +65,7 @@ pub use driver::{
 pub use espresso::{
     BestSoFar, CancelReason, Cancelled, FaultKind, FaultPlan, FaultPoint, RunCounters, RunCtl,
 };
-pub use exact::{
-    iexact_code, iexact_code_ctl, mincube_dim, semiexact_code, semiexact_code_ctl, ExactOptions,
-};
+pub use exact::{iexact_code, iexact_code_ctl, mincube_dim, semiexact_code, ExactOptions};
 pub use face::Face;
 pub use greedy::{igreedy_code, igreedy_code_ctl};
 pub use hybrid::{

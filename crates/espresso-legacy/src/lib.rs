@@ -24,11 +24,21 @@ use espresso::{supercube, Cover, CoverCost, Cube, CubeSpace, MinimizeOptions, Mi
 /// LAST_GASP steps, frozen at the bound `espresso::minimize` uses.
 const MAX_ITERATIONS: usize = 8;
 
-/// Cofactor of `f` with respect to cube `p` (cubes disjoint from `p` drop
-/// out).
+/// Cofactor of `f` with respect to cube `p`: each cube `c` that meets `p`
+/// becomes `c | !p`, restricted to the space's fields; cubes disjoint from
+/// `p` drop out.
 fn cofactor(f: &Cover, p: &Cube) -> Cover {
-    let cubes = f.iter().filter_map(|c| c.cofactor(f.space(), p)).collect();
-    Cover::from_cubes(f.space().clone(), cubes)
+    let space = f.space();
+    let cubes = f
+        .iter()
+        .filter(|c| c.distance(space, p) == 0)
+        .map(|c| {
+            let words = c.words().iter().zip(p.words()).zip(space.full_words());
+            let words: Vec<u64> = words.map(|((a, b), full)| (a | !b) & full).collect();
+            Cube::from_words(space, &words)
+        })
+        .collect();
+    Cover::from_cubes(space.clone(), cubes)
 }
 
 /// Whether any single cube of `f` contains `c` (sufficient but not

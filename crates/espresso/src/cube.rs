@@ -208,28 +208,6 @@ impl Cube {
         Some(r)
     }
 
-    /// ESPRESSO cofactor of `self` with respect to `p`:
-    /// `self_p = self | !p` (restricted to the space), defined only when the
-    /// cubes intersect.
-    ///
-    /// The cofactored cube represents `self` inside the subspace selected by
-    /// `p`; tautology of a cofactored cover equals containment of `p` in the
-    /// original cover.
-    pub fn cofactor(&self, space: &CubeSpace, p: &Cube) -> Option<Cube> {
-        if self.distance(space, p) > 0 {
-            return None;
-        }
-        // Trim to the space's fields with the cached universal-cube mask.
-        let bits: Box<[u64]> = self
-            .bits
-            .iter()
-            .zip(&p.bits)
-            .zip(space.full_words())
-            .map(|((a, b), f)| (a | !b) & f)
-            .collect();
-        Some(Cube { bits })
-    }
-
     /// Total number of admitted parts across all variables.
     pub fn count_ones(&self) -> u32 {
         self.bits.iter().map(|w| w.count_ones()).sum()
@@ -370,16 +348,24 @@ mod tests {
         assert_eq!(c, a.and(&b));
     }
 
+    /// Reference ESPRESSO cofactor `c | !p`, restricted to the space's
+    /// fields, defined only when the cubes intersect.
+    fn cofactor(sp: &CubeSpace, c: &Cube, p: &Cube) -> Option<Cube> {
+        let words = c.words().iter().zip(p.words()).zip(sp.full_words());
+        let words: Vec<u64> = words.map(|((a, b), f)| (a | !b) & f).collect();
+        (c.distance(sp, p) == 0).then(|| Cube::from_words(sp, &words))
+    }
+
     #[test]
     fn cofactor_rules() {
         let sp = space();
         let c = cube("10 11 11");
         let p = cube("10 01 11");
-        let cf = c.cofactor(&sp, &p).expect("intersecting");
+        let cf = cofactor(&sp, &c, &p).expect("intersecting");
         // c | !p, restricted to the fields: 11 11 11
         assert!(cf.is_full(&sp));
         let q = cube("01 11 11");
-        assert_eq!(c.cofactor(&sp, &q), None);
+        assert_eq!(cofactor(&sp, &c, &q), None);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! * The **machine** arrives as the request body, as KISS2 text.
 //! * The **options** arrive as query parameters and decode straight into
 //!   the [`EngineConfig`] the request runs under: `algorithms`, `bits`,
-//!   `budget`, `timeout_ms`, `fault_plan`. The worker count is the
-//!   server's, not the request's.
+//!   `budget`, `timeout_ms`, `fault_plan`, each at most once. The worker
+//!   count is the server's, not the request's.
 //! * The **cache key** is the canonical serialization of everything that
 //!   determines the deterministic part of the result: the machine
 //!   fingerprint plus every result-affecting option. Wall-clock options
@@ -38,15 +38,19 @@ impl std::error::Error for BadOption {}
 ///
 /// # Errors
 ///
-/// [`BadOption`] on unknown keys (`jobs` among them), unknown or repeated
-/// algorithm names, malformed numbers or fault-plan specs — the request
-/// layer answers 400 with the message, so it names the offending pair.
+/// [`BadOption`] on unknown keys (`jobs` among them), a key given twice,
+/// unknown or repeated algorithm names, malformed numbers or fault-plan
+/// specs — the request layer answers 400 with the message, so it names the
+/// offending pair or key.
 pub fn from_query(pairs: &[(String, String)]) -> Result<EngineConfig, BadOption> {
     let mut out = EngineConfig::default();
     let bad = |k: &str, v: &str| BadOption(format!("{k}={v}"));
-    for (k, v) in pairs {
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if pairs[..i].iter().any(|(seen, _)| seen == k) {
+            return Err(BadOption(format!("{k} repeated")));
+        }
         match k.as_str() {
-            "algorithms" | "algorithm" => {
+            "algorithms" => {
                 if v == "all" {
                     out.algorithms = Algorithm::ALL.to_vec();
                 } else {
@@ -179,6 +183,26 @@ mod tests {
         }
         let err = from_query(&pairs("algorithms=kiss,1-hot,kiss")).unwrap_err();
         assert!(err.0.contains("kiss repeated"), "{err}");
+        // Each key once: a second value would silently replace the first.
+        for (q, key) in [
+            ("algorithms=kiss&algorithms=1-hot", "algorithms"),
+            ("bits=3&bits=4", "bits"),
+            ("budget=9&timeout_ms=5&budget=9", "budget"),
+        ] {
+            let err = from_query(&pairs(q)).unwrap_err();
+            assert_eq!(err.to_string(), format!("bad option: {key} repeated"));
+        }
+        // `algorithms` has one spelling.
+        for (q, pair) in [
+            ("algorithm=kiss", "algorithm=kiss"),
+            (
+                "algorithms=kiss&algorithm=1-hot&bits=3&bits=4",
+                "algorithm=1-hot",
+            ),
+        ] {
+            let err = from_query(&pairs(q)).unwrap_err();
+            assert_eq!(err.to_string(), format!("bad option: {pair}"));
+        }
     }
 
     #[test]

@@ -243,3 +243,25 @@ fn portfolio_runs_match_their_solo_runs() {
         }
     }
 }
+
+/// An iohybrid run stopped inside its acceptance stages degrades to the
+/// codes it last accepted, not to the stopped search's partial guess.
+#[test]
+fn stopped_iohybrid_degrades_to_its_last_accepted_codes() {
+    let m = machine("lion9");
+    let cfg = EngineConfig {
+        algorithms: vec![Algorithm::IoHybrid],
+        node_budget: Some(5000),
+        ..EngineConfig::default()
+    };
+    let report = run_portfolio(&m, "lion9", &cfg);
+    let Outcome::Degraded(d) = &report.runs[0].outcome else {
+        panic!(
+            "expected a degraded run, got {}",
+            report.runs[0].outcome.tag()
+        );
+    };
+    assert_eq!(d.source, "iohybrid.embed");
+    assert_eq!(d.encoding.codes().len(), m.num_states());
+    assert!(nova_core::evaluate(&m, &d.encoding).area > 0);
+}
