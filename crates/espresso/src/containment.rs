@@ -3,8 +3,9 @@
 //! One blocked scan over [`CubeMatrix`] rows decides every absorption:
 //! [`absorb_matrix`] runs it in place inside the unate recursion, and
 //! [`absorb_cubes`] (behind `Cover::absorb`) stages its cubes as rows of a
-//! pooled matrix first. [`Sig`]natures reject most non-contained pairs on
-//! three integer compares before any cube word is read.
+//! pooled matrix first. [`Sig`](crate::matrix::Sig)natures reject most
+//! non-contained pairs on three integer compares before any cube word is
+//! read.
 //!
 //! The keep/remove decisions are bit-for-bit identical to the legacy
 //! routine (`espresso_legacy::absorb_in_place`): degenerate cubes are
@@ -23,7 +24,7 @@
 
 use crate::ctl::Cancelled;
 use crate::cube::Cube;
-use crate::matrix::{row_subset, CubeMatrix, Sig};
+use crate::matrix::{row_subset, CubeMatrix};
 use crate::scratch::with_scratch;
 use crate::space::CubeSpace;
 
@@ -118,55 +119,4 @@ fn mark_unabsorbed(
         }
     }
     Ok(())
-}
-
-/// Signature-pruned scan: does any row of `m` contain `c` outright?
-/// (Sufficient but not necessary for cover containment — the fast accept in
-/// front of the exact tautology test.)
-pub fn any_row_contains(m: &CubeMatrix, c: &[u64], sig_c: Sig) -> bool {
-    let n = m.len();
-    let sigs = m.sigs();
-    let mut cand = [0u32; BLOCK];
-    for jb in (0..n).step_by(BLOCK) {
-        let je = (jb + BLOCK).min(n);
-        let mut nc = 0;
-        for (j, sj) in sigs[jb..je].iter().enumerate() {
-            if sig_c.may_be_subset_of(*sj) {
-                cand[nc] = (jb + j) as u32;
-                nc += 1;
-            }
-        }
-        if cand[..nc].iter().any(|&j| row_subset(c, m.row(j as usize))) {
-            return true;
-        }
-    }
-    false
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cover::Cover;
-
-    fn cover(strs: &[&str]) -> Cover {
-        let sp = CubeSpace::binary_with_output(2, 2);
-        let mut f = Cover::empty(sp);
-        for s in strs {
-            f.push_parsed(s).unwrap();
-        }
-        f
-    }
-
-    #[test]
-    fn any_row_contains_is_single_cube_containment() {
-        let f = cover(&["10 11 11", "01 10 10"]);
-        let sp = f.space().clone();
-        let mut m = CubeMatrix::new();
-        m.reset(&sp);
-        m.extend_cubes(&sp, f.cubes());
-        let c = Cube::parse(&sp, "10 01 01").unwrap();
-        assert!(any_row_contains(&m, c.words(), Sig::of(&sp, c.words())));
-        let d = Cube::parse(&sp, "11 10 10").unwrap();
-        assert!(!any_row_contains(&m, d.words(), Sig::of(&sp, d.words())));
-    }
 }

@@ -1,13 +1,15 @@
 //! IRREDUNDANT: drop cubes whose minterms are already covered elsewhere.
 //!
-//! The "rest of the cover" oracle lives in a scratch
-//! [`CubeMatrix`](crate::matrix::CubeMatrix) rebuilt in place per candidate
-//! cube, so redundancy testing performs no per-cube `Cover` allocation.
+//! A cube is redundant when the rest of the cover plus the don't-care set
+//! contains it, which is tautology of the rest's cofactor against the cube.
+//! That cofactor is staged straight from the cover into one scratch
+//! [`CubeMatrix`](crate::matrix::CubeMatrix) per candidate cube, so
+//! redundancy testing allocates no per-cube `Cover` and writes each row
+//! once, as its cofactor.
 
 use crate::cover::Cover;
-use crate::matrix::Sig;
 use crate::scratch::with_scratch;
-use crate::tautology::cube_in_matrix;
+use crate::tautology::cubes_contain;
 
 /// Removes redundant cubes from `f` (greedy, smallest-first) so that no
 /// remaining cube is covered by the rest of the cover plus `d`.
@@ -16,7 +18,6 @@ use crate::tautology::cube_in_matrix;
 /// is not guaranteed minimum (that is a covering problem), but matches
 /// ESPRESSO's heuristic quality for the benchmark sizes this crate targets.
 pub fn irredundant(f: &mut Cover, d: &Cover) {
-    let space = f.space().clone();
     f.absorb();
     // Try to remove cheap cubes first so the valuable big cubes stay.
     let mut order: Vec<usize> = (0..f.len()).collect();
@@ -25,19 +26,9 @@ pub fn irredundant(f: &mut Cover, d: &Cover) {
     let mut removed = vec![false; f.len()];
     with_scratch(|s| {
         for &i in &order {
-            let mut rest = s.acquire(&space);
-            for (j, c) in f.iter().enumerate() {
-                if j != i && !removed[j] {
-                    rest.push_cube(&space, c);
-                }
-            }
-            rest.extend_cubes(&space, d.iter());
-            let c = &f.cubes()[i];
-            let sig = Sig::of(&space, c.words());
-            if cube_in_matrix(&space, &rest, c.words(), sig, s) {
-                removed[i] = true;
-            }
-            s.release(rest);
+            let rest = f.iter().enumerate().filter(|&(j, _)| j != i && !removed[j]);
+            let rest = rest.map(|(_, c)| c).chain(d);
+            removed[i] = cubes_contain(f.space(), rest, &f.cubes()[i], s);
         }
     });
     let mut idx = 0;
@@ -52,23 +43,14 @@ pub fn irredundant(f: &mut Cover, d: &Cover) {
 /// of the cover plus `d`. Every minimal cover of the function must retain
 /// them (when `f` consists of primes).
 pub fn relatively_essential(f: &Cover, d: &Cover) -> Vec<usize> {
-    let space = f.space().clone();
     let mut out = Vec::new();
     with_scratch(|s| {
         for i in 0..f.len() {
-            let mut rest = s.acquire(&space);
-            for (j, c) in f.iter().enumerate() {
-                if j != i {
-                    rest.push_cube(&space, c);
-                }
-            }
-            rest.extend_cubes(&space, d.iter());
-            let c = &f.cubes()[i];
-            let sig = Sig::of(&space, c.words());
-            if !cube_in_matrix(&space, &rest, c.words(), sig, s) {
+            let rest = f.iter().enumerate().filter(|&(j, _)| j != i);
+            let rest = rest.map(|(_, c)| c).chain(d);
+            if !cubes_contain(f.space(), rest, &f.cubes()[i], s) {
                 out.push(i);
             }
-            s.release(rest);
         }
     });
     out

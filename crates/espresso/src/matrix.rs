@@ -5,10 +5,11 @@
 //! *stride* per row plus a parallel vector of per-row [`Sig`]natures. Rows
 //! are appended, overwritten and compacted in place, so the unate-recursive
 //! kernels ([`tautology`](crate::tautology), [`complement`](crate::complement),
-//! the REDUCE/IRREDUNDANT oracles) never allocate one `Box<[u64]>` per
-//! cube — matrices come from a [`Scratch`](crate::scratch::Scratch) pool and
-//! their buffers are reused across calls. EXPAND's off-set is one matrix held
-//! for a whole minimization.
+//! REDUCE's SCCC and the cofactors REDUCE and IRREDUNDANT stage from the
+//! cover) never allocate one `Box<[u64]>` per cube — matrices come from a
+//! [`Scratch`](crate::scratch::Scratch) pool and their buffers are reused
+//! across calls. EXPAND's off-set is one matrix held for a whole
+//! minimization.
 //!
 //! The [`Sig`] signature makes pairwise containment cheap: most non-contained
 //! pairs are rejected on three integer compares before any cube word is read.

@@ -2,9 +2,9 @@
 //! hot path.
 //!
 //! Every kernel entry point ([`tautology`](crate::tautology()),
-//! [`complement`](crate::complement()), the REDUCE/IRREDUNDANT oracles)
-//! acquires matrices from the thread-local pool instead of
-//! allocating fresh `Vec<Cube>`s per recursion level. After a short warm-up
+//! [`complement`](crate::complement()), REDUCE's SCCC recursion and the
+//! IRREDUNDANT oracle) acquires matrices from the thread-local pool instead
+//! of allocating fresh `Vec<Cube>`s per recursion level. After a short warm-up
 //! the unate-recursive descent performs no heap allocation: each acquire
 //! pops a previously-released matrix whose `Vec<u64>` capacity is retained.
 //!

@@ -1,10 +1,12 @@
 //! Tautology checking via the unate recursive paradigm, and the containment
 //! tests built on it.
 //!
-//! Tautology (`does this cover contain every minterm?`) is the work-horse
-//! oracle of this crate: cube-in-cover containment, irredundancy, expansion
-//! validity and reduction validity all reduce to it through the ESPRESSO
-//! cofactor identity `c ⊆ F ⇔ tautology(F cofactored by c)`.
+//! Tautology (`does this cover contain every minterm?`) decides cube-in-cover
+//! containment and irredundancy through the ESPRESSO cofactor identity
+//! `c ⊆ F ⇔ tautology(F cofactored by c)`; the cofactor is staged straight
+//! from the cover's cubes into one scratch matrix. EXPAND tests raises
+//! against the off-set instead, and REDUCE computes the smallest cube
+//! containing the cofactor's complement (`reduce.rs`).
 //!
 //! The recursion runs on flat [`CubeMatrix`] arenas drawn from the
 //! per-thread [`Scratch`] pool: branch covers are written into reused
@@ -12,10 +14,10 @@
 //! allocation after warm-up. Results are bit-identical to the frozen
 //! reference in the `espresso-legacy` crate (pinned by differential tests).
 
-use crate::containment::{absorb_matrix, any_row_contains};
+use crate::containment::absorb_matrix;
 use crate::cover::Cover;
 use crate::cube::Cube;
-use crate::matrix::{nonfull_counts, select_binate, CubeMatrix, Sig, SIG_EXACT_VARS};
+use crate::matrix::{nonfull_counts, select_binate, CubeMatrix, SIG_EXACT_VARS};
 use crate::scratch::{with_scratch, Scratch};
 use crate::space::CubeSpace;
 
@@ -200,27 +202,21 @@ fn multiword_union_full(space: &CubeSpace, m: &CubeMatrix, v: usize) -> bool {
     true
 }
 
-/// Exact containment of the cube with words `c` (signature `sig_c`) in the
-/// cover held by matrix `m`: the fast single-cube accept, then tautology of
-/// the cofactor written into a scratch matrix. This is the oracle behind the
-/// REDUCE/IRREDUNDANT inner loops.
-pub(crate) fn cube_in_matrix(
+/// Whether the cubes `cover` jointly contain cube `c`: tautology of their
+/// cofactor against `c`, staged straight into one scratch matrix. This is
+/// the IRREDUNDANT oracle.
+pub(crate) fn cubes_contain<'a>(
     space: &CubeSpace,
-    m: &CubeMatrix,
-    c: &[u64],
-    sig_c: Sig,
+    cover: impl IntoIterator<Item = &'a Cube>,
+    c: &Cube,
     s: &mut Scratch,
 ) -> bool {
-    if sig_c.empty {
-        return true;
-    }
-    // Sufficient fast path: some single row contains c outright.
-    if any_row_contains(m, c, sig_c) {
+    if c.is_empty(space) {
         return true;
     }
     let mut cf = s.acquire(space);
-    for i in 0..m.len() {
-        cf.push_cofactor(space, m.row(i), c);
+    for r in cover {
+        cf.push_cofactor(space, r.words(), c.words());
     }
     let r = taut_mat(space, &mut cf, s);
     s.release(cf);
@@ -231,23 +227,11 @@ pub(crate) fn cube_in_matrix(
 ///
 /// Computed as tautology of the cofactor of `f` with respect to `c`.
 pub fn cube_in_cover(f: &Cover, c: &Cube) -> bool {
-    let space = f.space();
-    if c.is_empty(space) {
+    // Sufficient fast path: some single cube contains c outright.
+    if f.iter().any(|d| c.is_subset_of(d)) {
         return true;
     }
-    with_scratch(|s| {
-        // Sufficient fast path: some single cube contains c outright.
-        if f.iter().any(|d| c.is_subset_of(d)) {
-            return true;
-        }
-        let mut cf = s.acquire(space);
-        for d in f.iter() {
-            cf.push_cofactor(space, d.words(), c.words());
-        }
-        let r = taut_mat(space, &mut cf, s);
-        s.release(cf);
-        r
-    })
+    with_scratch(|s| cubes_contain(f.space(), f, c, s))
 }
 
 /// Exact cover containment: `g ⊆ f`?

@@ -158,6 +158,10 @@ fn fixed_cases_match_legacy() {
             &["10 11 11 10", "11 10 11 10", "11 11 10 01"],
             &["01 01 01 11"],
         ),
+        // The rest covers the cube (x + y covers their consensus xy), and a
+        // degenerate cube: every part but each variable's last is lowered.
+        (Reduce, &["10 10 11 10"], &["10 11 11 10", "11 10 11 10"]),
+        (Reduce, &["10 00 11 11", "11 10 11 10"], &[]),
     ];
     for &(kernel, fs, ds) in cases {
         let space = kernel.space();
@@ -364,12 +368,26 @@ fn kernels_match_legacy_across_chunk_boundary_widths() {
             containment::absorb_cubes(&space, &mut ours);
             legacy::absorb_in_place(&space, &mut theirs);
             assert_eq!(ours, theirs, "absorb diverged at stride {w}, round {round}");
+            // The legacy complement and REDUCE (one tautology check per
+            // part of every cube) grow costly at these widths.
             if round < 3 {
                 let g = Cover::from_cubes(space.clone(), f.cubes()[..n.min(3)].to_vec());
                 assert_eq!(
                     complement(&g).cubes(),
                     legacy::complement(&g).cubes(),
                     "complement diverged at stride {w}, round {round}"
+                );
+                let d = Cover::from_cubes(space.clone(), vec![c]);
+                let (mut ours, mut theirs) = (f.clone(), f.clone());
+                espresso::reduce::reduce(&mut ours, &d);
+                legacy::reduce(&mut theirs, &d);
+                assert_eq!(ours, theirs, "reduce diverged at stride {w}, round {round}");
+                let (mut ours, mut theirs) = (f.clone(), f.clone());
+                espresso::irredundant::irredundant(&mut ours, &d);
+                legacy::irredundant(&mut theirs, &d);
+                assert_eq!(
+                    ours, theirs,
+                    "irredundant diverged at stride {w}, round {round}"
                 );
             }
         }
@@ -406,6 +424,19 @@ fn saturated_signature_window_stays_exact_beyond_127_vars() {
         containment::absorb_cubes(&space, &mut ours);
         legacy::absorb_in_place(&space, &mut theirs);
         assert_eq!(ours, theirs, "round {round}");
+        // One half of a split in D is non-full in one aliased variable
+        // alone, so REDUCE's one-active-variable test must scan fields.
+        let mut d = universe_split(&space, 127 + round % 3);
+        d[1] = c;
+        let d = Cover::from_cubes(space.clone(), d);
+        let (mut ours, mut theirs) = (f.clone(), f.clone());
+        espresso::reduce::reduce(&mut ours, &d);
+        legacy::reduce(&mut theirs, &d);
+        assert_eq!(ours, theirs, "reduce, round {round}");
+        let (mut ours, mut theirs) = (f.clone(), f.clone());
+        espresso::irredundant::irredundant(&mut ours, &d);
+        legacy::irredundant(&mut theirs, &d);
+        assert_eq!(ours, theirs, "irredundant, round {round}");
     }
 }
 
