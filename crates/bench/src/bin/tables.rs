@@ -44,30 +44,21 @@ fn main() -> ExitCode {
         wanted = TABLES.to_vec();
     }
 
-    let machines = nova_bench::table_one_machines(quick);
-    // Table V needs the extra machines (lion, lion9, modulo12, tav, dol).
-    let mut all = machines;
-    if wanted.contains(&"table5") {
-        for b in fsm::benchmarks::table_five() {
-            if !all.iter().any(|x| x.name == b.name) && (!quick || nova_bench::is_quick(&b)) {
-                all.push(b);
-            }
-        }
-    }
-
     let needs_reports = wanted.iter().any(|w| *w != "sweep");
-    if !needs_reports {
-        all.clear();
-    }
+    let (machines, table_one) = if needs_reports {
+        nova_bench::table_machines(quick, wanted.contains(&"table5"))
+    } else {
+        (Vec::new(), 0)
+    };
     eprintln!(
         "evaluating {} machines (quick={quick}, exact={})...",
-        all.len(),
+        machines.len(),
         !no_exact
     );
     // One thread per machine, capped at the core count (each report is a
     // long single-threaded pipeline; the big machines dominate wall clock).
-    let mut reports: Vec<MachineReport> = run_jobs(all.len(), effective_jobs(0), |i| {
-        let b = &all[i];
+    let evaluated: Vec<MachineReport> = run_jobs(machines.len(), effective_jobs(0), |i| {
+        let b = &machines[i];
         eprintln!(
             "  {} ({} states, {} rows)",
             b.display_name(),
@@ -82,7 +73,10 @@ fn main() -> ExitCode {
     .into_iter()
     .map(|r| r.unwrap_or_else(|msg| panic!("machine report panicked: {msg}")))
     .collect();
-    // The paper's figures order machines by increasing state count.
+    // Table V picks its rows by name from every evaluated machine; every
+    // other table reads Table I's, which the paper's figures order by
+    // increasing state count.
+    let mut reports = evaluated[..table_one].to_vec();
     reports.sort_by(|a, b| a.states.cmp(&b.states).then(a.name.cmp(&b.name)));
 
     // Table I order is by increasing #states already; Table V picks its own.
@@ -92,7 +86,7 @@ fn main() -> ExitCode {
             "table2" => tables::table2(&reports),
             "table3" => tables::table3(&reports),
             "table4" => tables::table4(&reports),
-            "table5" => tables::table5(&reports),
+            "table5" => tables::table5(&evaluated),
             "table6" => tables::table6(&reports),
             "table7" => tables::table7(&reports),
             "figures" => format!(

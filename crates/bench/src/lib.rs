@@ -209,10 +209,50 @@ pub fn table_one_machines(quick: bool) -> Vec<Benchmark> {
         .collect()
 }
 
+/// The machines one `tables` run evaluates, each once: Table I's first,
+/// then, when Table V is wanted, Table V's machines outside Table I (lion,
+/// lion9, modulo12, tav, dol); and how many are Table I's. Table V picks its
+/// rows by name from all of them; every other table reads Table I's only.
+/// `quick` keeps the small machines only.
+pub fn table_machines(quick: bool, with_table_five: bool) -> (Vec<Benchmark>, usize) {
+    let mut machines = table_one_machines(quick);
+    let table_one = machines.len();
+    if with_table_five {
+        for b in fsm::benchmarks::table_five() {
+            if !machines.iter().any(|m| m.name == b.name) && (!quick || is_quick(&b)) {
+                machines.push(b);
+            }
+        }
+    }
+    (machines, table_one)
+}
+
 /// Formats an optional metric column as the paper does (`-` for failures).
 pub fn opt_col<T: std::fmt::Display>(v: Option<T>) -> String {
     match v {
         Some(x) => x.to_string(),
         None => "-".to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_five_extras_follow_the_table_one_machines() {
+        for quick in [true, false] {
+            let names = |bs: &[Benchmark]| bs.iter().map(|b| b.name).collect::<Vec<_>>();
+            let one = names(&table_one_machines(quick));
+            let (machines, n_one) = table_machines(quick, true);
+            let all = names(&machines);
+            assert_eq!(all[..n_one], one);
+            assert!(all[n_one..].contains(&"lion"), "{all:?}");
+            assert!(all[n_one..]
+                .iter()
+                .all(|n| ["lion", "lion9", "modulo12", "tav", "dol"].contains(n)));
+            let (without, n) = table_machines(quick, false);
+            assert_eq!((names(&without), n), (one, n_one));
+        }
     }
 }

@@ -64,17 +64,18 @@ impl Group<'_> {
     /// Like [`bench`](Self::bench), but additionally reports
     /// `units / median-time` as a throughput figure. `units` is the amount of
     /// work a single call performs (e.g. row-words scanned, cube pairs
-    /// compared); `unit_name` is the label printed before `/s`.
+    /// compared); `unit_name` is the label printed before `/s`. Returns the
+    /// median time per call, or `None` when the filter skipped the bench.
     pub fn bench_throughput<R>(
         &mut self,
         id: &str,
         units: f64,
         unit_name: &str,
         mut f: impl FnMut() -> R,
-    ) {
+    ) -> Option<Duration> {
         let full = format!("{}/{}", self.name, id);
         if !self.harness.matches(&full) {
-            return;
+            return None;
         }
         // Warm-up and per-sample iteration sizing: aim for >= 1 ms a sample.
         let t0 = Instant::now();
@@ -101,6 +102,7 @@ impl Group<'_> {
             line.push_str(&format!("  {:>10} {unit_name}/s", human_rate(rate)));
         }
         println!("{line}");
+        Some(median)
     }
 }
 

@@ -132,9 +132,15 @@ impl StateSet {
         self.0 == 0
     }
 
-    /// Iterator over member states in increasing order.
+    /// Iterator over member states in increasing order: one step per
+    /// member, not per possible state.
     pub fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
-        (0..128).filter(|&i| self.0 >> i & 1 == 1).map(StateId)
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (i < 128).then_some(StateId(i))
+        })
     }
 
     /// Renders the characteristic vector over `n` states.
@@ -244,6 +250,23 @@ mod tests {
         let s = StateSet::singleton(StateId(3));
         assert!(s.is_subset_of(&u));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![StateId(3)]);
+    }
+
+    #[test]
+    fn iter_walks_the_members_in_order() {
+        let sets = [
+            StateSet::EMPTY,
+            StateSet::universe(128),
+            StateSet::from_states([0, 63, 64, 127].map(StateId)),
+            StateSet::from_states([63, 64].map(StateId)),
+            StateSet::from_states([0, 5, 62, 65, 100].map(StateId)),
+            StateSet::singleton(StateId(127)),
+        ];
+        for set in sets {
+            let scanned: Vec<StateId> =
+                (0..128).map(StateId).filter(|&s| set.contains(s)).collect();
+            assert_eq!(set.iter().collect::<Vec<_>>(), scanned, "{set:?}");
+        }
     }
 
     #[test]

@@ -528,7 +528,9 @@ impl<'a> Search<'a> {
 
     /// `verify`: all pairwise conditions of Section 3.4.3 between the
     /// proposed face for node `i` and every assigned face, answered from the
-    /// precomputed relation table (no set operations in the loop).
+    /// precomputed relation table (no set operations in the loop). The
+    /// conditions run in a fixed order per pair, and the first one broken
+    /// names the `embed.prune.*` reason counted.
     fn verify(&mut self, i: usize, face: Face) -> bool {
         let card = self.rel.card(i);
         if (face.cardinality() as usize) < card {
@@ -545,23 +547,23 @@ impl<'a> Search<'a> {
             self.prune.cover += 1;
             return false;
         }
-        for idx in 0..self.assigned.len() {
-            let (j, fj) = self.assigned[idx];
+        let row = self.rel.row(i);
+        for &(j, fj) in &self.assigned {
             if fj == face {
                 self.prune.duplicate += 1;
                 return false;
             }
-            if fj.properly_contains(&face) && !self.rel.proper_subset(i, j) {
+            if fj.properly_contains(&face) && !row.proper_subset_of(j) {
                 self.prune.containment += 1;
                 return false;
             }
-            if face.properly_contains(&fj) && !self.rel.proper_subset(j, i) {
+            if face.properly_contains(&fj) && !row.proper_superset_of(j) {
                 self.prune.containment += 1;
                 return false;
             }
             match face.intersection(&fj) {
                 Some(fi) => {
-                    let isz = self.rel.inter_size(i, j);
+                    let isz = row.inter_size(j);
                     if isz == 0 {
                         self.prune.spurious_intersection += 1;
                         return false;
@@ -572,7 +574,7 @@ impl<'a> Search<'a> {
                     }
                 }
                 None => {
-                    if !self.rel.disjoint(i, j) {
+                    if !row.disjoint(j) {
                         self.prune.missing_intersection += 1;
                         return false;
                     }

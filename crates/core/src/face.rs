@@ -139,13 +139,11 @@ impl Face {
         code & self.mask == self.value
     }
 
-    /// Do two faces share at least one vertex?
-    ///
-    /// # Panics
-    ///
-    /// Panics when the dimensions differ.
+    /// Do two faces share at least one vertex? Both must be faces of the
+    /// same cube (checked in debug builds only: the embedding search asks
+    /// this for every pair of faces it compares).
     pub fn intersects(&self, other: &Face) -> bool {
-        assert_eq!(self.k, other.k, "faces of different cubes");
+        debug_assert_eq!(self.k, other.k, "faces of different cubes");
         (self.value ^ other.value) & self.mask & other.mask == 0
     }
 
@@ -161,9 +159,10 @@ impl Face {
         })
     }
 
-    /// Set containment: `self ⊇ other`.
+    /// Set containment: `self ⊇ other`. Both must be faces of the same cube
+    /// (checked in debug builds only, as in [`intersects`](Face::intersects)).
     pub fn contains(&self, other: &Face) -> bool {
-        assert_eq!(self.k, other.k);
+        debug_assert_eq!(self.k, other.k, "faces of different cubes");
         self.mask & !other.mask == 0 && other.value & self.mask == self.value
     }
 
@@ -312,17 +311,17 @@ fn next_same_popcount(m: u64) -> Option<u64> {
 pub fn subfaces_of_level(face: &Face, level: u32) -> SubfaceIter {
     let lvl = face.level();
     assert!(level <= lvl, "subface level above the face's level");
-    let mut free = [0u32; 64];
+    let mut free = [0u8; 64];
     let mut n = 0;
-    for i in 0..face.k() {
+    for i in 0..face.k() as u8 {
         if face.mask_bits() >> i & 1 == 0 {
             free[n] = i;
             n += 1;
         }
     }
     let extra = (lvl - level) as usize;
-    let mut chosen = [0usize; 64];
-    for (j, c) in chosen.iter_mut().take(extra).enumerate() {
+    let mut chosen = [0u8; 64];
+    for (j, c) in (0..).zip(chosen.iter_mut().take(extra)) {
         *c = j;
     }
     SubfaceIter {
@@ -341,12 +340,12 @@ pub fn subfaces_of_level(face: &Face, level: u32) -> SubfaceIter {
 pub struct SubfaceIter {
     base: Face,
     /// Free bit positions of the base face (first `n` entries).
-    free: [u32; 64],
+    free: [u8; 64],
     n: usize,
     /// How many free positions get fixed per subface.
     extra: usize,
     /// Current combination: ascending indices into `free[0..n]`.
-    chosen: [usize; 64],
+    chosen: [u8; 64],
     /// Current value assignment of the chosen positions (packed bits).
     combo: u64,
     done: bool,
@@ -362,7 +361,7 @@ impl Iterator for SubfaceIter {
         let mut mask = 0u64;
         let mut value = 0u64;
         for (j, &ci) in self.chosen.iter().take(self.extra).enumerate() {
-            let pos = self.free[ci];
+            let pos = self.free[ci as usize];
             mask |= 1 << pos;
             if self.combo >> j & 1 == 1 {
                 value |= 1 << pos;
@@ -393,7 +392,7 @@ impl SubfaceIter {
         let mut i = r;
         while i > 0 {
             i -= 1;
-            if self.chosen[i] < n - r + i {
+            if (self.chosen[i] as usize) < n - r + i {
                 self.chosen[i] += 1;
                 for j in i + 1..r {
                     self.chosen[j] = self.chosen[j - 1] + 1;

@@ -30,6 +30,8 @@ pub struct InputGraph {
     index: BTreeMap<StateSet, usize>,
     fathers: Vec<Vec<usize>>,
     children: Vec<Vec<usize>>,
+    /// The paper's category of every node, fixed by `fathers`.
+    category: Vec<Category>,
     universe: usize,
     /// Lazily built pairwise relation cache (see [`Relations`]); shared so
     /// clones reuse one computation.
@@ -53,6 +55,40 @@ pub struct Relations {
     min_level: Vec<u32>,
     /// Node index of the singleton `{s}` for every state `s`.
     singleton_of: Vec<usize>,
+}
+
+/// One node's relations to every node (see [`Relations::row`]): the flags
+/// and intersection sizes of row `i`, read by index `j`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RelationRow<'a> {
+    flags: &'a [u8],
+    inter_size: &'a [u16],
+}
+
+impl RelationRow<'_> {
+    /// `set(i) ∩ set(j) = ∅`?
+    #[inline]
+    pub(crate) fn disjoint(&self, j: usize) -> bool {
+        self.flags[j] & REL_DISJOINT != 0
+    }
+
+    /// `set(i) ⊊ set(j)`?
+    #[inline]
+    pub(crate) fn proper_subset_of(&self, j: usize) -> bool {
+        self.flags[j] & REL_I_IN_J != 0
+    }
+
+    /// `set(j) ⊊ set(i)`?
+    #[inline]
+    pub(crate) fn proper_superset_of(&self, j: usize) -> bool {
+        self.flags[j] & REL_J_IN_I != 0
+    }
+
+    /// `|set(i) ∩ set(j)|`.
+    #[inline]
+    pub(crate) fn inter_size(&self, j: usize) -> usize {
+        self.inter_size[j] as usize
+    }
 }
 
 /// `set(i) ∩ set(j) = ∅`.
@@ -122,33 +158,20 @@ impl Relations {
         }
     }
 
+    /// Node `i`'s relations to every node, for a loop over many `j`.
     #[inline]
-    fn flag(&self, i: usize, j: usize) -> u8 {
-        self.flags[i * self.n + j]
-    }
-
-    /// `set(i) ∩ set(j) = ∅`?
-    #[inline]
-    pub fn disjoint(&self, i: usize, j: usize) -> bool {
-        self.flag(i, j) & REL_DISJOINT != 0
-    }
-
-    /// `set(i) ⊊ set(j)`?
-    #[inline]
-    pub fn proper_subset(&self, i: usize, j: usize) -> bool {
-        self.flag(i, j) & REL_I_IN_J != 0
+    pub(crate) fn row(&self, i: usize) -> RelationRow<'_> {
+        let at = i * self.n..(i + 1) * self.n;
+        RelationRow {
+            flags: &self.flags[at.clone()],
+            inter_size: &self.inter_size[at],
+        }
     }
 
     /// Do `i` and `j` share a child in the Hasse diagram?
     #[inline]
     pub fn shares_child(&self, i: usize, j: usize) -> bool {
-        self.flag(i, j) & REL_SHARES_CHILD != 0
-    }
-
-    /// `|set(i) ∩ set(j)|`.
-    #[inline]
-    pub fn inter_size(&self, i: usize, j: usize) -> usize {
-        self.inter_size[i * self.n + j] as usize
+        self.flags[i * self.n + j] & REL_SHARES_CHILD != 0
     }
 
     /// `|set(i)|`.
@@ -238,6 +261,19 @@ impl InputGraph {
                 children[j].push(i);
             }
         }
+        let category = (0..nodes.len())
+            .map(|i| {
+                if i == universe {
+                    Category::Universe
+                } else if fathers[i].len() > 1 {
+                    Category::Multi
+                } else if fathers[i] == [universe] {
+                    Category::Primary
+                } else {
+                    Category::Single
+                }
+            })
+            .collect();
 
         InputGraph {
             num_states,
@@ -245,6 +281,7 @@ impl InputGraph {
             index,
             fathers,
             children,
+            category,
             universe,
             relations: OnceLock::new(),
         }
@@ -303,15 +340,7 @@ impl InputGraph {
 
     /// The paper's category of node `i`.
     pub fn category(&self, i: usize) -> Category {
-        if i == self.universe {
-            Category::Universe
-        } else if self.fathers[i].len() > 1 {
-            Category::Multi
-        } else if self.fathers[i] == [self.universe] {
-            Category::Primary
-        } else {
-            Category::Single
-        }
+        self.category[i]
     }
 
     /// Indices of the primary (category 1) nodes, in node order.
