@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nova_core::exact::{iexact_code, min_code_length, pos_equiv, ExactOptions, PosEquiv};
+use nova_core::exact::{iexact_code, min_code_length, pos_equiv, EmbedOutcome, ExactOptions};
 use nova_core::{
     extract_input_constraints, mincube_dim, symbolic_minimize, InputGraph, RunCtl, StateSet,
 };
@@ -85,7 +85,7 @@ fn s1_cluster_search() -> SearchCase {
         let ig = InputGraph::build(n, &sets);
         if !matches!(
             pos_equiv(&ig, k, &[], Some(BUDGET), &ctl),
-            PosEquiv::Found(_)
+            EmbedOutcome::Found(_)
         ) {
             sets.pop();
         }
@@ -103,7 +103,7 @@ fn bench_capped_covers(h: &mut nova_bench::microbench::Harness) {
     let (ig, k, covers) = s1_cluster_search();
     let ctl = RunCtl::unlimited();
     let outcome = pos_equiv(&ig, k, &covers, Some(BUDGET), &ctl);
-    assert!(matches!(outcome, PosEquiv::Aborted), "{outcome:?}");
+    assert!(matches!(outcome, EmbedOutcome::Capped), "{outcome:?}");
     let candidates = ctl.counters().faces_tried;
     let median = g.bench_throughput(
         "pos_equiv/s1-cluster",

@@ -77,12 +77,19 @@ pub fn table3(reports: &[MachineReport]) -> String {
         "example", "ihybrid/igreedy", "kiss", "rand-best", "rand-avg"
     );
     let (mut tot_hg, mut tot_kiss, mut tot_best, mut tot_avg) = (0u64, 0u64, 0u64, 0u64);
+    // The ihybrid/igreedy and KISS totals without tbk, where full input
+    // constraint satisfaction takes KISS to 33 bits.
+    let (mut hg_no_tbk, mut kiss_no_tbk) = (0u64, 0u64);
     for r in reports {
         let hg = r.hybrid_greedy_best();
         tot_hg += hg.area;
         tot_kiss += r.kiss.area;
         tot_best += r.random.best_area;
         tot_avg += r.random.avg_area;
+        if r.name.trim_end_matches('*') != "tbk" {
+            hg_no_tbk += hg.area;
+            kiss_no_tbk += r.kiss.area;
+        }
         let _ = writeln!(
             out,
             "{:<12} | {} | {} | {:>9} {:>9}",
@@ -100,10 +107,13 @@ pub fn table3(reports: &[MachineReport]) -> String {
     );
     let _ = writeln!(
         out,
-        "ratios vs random-best: ihybrid/igreedy {:.2}, kiss {:.2}, rand-avg {:.2}",
+        "ratios vs random-best: ihybrid/igreedy {:.2}, kiss {:.2}, rand-avg {:.2}; \
+         ihybrid/igreedy vs kiss {:.2} ({:.2} excl. tbk)",
         tot_hg as f64 / tot_best as f64,
         tot_kiss as f64 / tot_best as f64,
-        tot_avg as f64 / tot_best as f64
+        tot_avg as f64 / tot_best as f64,
+        tot_hg as f64 / tot_kiss as f64,
+        hg_no_tbk as f64 / kiss_no_tbk as f64
     );
     out
 }

@@ -10,7 +10,8 @@
 //! achievable at `k = #states` (1-hot). `iexact_code` therefore falls back
 //! to this search on every dimension where the strict subposet embedding is
 //! exhausted, which completes machines — like `bbara` — whose constraints
-//! admit no strict embedding at any dimension.
+//! admit no strict embedding at any dimension. It charges the strict
+//! search's [`Meter`] and returns its [`EmbedOutcome`].
 //!
 //! The search assigns one state per recursion level:
 //!
@@ -32,27 +33,12 @@
 //!
 //! [`constraint_satisfied`]: crate::exact::constraint_satisfied
 
-use crate::exact::Embedding;
+use crate::exact::{offer_partial, EmbedOutcome, Embedding, Meter};
 use crate::face::Face;
 use crate::poset::InputGraph;
 use crate::scratch::with_embed_scratch;
 use espresso::RunCtl;
 use fsm::StateId;
-
-/// Outcome of one [`assign_codes`] run.
-#[derive(Debug, Clone)]
-pub enum AssignOutcome {
-    /// A weakly satisfying assignment exists (and is returned).
-    Found(Embedding),
-    /// The canonical search space was exhausted: no assignment at this `k`.
-    Exhausted,
-    /// The work budget or the [`RunCtl`] fired before an answer was
-    /// established (`ctl.cancelled()` tells the two apart).
-    Aborted,
-}
-
-/// Nodes between `ctl` flushes (keeps the hot loop off the shared atomics).
-const CHARGE_BATCH: u64 = 1024;
 
 /// The current spanning face of a constraint's assigned members, as
 /// `(free, value)` with `value & free == 0`; `count` is how many members
@@ -104,56 +90,15 @@ struct Assign<'a> {
     /// Assignment order (most-constrained states first).
     order: Vec<usize>,
     codes: Vec<u64>,
-    is_assigned: Vec<bool>,
     /// States assigned so far, in order.
     assigned: Vec<u32>,
     used_codes: Vec<bool>,
     used_mask: u64,
-    work: u64,
-    pending: u64,
-    pending_backtracks: u64,
-    budget: Option<u64>,
-    ctl: &'a RunCtl,
-    aborted: bool,
+    /// Each candidate code costs one charge.
+    meter: Meter<'a>,
 }
 
 impl Assign<'_> {
-    /// One unit per candidate tried; flushes to the `ctl` in batches.
-    #[inline]
-    fn charge(&mut self) -> bool {
-        self.work += 1;
-        self.pending += 1;
-        if let Some(b) = self.budget {
-            if self.work > b {
-                self.aborted = true;
-                self.flush_counters();
-                return false;
-            }
-        }
-        if self.pending >= CHARGE_BATCH {
-            let ok = self.flush_counters();
-            if !ok {
-                self.aborted = true;
-            }
-            return ok;
-        }
-        true
-    }
-
-    fn flush_counters(&mut self) -> bool {
-        let mut ok = true;
-        if self.pending > 0 {
-            self.ctl.count_faces(self.pending);
-            ok = self.ctl.charge(self.pending).is_ok();
-            self.pending = 0;
-        }
-        if self.pending_backtracks > 0 {
-            self.ctl.count_backtracks(self.pending_backtracks);
-            self.pending_backtracks = 0;
-        }
-        ok
-    }
-
     /// Would assigning code `c` to state `s` violate a constraint now?
     fn conflicts(&self, s: usize, c: u64) -> bool {
         // Member constraints: the extended span must not swallow an
@@ -198,7 +143,6 @@ impl Assign<'_> {
             self.spans[t] = self.spans[t].with(c);
         }
         self.codes[s] = c;
-        self.is_assigned[s] = true;
         self.assigned.push(s as u32);
         self.used_codes[c as usize] = true;
         self.used_mask |= c;
@@ -210,7 +154,6 @@ impl Assign<'_> {
             self.spans[t as usize] = sp;
         }
         self.codes[s] = 0;
-        self.is_assigned[s] = false;
         self.assigned.pop();
         self.used_codes[c as usize] = false;
         self.used_mask = prev_mask;
@@ -238,7 +181,7 @@ impl Assign<'_> {
         cands.sort_unstable();
         let mut found = false;
         for &(_, c) in cands.iter() {
-            if !self.charge() {
+            if !self.meter.charge() {
                 break;
             }
             if self.conflicts(s, c) {
@@ -252,8 +195,8 @@ impl Assign<'_> {
                 break;
             }
             self.pop(s, c, trail_mark, prev_mask);
-            self.pending_backtracks += 1;
-            if self.aborted {
+            self.meter.backtrack();
+            if self.meter.stopped() {
                 break;
             }
         }
@@ -262,14 +205,10 @@ impl Assign<'_> {
     }
 }
 
-/// [`assign_codes_ctl`] with an unlimited handle.
-pub fn assign_codes(ig: &InputGraph, k: u32, budget: Option<u64>) -> (AssignOutcome, u64) {
-    assign_codes_ctl(ig, k, budget, &RunCtl::unlimited())
-}
-
 /// Searches for distinct `k`-bit codes weakly satisfying every constraint
 /// of `ig` (see the module docs). Returns the outcome plus the canonical
-/// work spent (candidates tried, clamped to `budget`).
+/// work spent (candidates tried, clamped to `budget`); a search `ctl`
+/// cancelled offers its partial codes (`iexact.weak`).
 ///
 /// The embedding's faces are the spanning faces of each constraint's
 /// member codes; because every closure node is checked, each face contains
@@ -282,16 +221,16 @@ pub fn assign_codes(ig: &InputGraph, k: u32, budget: Option<u64>) -> (AssignOutc
 /// # Panics
 ///
 /// Panics when `k` is 0 or exceeds 63.
-pub fn assign_codes_ctl(
+pub(crate) fn weak_search(
     ig: &InputGraph,
     k: u32,
     budget: Option<u64>,
     ctl: &RunCtl,
-) -> (AssignOutcome, u64) {
+) -> (EmbedOutcome, u64) {
     assert!((1..=63).contains(&k), "cube dimension out of range");
     let n = ig.num_states();
     if n as u64 > 1u64 << k.min(63) {
-        return (AssignOutcome::Exhausted, 0);
+        return (EmbedOutcome::Exhausted, 0);
     }
     let tracer = ctl.tracer().clone();
     tracer.incr("embed.assign_calls", 1);
@@ -332,67 +271,34 @@ pub fn assign_codes_ctl(
         trail: Vec::new(),
         order,
         codes: vec![0; n],
-        is_assigned: vec![false; n],
         assigned: Vec::with_capacity(n),
         used_codes: vec![false; 1 << k],
         used_mask: 0,
-        work: 0,
-        pending: 0,
-        pending_backtracks: 0,
-        budget,
-        ctl,
-        aborted: false,
+        meter: Meter::new(ctl, budget),
     };
-    let found = search.dfs(0);
-    search.flush_counters();
-    tracer.incr("embed.nodes_visited", search.work);
-    let spent = search.work.min(budget.unwrap_or(u64::MAX));
-    let outcome = if found {
-        let codes = search.codes;
+    let found = search.dfs(0).then(|| {
+        let codes = std::mem::take(&mut search.codes);
         let faces = (0..ig.len())
             .map(|i| {
                 let set = ig.set(i);
-                let face = Face::span_of(k, set.iter().map(|s| codes[s.0]));
-                (set, face)
+                (set, Face::span_of(k, set.iter().map(|s| codes[s.0])))
             })
             .collect();
-        AssignOutcome::Found(Embedding {
+        Embedding {
             bits: k,
             codes,
             faces,
-        })
-    } else if search.aborted {
-        if ctl.cancelled() {
-            offer_partial(ig, &search);
         }
-        AssignOutcome::Aborted
-    } else {
-        AssignOutcome::Exhausted
-    };
-    (outcome, spent)
-}
-
-/// Anytime snapshot of a *cancelled* weak search: keep every code placed so
-/// far, fill unassigned states with the lowest unused vertices, score by
-/// satisfied constraints, and offer the result to the ctl so the driver can
-/// degrade instead of returning nothing.
-fn offer_partial(ig: &InputGraph, search: &Assign) {
-    let n = ig.num_states();
-    let k = search.k;
-    let mut codes = search.codes.clone();
-    let mut free = (0..1u64 << k).filter(|&c| !search.used_codes[c as usize]);
-    for (s, code) in codes.iter_mut().enumerate() {
-        if !search.is_assigned[s] {
-            *code = free.next().expect("2^k >= n vertices");
+    });
+    let (outcome, spent) = search.meter.finish(found);
+    if matches!(outcome, EmbedOutcome::Cancelled) {
+        let mut codes = vec![u64::MAX; n];
+        for &s in &search.assigned {
+            codes[s as usize] = search.codes[s as usize];
         }
+        offer_partial(ctl, ig, codes, k, "iexact.weak");
     }
-    let score = (0..ig.len())
-        .filter(|&i| {
-            let set = ig.set(i);
-            set.len() > 1 && set.len() < n && crate::exact::constraint_satisfied(&set, &codes, k)
-        })
-        .count() as u64;
-    search.ctl.offer_best(k, &codes, "iexact.weak", score);
+    (outcome, spent)
 }
 
 #[cfg(test)]
@@ -406,13 +312,17 @@ mod tests {
         InputGraph::build(n, &sets)
     }
 
+    fn assign_codes(ig: &InputGraph, k: u32, budget: Option<u64>) -> (EmbedOutcome, u64) {
+        weak_search(ig, k, budget, &RunCtl::unlimited())
+    }
+
     #[test]
     fn triangle_is_weakly_satisfiable_at_three_bits() {
         // No strict subposet embedding exists for the triangle, but the
         // weak criterion is satisfiable (e.g. 001, 010, 100, 111).
         let ig = build(4, &["1100", "0110", "1010"]);
         let (out, _) = assign_codes(&ig, 3, None);
-        let AssignOutcome::Found(e) = out else {
+        let EmbedOutcome::Found(e) = out else {
             panic!("triangle weakly satisfiable at k = 3");
         };
         for spec in ["1100", "0110", "1010"] {
@@ -429,7 +339,7 @@ mod tests {
     fn found_faces_cover_exactly() {
         let ig = build(4, &["1100", "0110", "1010"]);
         let (out, _) = assign_codes(&ig, 3, None);
-        let AssignOutcome::Found(e) = out else {
+        let EmbedOutcome::Found(e) = out else {
             panic!("satisfiable")
         };
         for (set, face) in &e.faces {
@@ -452,7 +362,7 @@ mod tests {
         let ig = build(4, &["1100", "1010", "1001", "0111"]);
         let (out, _) = assign_codes(&ig, 2, None);
         assert!(
-            matches!(out, AssignOutcome::Exhausted),
+            matches!(out, EmbedOutcome::Exhausted),
             "k = 2 has no spare vertex: {out:?}"
         );
     }
@@ -461,7 +371,7 @@ mod tests {
     fn respects_budget() {
         let ig = build(7, &["1110000", "0111000", "0000111", "1000110"]);
         let (out, spent) = assign_codes(&ig, 3, Some(2));
-        assert!(matches!(out, AssignOutcome::Aborted));
+        assert!(matches!(out, EmbedOutcome::Capped));
         assert!(spent <= 2);
     }
 
@@ -469,7 +379,7 @@ mod tests {
     fn no_constraints_assigns_canonically() {
         let ig = build(4, &[]);
         let (out, _) = assign_codes(&ig, 2, None);
-        let AssignOutcome::Found(e) = out else {
+        let EmbedOutcome::Found(e) = out else {
             panic!("trivially satisfiable")
         };
         let mut codes = e.codes.clone();

@@ -6,7 +6,8 @@
 //! buffers come from the per-thread [`crate::scratch`] pool, candidate faces
 //! stream from the iterators in [`crate::face`], pairwise `verify` facts
 //! come from the precomputed [`Relations`] table of the input graph, and
-//! deadline/telemetry traffic is batched ([`CHARGE_BATCH`] nodes per flush).
+//! deadline/telemetry traffic is batched by one `Meter`, which the weak
+//! fallback search (`assign.rs`) charges too.
 //!
 //! **Symmetry breaking.** At the first [`SYMMETRY_DEPTH`] selection levels
 //! the search tries one candidate face per orbit of a group of k-cube
@@ -21,7 +22,7 @@
 //! search returns is therefore unchanged; only "no embedding" is proven
 //! sooner, so a capped search can now finish where it used to run out.
 
-use crate::assign::{assign_codes_ctl, AssignOutcome};
+use crate::assign::weak_search;
 use crate::constraint::StateSet;
 use crate::face::{faces_of_level, subfaces_of_level, Face};
 use crate::poset::{Category, InputGraph, Relations};
@@ -46,7 +47,7 @@ pub struct ExactOptions {
     /// trivial bound `#S` is impractical for face enumeration).
     pub max_k: u32,
     /// After the strict subposet search exhausts a dimension, fall back to
-    /// the direct weak code assignment ([`crate::assign`]) before raising
+    /// the direct weak code assignment (`assign.rs`) before raising
     /// `k`. The paper's acceptance criterion is the weak one (a constraint's
     /// spanned face contains no non-member), so instances with no *strict*
     /// subposet embedding — e.g. bbara — are still solved exactly.
@@ -82,15 +83,18 @@ pub struct Embedding {
     pub faces: BTreeMap<StateSet, Face>,
 }
 
-/// Result of one `pos_equiv` run.
+/// Outcome of one embedding search: [`pos_equiv`]'s strict subposet search
+/// or `iexact_code`'s weak fallback.
 #[derive(Debug, Clone)]
-pub enum PosEquiv {
+pub enum EmbedOutcome {
     /// A satisfying assignment exists (and is returned).
     Found(Embedding),
-    /// The search space was exhausted: no assignment for this (k, dimvect).
+    /// The search space was exhausted: no assignment at this dimension.
     Exhausted,
-    /// The work budget ran out before an answer was established.
-    Aborted,
+    /// The search's local work cap ran out first.
+    Capped,
+    /// The shared [`RunCtl`] deadline, fuel or stop fired first.
+    Cancelled,
 }
 
 /// `mincube_dim` (Section 3.3.2): a lower bound on the embedding dimension
@@ -197,26 +201,105 @@ fn count_cond3(ig: &InputGraph, mut k: u32) -> u32 {
     }
 }
 
-/// Nodes between `ctl` flushes: the deadline/fuel atomics and the shared
-/// counters are touched once per batch instead of once per candidate.
+/// Candidates between `ctl` flushes: the deadline/fuel atomics and the
+/// shared counters are touched once per batch instead of once per candidate.
 const CHARGE_BATCH: u64 = 1024;
+
+/// The work meter of both embedding searches: one unit per candidate,
+/// checked exactly against the search's local cap and flushed to the shared
+/// [`RunCtl`] once per [`CHARGE_BATCH`] candidates, so a portfolio deadline
+/// or node budget unwinds the search.
+pub(crate) struct Meter<'a> {
+    pub(crate) ctl: &'a RunCtl,
+    cap: Option<u64>,
+    work: u64,
+    /// Candidates and backtracks not yet flushed to `ctl`.
+    pending: u64,
+    pending_backtracks: u64,
+    /// The cap or `ctl` stopped the search.
+    stopped: bool,
+}
+
+impl<'a> Meter<'a> {
+    pub(crate) fn new(ctl: &'a RunCtl, cap: Option<u64>) -> Self {
+        Meter {
+            ctl,
+            cap,
+            work: 0,
+            pending: 0,
+            pending_backtracks: 0,
+            stopped: false,
+        }
+    }
+
+    /// Accounts one candidate; `false` stops the search. Deadline and fuel
+    /// are only checked at batch boundaries, keeping the per-candidate cost
+    /// to two local counter increments and two branches.
+    #[inline]
+    pub(crate) fn charge(&mut self) -> bool {
+        self.work += 1;
+        self.pending += 1;
+        if let Some(cap) = self.cap {
+            if self.work > cap {
+                self.flush();
+                self.stopped = true;
+                return false;
+            }
+        }
+        if self.pending >= CHARGE_BATCH && !self.flush() {
+            self.stopped = true;
+            return false;
+        }
+        true
+    }
+
+    /// Did the cap or `ctl` stop the search?
+    pub(crate) fn stopped(&self) -> bool {
+        self.stopped
+    }
+
+    /// One backtrack, flushed with the next batch.
+    pub(crate) fn backtrack(&mut self) {
+        self.pending_backtracks += 1;
+    }
+
+    /// Pushes the pending candidates, then the backtracks, to `ctl` and
+    /// charges it the candidates. Returns `false` when `ctl` cancelled.
+    fn flush(&mut self) -> bool {
+        let n = std::mem::take(&mut self.pending);
+        let bt = std::mem::take(&mut self.pending_backtracks);
+        if n > 0 {
+            self.ctl.count_faces(n);
+        }
+        if bt > 0 {
+            self.ctl.count_backtracks(bt);
+        }
+        n == 0 || self.ctl.charge(n).is_ok()
+    }
+
+    /// Ends a search that returned `found`: flushes what is pending and
+    /// adds the work spent, clamped to the cap, to `embed.nodes_visited`.
+    /// Returns the outcome (with nothing found: `Capped` or `Cancelled` when
+    /// the search was stopped, else `Exhausted`) and that work.
+    pub(crate) fn finish(&mut self, found: Option<Embedding>) -> (EmbedOutcome, u64) {
+        self.flush();
+        let spent = self.work.min(self.cap.unwrap_or(u64::MAX));
+        self.ctl.tracer().incr("embed.nodes_visited", spent);
+        let outcome = match found {
+            Some(e) => EmbedOutcome::Found(e),
+            None if !self.stopped => EmbedOutcome::Exhausted,
+            None if self.ctl.cancelled() => EmbedOutcome::Cancelled,
+            None => EmbedOutcome::Capped,
+        };
+        (outcome, spent)
+    }
+}
 
 /// Selection levels (depths of [`Search::extend`]) that try one candidate
 /// per orbit ([`orbit_key`]). Deeper levels try every candidate: pruning at
 /// three levels let some capped searches finish within their cap, with an
 /// embedding the full search never reached.
 const SYMMETRY_DEPTH: u64 = 2;
-
-/// Outcome of one search run, richer than the public [`PosEquiv`]: callers
-/// need to tell a local cap from a `RunCtl` cancellation.
-enum EmbedOutcome {
-    Found(Embedding),
-    Exhausted,
-    /// The local work budget ran out.
-    Capped,
-    /// The shared `RunCtl` deadline/fuel fired.
-    Cancelled,
-}
 
 /// Why candidates were rejected, flushed once per search as
 /// `embed.prune.*` counters.
@@ -339,15 +422,8 @@ struct Search<'a> {
     assigned: Vec<(usize, Face)>,
     /// Category-2 node indices (derivation worklist).
     multis: Vec<usize>,
-    work: u64,
-    /// Work units not yet flushed to `ctl`.
-    pending: u64,
-    pending_backtracks: u64,
-    budget: Option<u64>,
-    /// Shared cancellation / telemetry handle: each candidate face costs one
-    /// charge, so a portfolio deadline or node budget unwinds the search.
-    ctl: &'a RunCtl,
-    aborted: bool,
+    /// Each candidate face costs one charge.
+    meter: Meter<'a>,
     last: Option<usize>,
     /// Current recursion depth of [`Search::extend`] (for the backtrack
     /// depth histogram).
@@ -363,40 +439,6 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// Accounts one candidate. Deadline/fuel are only checked at batch
-    /// boundaries, keeping the per-node cost to two local counter
-    /// increments and one branch.
-    fn charge(&mut self) -> bool {
-        self.work += 1;
-        self.pending += 1;
-        if let Some(b) = self.budget {
-            if self.work > b {
-                self.flush_counters();
-                self.aborted = true;
-                return false;
-            }
-        }
-        if self.pending >= CHARGE_BATCH && !self.flush_counters() {
-            self.aborted = true;
-            return false;
-        }
-        true
-    }
-
-    /// Pushes pending work/backtrack counts to the shared handle. Returns
-    /// `false` when the handle cancelled.
-    fn flush_counters(&mut self) -> bool {
-        let n = std::mem::take(&mut self.pending);
-        let bt = std::mem::take(&mut self.pending_backtracks);
-        if n > 0 {
-            self.ctl.count_faces(n);
-        }
-        if bt > 0 {
-            self.ctl.count_backtracks(bt);
-        }
-        n == 0 || self.ctl.charge(n).is_ok()
-    }
-
     /// Candidate levels for a selectable node, in trial order.
     fn feasible_levels(&self, i: usize) -> LevelRange {
         match self.ig.category(i) {
@@ -743,7 +785,7 @@ impl<'a> Search<'a> {
     /// Tries one candidate face for `node`: charge, verify, assign, derive,
     /// recurse, and undo on failure.
     fn try_candidate(&mut self, node: usize, face: Face, prev_last: Option<usize>) -> Step {
-        if !self.charge() {
+        if !self.meter.charge() {
             return Step::Abort;
         }
         if !self.verify(node, face) {
@@ -756,16 +798,17 @@ impl<'a> Search<'a> {
             if self.extend() {
                 return Step::Found;
             }
-            if self.aborted {
+            if self.meter.stopped() {
                 return Step::Abort;
             }
             self.undo_to(mark);
         }
-        if self.aborted {
+        if self.meter.stopped() {
             return Step::Abort;
         }
-        self.pending_backtracks += 1;
-        self.ctl
+        self.meter.backtrack();
+        self.meter
+            .ctl
             .tracer()
             .observe("embed.backtrack_depth", self.depth);
         let popped = self.assigned.pop().expect("candidate on stack");
@@ -873,43 +916,55 @@ fn lowest_bits(mut bits: u64, n: u32) -> u64 {
     out
 }
 
-/// Anytime snapshot of a *cancelled* search: states whose singleton nodes
-/// already hold a level-0 face keep those vertices, the rest take the
-/// lowest unused vertices. The completed codes are scored by how many
-/// closure constraints they satisfy under the weak criterion
-/// ([`constraint_satisfied`]) and offered to the ctl, so the driver can
-/// return a degraded-but-valid encoding instead of nothing.
-fn offer_partial(search: &Search) {
-    let ig = search.ig;
-    let n = ig.num_states();
-    let k = search.k;
-    if k > 63 || n as u64 > 1u64 << k {
-        return;
-    }
-    let mut codes = vec![u64::MAX; n];
-    let mut used: HashSet<u64> = HashSet::with_capacity(n);
-    for (s, code) in codes.iter_mut().enumerate() {
+/// The codes a *cancelled* strict search has placed: states whose singleton
+/// nodes hold a level-0 face keep that vertex, the rest read `u64::MAX`.
+/// Mid-search two singletons can transiently share a vertex; the first
+/// keeps it.
+fn partial_codes(search: &Search) -> Vec<u64> {
+    let mut codes = vec![u64::MAX; search.ig.num_states()];
+    for s in 0..codes.len() {
         if let Some(f) = search.faces[search.rel.singleton_of(s)] {
-            // Mid-search two singletons can transiently share a vertex;
-            // keep the first, the other falls back to a free vertex.
-            if f.level() == 0 && used.insert(f.value_bits()) {
-                *code = f.value_bits();
+            if f.level() == 0 && !codes[..s].contains(&f.value_bits()) {
+                codes[s] = f.value_bits();
             }
         }
     }
-    let mut free = (0..1u64 << k).filter(|v| !used.contains(v));
-    for code in codes.iter_mut() {
-        if *code == u64::MAX {
-            *code = free.next().expect("2^k >= n vertices");
-        }
-    }
+    codes
+}
+
+/// Anytime snapshot of a cancelled embedding search (`embed.partial`,
+/// `iexact.weak`): completes `codes` ([`fill_lowest_free`]), scores them by
+/// how many closure constraints of `ig` (neither singleton nor universe)
+/// they satisfy under the weak criterion ([`constraint_satisfied`]), and
+/// offers them to `ctl`, so the driver can return a degraded-but-valid
+/// encoding instead of nothing.
+pub(crate) fn offer_partial(
+    ctl: &RunCtl,
+    ig: &InputGraph,
+    mut codes: Vec<u64>,
+    bits: u32,
+    source: &'static str,
+) {
+    fill_lowest_free(&mut codes, bits);
+    let n = codes.len();
     let score = (0..ig.len())
         .filter(|&i| {
             let set = ig.set(i);
-            set.len() > 1 && set.len() < n && constraint_satisfied(&set, &codes, k)
+            set.len() > 1 && set.len() < n && constraint_satisfied(&set, &codes, bits)
         })
         .count() as u64;
-    search.ctl.offer_best(k, &codes, "embed.partial", score);
+    ctl.offer_best(bits, &codes, source, score);
+}
+
+/// Completes a partial code vector for an anytime snapshot: every state
+/// still at `u64::MAX` takes the lowest vertex of the `bits`-cube that no
+/// state holds.
+pub(crate) fn fill_lowest_free(codes: &mut [u64], bits: u32) {
+    let used: HashSet<u64> = codes.iter().copied().collect();
+    let mut free = (0..1u64 << bits).filter(|v| !used.contains(v));
+    for code in codes.iter_mut().filter(|c| **c == u64::MAX) {
+        *code = free.next().expect("2^bits >= n vertices");
+    }
 }
 
 /// Builds the [`Embedding`] out of a successful search.
@@ -963,34 +1018,18 @@ fn run_search(
         faces,
         assigned,
         multis,
-        work: 0,
-        pending: 0,
-        pending_backtracks: 0,
-        budget,
-        ctl,
-        aborted: false,
+        meter: Meter::new(ctl, budget),
         last: None,
         depth: 0,
         covers,
         orbits,
         prune: PruneStats::default(),
     };
-    let outcome = if search.extend() {
-        EmbedOutcome::Found(extract(&search))
-    } else if search.aborted {
-        if ctl.cancelled() {
-            EmbedOutcome::Cancelled
-        } else {
-            EmbedOutcome::Capped
-        }
-    } else {
-        EmbedOutcome::Exhausted
-    };
+    let found = search.extend().then(|| extract(&search));
+    let (outcome, spent) = search.meter.finish(found);
     if matches!(outcome, EmbedOutcome::Cancelled) {
-        offer_partial(&search);
+        offer_partial(ctl, ig, partial_codes(&search), k, "embed.partial");
     }
-    let spent = search.work.min(budget.unwrap_or(u64::MAX));
-    search.flush_counters();
     search.prune.flush(ctl);
     let Search {
         faces,
@@ -1018,8 +1057,8 @@ fn run_search(
 
 /// Shared driver for every `pos_equiv`-family entry point: builds the
 /// per-node base levels (each node's minimum feasible level), runs the
-/// search, and flushes the run telemetry (`exact.nodes_visited`,
-/// `embed.nodes_per_sec`).
+/// search, whose [`Meter`] adds its work to `embed.nodes_visited`, and
+/// records its `embed.nodes_per_sec`.
 fn pos_equiv_run(
     ig: &InputGraph,
     k: u32,
@@ -1047,21 +1086,12 @@ fn pos_equiv_run(
     let t0 = Instant::now();
     let (outcome, spent) = run_search(ig, k, &level_lo, free_levels, covers, budget, ctl);
     drop(span);
-    tracer.incr("embed.nodes_visited", spent);
     let secs = t0.elapsed().as_secs_f64();
     if secs > 0.0 {
         tracer.gauge("embed.nodes_per_sec", (spent as f64 / secs) as i64);
     }
     with_embed_scratch(|sc| sc.release_levels(level_lo));
     (outcome, spent)
-}
-
-fn to_pos_equiv(outcome: EmbedOutcome) -> PosEquiv {
-    match outcome {
-        EmbedOutcome::Found(e) => PosEquiv::Found(e),
-        EmbedOutcome::Exhausted => PosEquiv::Exhausted,
-        EmbedOutcome::Capped | EmbedOutcome::Cancelled => PosEquiv::Aborted,
-    }
 }
 
 /// `pos_equiv` (Section 3.4): decides restricted SUBPOSET EQUIVALENCE for a
@@ -1071,18 +1101,17 @@ fn to_pos_equiv(outcome: EmbedOutcome) -> PosEquiv {
 /// the search core of `io_semiexact_code` (Section VI-6.2.1).
 ///
 /// Every candidate face charges `ctl` one unit (batched), so a deadline or
-/// node budget on the handle aborts the backtracking promptly
-/// ([`PosEquiv::Aborted`] with `ctl.cancelled()` telling it apart from an
-/// exhausted local `budget`).
+/// node budget on the handle ends the backtracking promptly
+/// ([`EmbedOutcome::Cancelled`], where an exhausted local `budget` gives
+/// [`EmbedOutcome::Capped`]).
 pub fn pos_equiv(
     ig: &InputGraph,
     k: u32,
     covers: &[(usize, usize)],
     budget: Option<u64>,
     ctl: &RunCtl,
-) -> PosEquiv {
-    let (outcome, _) = pos_equiv_run(ig, k, covers, budget, true, ctl);
-    to_pos_equiv(outcome)
+) -> EmbedOutcome {
+    pos_equiv_run(ig, k, covers, budget, true, ctl).0
 }
 
 /// `iexact_code` (Section 3.3.1): exact input encoding. Tries increasing
@@ -1119,23 +1148,21 @@ pub fn iexact_code_ctl(
         tracer.incr("embed.dimensions_tried", 1);
         tracer.gauge("embed.dimension", k as i64);
         // Phase A: strict subposet embedding (free primary levels replace
-        // the old explicit level-vector odometer).
-        let cap = cap_for(remaining, per_phase);
-        let (outcome, spent) = pos_equiv_run(ig, k, &[], cap, !opts.min_dimension_faces_only, ctl);
-        match outcome {
-            EmbedOutcome::Found(e) => return Ok(Some(e)),
-            EmbedOutcome::Cancelled => return Err(Cancelled),
-            EmbedOutcome::Exhausted | EmbedOutcome::Capped => debit(&mut remaining, spent),
-        }
-        // Phase B: weak direct code assignment — the paper's acceptance
-        // criterion — for instances with no strict subposet embedding.
-        if opts.complete && (1..=63).contains(&k) {
+        // the old explicit level-vector odometer). Phase B: weak direct
+        // code assignment — the paper's acceptance criterion — for
+        // instances with no strict subposet embedding.
+        let weak = opts.complete && (1..=63).contains(&k);
+        for strict in [true, false].into_iter().take(1 + weak as usize) {
             let cap = cap_for(remaining, per_phase);
-            let (outcome, spent) = assign_codes_ctl(ig, k, cap, ctl);
+            let (outcome, spent) = if strict {
+                pos_equiv_run(ig, k, &[], cap, !opts.min_dimension_faces_only, ctl)
+            } else {
+                weak_search(ig, k, cap, ctl)
+            };
             match outcome {
-                AssignOutcome::Found(e) => return Ok(Some(e)),
-                AssignOutcome::Aborted if ctl.cancelled() => return Err(Cancelled),
-                _ => debit(&mut remaining, spent),
+                EmbedOutcome::Found(e) => return Ok(Some(e)),
+                EmbedOutcome::Cancelled => return Err(Cancelled),
+                EmbedOutcome::Exhausted | EmbedOutcome::Capped => debit(&mut remaining, spent),
             }
         }
     }
@@ -1473,7 +1500,39 @@ mod tests {
         // The tiny budget aborts the search rather than exhausting it.
         let ig = InputGraph::build(7, &ig_constraints);
         let r = pos_equiv(&ig, 4, &[], Some(3), &RunCtl::unlimited());
-        assert!(matches!(r, PosEquiv::Aborted), "{r:?}");
+        assert!(matches!(r, EmbedOutcome::Capped), "{r:?}");
+    }
+
+    #[test]
+    fn both_searches_share_outcomes_and_node_counts() {
+        // The triangle has neither a strict nor a weak embedding at k = 2,
+        // so both searches run to exhaustion unless a cap or the ctl stops
+        // them first.
+        let ics = ["1100", "0110", "1010"].map(|s| StateSet::parse(s).unwrap());
+        let ig = InputGraph::build(4, &ics);
+        let past = Instant::now();
+        for (cap, cancelled, want) in [
+            (Some(3), false, "Capped"),
+            (Some(3), true, "Cancelled"),
+            (None, false, "Exhausted"),
+        ] {
+            for strict in [true, false] {
+                let deadline = cancelled.then_some(past);
+                let ctl = RunCtl::new(None, deadline, nova_trace::Tracer::enabled());
+                assert_eq!(ctl.cancelled(), cancelled);
+                let (outcome, spent) = if strict {
+                    pos_equiv_run(&ig, 2, &[], cap, true, &ctl)
+                } else {
+                    weak_search(&ig, 2, cap, &ctl)
+                };
+                assert_eq!(format!("{outcome:?}"), want, "strict {strict}");
+                let counters = ctl.tracer().metrics_snapshot().counters;
+                let visited = counters
+                    .iter()
+                    .find(|(name, _)| name == "embed.nodes_visited");
+                assert_eq!(visited.map(|&(_, v)| v), Some(spent), "{want}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! why the paper tailors it to code lengths close to the minimum).
 
 use crate::constraint::{InputConstraints, StateSet};
-use crate::exact::min_code_length;
+use crate::exact::{fill_lowest_free, min_code_length};
 use crate::face::{faces_of_level, Face};
 use crate::hybrid::{offer_scored, HybridOutcome};
 use crate::poset::InputGraph;
@@ -119,7 +119,10 @@ pub fn igreedy_code_ctl(
     });
     for &s in &states {
         if let Err(cancelled) = ctl.charge(1) {
-            offer_packed(ctl, ics, &mut codes, &taken, k);
+            // Anytime snapshot: the not-yet-packed states take the lowest
+            // untaken vertices.
+            fill_lowest_free(&mut codes, k);
+            offer_scored(ctl, &ics.constraints, &[], &codes, k, "igreedy.pack");
             return Err(cancelled);
         }
         let preferred = (0..1u64 << k).find(|&v| {
@@ -136,26 +139,6 @@ pub fn igreedy_code_ctl(
 
     let encoding = Encoding::new(k as usize, codes).expect("codes distinct by construction");
     Ok(HybridOutcome::new(ics, encoding))
-}
-
-/// Anytime snapshot of a *cancelled* pack loop: fill the not-yet-packed
-/// states with the lowest untaken vertices and offer the completed codes to
-/// the ctl ([`offer_scored`]) so [`crate::driver::run_traced`] can degrade
-/// instead of returning nothing.
-fn offer_packed(
-    ctl: &espresso::RunCtl,
-    ics: &InputConstraints,
-    codes: &mut [u64],
-    taken: &HashSet<u64>,
-    k: u32,
-) {
-    let mut free = (0..1u64 << k).filter(|v| !taken.contains(v));
-    for code in codes.iter_mut() {
-        if *code == u64::MAX {
-            *code = free.next().expect("2^k >= n vertices available");
-        }
-    }
-    offer_scored(ctl, &ics.constraints, &[], codes, k, "igreedy.pack");
 }
 
 /// Consistency of a candidate face with the faces already placed.

@@ -334,7 +334,8 @@ pub fn kiss_code_ctl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iohybrid::{iohybrid_code_problem, IoProblem};
+    use crate::iohybrid::iohybrid_code;
+    use crate::symbolic_min::SymbolicMin;
     use fsm::StateId;
 
     fn weighted(specs: &[(&str, u32)]) -> InputConstraints {
@@ -491,7 +492,7 @@ mod tests {
     #[test]
     fn iohybrid_without_clusters_is_ihybrid() {
         for ic in constraint_sets() {
-            let problem = IoProblem {
+            let problem = SymbolicMin {
                 ic,
                 ic_clusters: BTreeMap::new(),
                 ic_outputs: Vec::new(),
@@ -499,7 +500,7 @@ mod tests {
             };
             for target in [None, Some(min_code_length(problem.ic.num_states) + 2)] {
                 let ihybrid = ihybrid_code(&problem.ic, target, HybridOptions::default());
-                let io = iohybrid_code_problem(&problem, target, HybridOptions::default());
+                let io = iohybrid_code(&problem, target, HybridOptions::default());
                 assert_eq!(io.hybrid.encoding, ihybrid.encoding, "target {target:?}");
                 assert_eq!(io.hybrid.satisfied, ihybrid.satisfied);
             }

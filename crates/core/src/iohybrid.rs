@@ -7,28 +7,11 @@
 //! `iovariant_code` only changes which input constraints travel with a
 //! cluster.
 
-use crate::constraint::{InputConstraints, StateSet};
+use crate::constraint::InputConstraints;
 use crate::hybrid::{accept_and_project, Companions, HybridOptions, HybridOutcome};
 use crate::symbolic_min::{OutputCluster, SymbolicMin};
 use espresso::{Cancelled, RunCtl};
 use fsm::{Encoding, StateId};
-use std::collections::BTreeMap;
-
-/// A standalone ordered-face-hypercube-embedding instance: the paired
-/// `(IC, OC)` constraint sets of Section VI-6.2, decoupled from the
-/// machine that produced them (so instances like the paper's Example
-/// 6.2.2.1 can be posed directly).
-#[derive(Debug, Clone)]
-pub struct IoProblem {
-    /// Weighted input constraints.
-    pub ic: InputConstraints,
-    /// Input constraints clustered per next state (`IC_i`).
-    pub ic_clusters: BTreeMap<usize, Vec<StateSet>>,
-    /// Input constraints tied only to proper outputs (`IC_o`).
-    pub ic_outputs: Vec<StateSet>,
-    /// Output-constraint clusters (`OC_i`).
-    pub oc_clusters: Vec<OutputCluster>,
-}
 
 /// Outcome of the input/output encoding algorithms: the usual hybrid
 /// outcome plus which output clusters were satisfied.
@@ -40,13 +23,6 @@ pub struct IoOutcome {
     pub satisfied_clusters: Vec<OutputCluster>,
     /// Output clusters violated by the final codes.
     pub unsatisfied_clusters: Vec<OutputCluster>,
-}
-
-impl IoOutcome {
-    /// Total weight of satisfied output clusters.
-    pub fn cluster_weight_satisfied(&self) -> u32 {
-        self.satisfied_clusters.iter().map(|c| c.weight).sum()
-    }
 }
 
 /// Is the covering pair `(u, v)` honoured by the codes?
@@ -123,24 +99,6 @@ pub fn iohybrid_code_ctl(
     io_encode(&sym.ic, &sym.oc_clusters, None, target_bits, opts, ctl)
 }
 
-/// [`iohybrid_code`] on a standalone [`IoProblem`] instance.
-pub fn iohybrid_code_problem(
-    problem: &IoProblem,
-    target_bits: Option<u32>,
-    opts: HybridOptions,
-) -> IoOutcome {
-    let unlimited = RunCtl::unlimited();
-    io_encode(
-        &problem.ic,
-        &problem.oc_clusters,
-        None,
-        target_bits,
-        opts,
-        &unlimited,
-    )
-    .expect("unlimited ctl never cancels")
-}
-
 /// `iovariant_code` (Section VI-6.2.2): like `iohybrid_code` but the i-th
 /// cluster is accepted only when its companion input constraints `IC_i` are
 /// satisfied together with it. The paper found this *weaker* than
@@ -170,25 +128,6 @@ pub fn iovariant_code_ctl(
         opts,
         ctl,
     )
-}
-
-/// [`iovariant_code`] on a standalone [`IoProblem`] instance.
-pub fn iovariant_code_problem(
-    problem: &IoProblem,
-    target_bits: Option<u32>,
-    opts: HybridOptions,
-) -> IoOutcome {
-    let companions = Some((problem.ic_outputs.as_slice(), &problem.ic_clusters));
-    let unlimited = RunCtl::unlimited();
-    io_encode(
-        &problem.ic,
-        &problem.oc_clusters,
-        companions,
-        target_bits,
-        opts,
-        &unlimited,
-    )
-    .expect("unlimited ctl never cancels")
 }
 
 /// Encodes `(ic, clusters)` with the shared acceptance loop, or with

@@ -40,7 +40,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod assign;
+mod assign;
 pub mod constraint;
 pub mod driver;
 pub mod exact;
@@ -53,7 +53,6 @@ pub mod poset;
 pub mod scratch;
 pub mod symbolic_min;
 
-pub use assign::{assign_codes, assign_codes_ctl, AssignOutcome};
 pub use constraint::{
     extract_input_constraints, extract_input_constraints_ctl, InputConstraints, StateSet,
     WeightedConstraint,
@@ -73,8 +72,7 @@ pub use hybrid::{
     HybridOutcome,
 };
 pub use iohybrid::{
-    iohybrid_code, iohybrid_code_ctl, iohybrid_code_problem, iovariant_code, iovariant_code_ctl,
-    iovariant_code_problem, out_encoder, IoProblem,
+    iohybrid_code, iohybrid_code_ctl, iovariant_code, iovariant_code_ctl, out_encoder,
 };
 pub use mustang::{mustang_code, MustangMode};
 pub use poset::InputGraph;

@@ -40,14 +40,12 @@ pub struct OutputCluster {
     pub weight: u32,
 }
 
-/// The result of symbolic minimization: `FinalP`, the covering DAG clusters,
-/// and the companion input constraints.
+/// The result of symbolic minimization: the paired `(IC, OC)` constraint
+/// sets of the ordered face hypercube embedding problem (Section VI-6.2),
+/// read off the final minimal cover `FinalP`. Instances like the paper's
+/// Example 6.2.2.1 can also be posed directly as a literal.
 #[derive(Debug, Clone)]
 pub struct SymbolicMin {
-    /// The symbolic cover context (layout and machine statistics).
-    pub sc: SymbolicCover,
-    /// The final minimal symbolic cover `FinalP`.
-    pub final_cover: Cover,
     /// All weighted input constraints of `FinalP`.
     pub ic: InputConstraints,
     /// Input constraints clustered per next state (`IC_i`).
@@ -56,16 +54,6 @@ pub struct SymbolicMin {
     pub ic_outputs: Vec<StateSet>,
     /// Output-constraint clusters (`OC_i`) with their weights.
     pub oc_clusters: Vec<OutputCluster>,
-}
-
-impl SymbolicMin {
-    /// All covering pairs across clusters.
-    pub fn all_covers(&self) -> Vec<(StateId, StateId)> {
-        self.oc_clusters
-            .iter()
-            .flat_map(|c| c.covers.iter().copied())
-            .collect()
-    }
 }
 
 /// Options for [`symbolic_minimize_with`].
@@ -102,8 +90,51 @@ pub fn symbolic_minimize_ctl(
     opts: SymbolicMinOptions,
     ctl: &RunCtl,
 ) -> Result<SymbolicMin, Cancelled> {
+    let _span = ctl.tracer().span("symbolic.minimize");
+    let (sc, final_cover, oc_clusters) = minimize_loop(fsm, opts, ctl)?;
+    let n = sc.states;
+    let ic = constraints_from_cover(&sc, &final_cover);
+
+    // Cluster the input constraints by the next state their cubes assert.
+    let mut ic_clusters: BTreeMap<usize, Vec<StateSet>> = BTreeMap::new();
+    let mut ic_outputs: Vec<StateSet> = Vec::new();
+    for c in final_cover.iter() {
+        let group = StateSet::from_states(sc.present_states(c));
+        if group.len() < 2 || group.len() >= n {
+            continue;
+        }
+        let nexts = sc.next_states(c);
+        if nexts.is_empty() {
+            if !ic_outputs.contains(&group) {
+                ic_outputs.push(group);
+            }
+        } else {
+            for ns in nexts {
+                let entry = ic_clusters.entry(ns.0).or_default();
+                if !entry.contains(&group) {
+                    entry.push(group);
+                }
+            }
+        }
+    }
+
+    Ok(SymbolicMin {
+        ic,
+        ic_clusters,
+        ic_outputs,
+        oc_clusters,
+    })
+}
+
+/// The modified De Micheli loop of the module docs: returns the machine's
+/// symbolic cover, the final minimal cover `FinalP` of step 10 and the
+/// output clusters of `G`.
+fn minimize_loop(
+    fsm: &Fsm,
+    opts: SymbolicMinOptions,
+    ctl: &RunCtl,
+) -> Result<(SymbolicCover, Cover, Vec<OutputCluster>), Cancelled> {
     let tracer = ctl.tracer().clone();
-    let _span = tracer.span("symbolic.minimize");
     let sc = symbolic_cover(fsm);
     let n = sc.states;
     let space = sc.space().clone();
@@ -312,40 +343,7 @@ pub fn symbolic_minimize_ctl(
         ctl,
     )?;
     drop(final_span);
-
-    let ic = constraints_from_cover(&sc, &final_cover);
-
-    // Cluster the input constraints by the next state their cubes assert.
-    let mut ic_clusters: BTreeMap<usize, Vec<StateSet>> = BTreeMap::new();
-    let mut ic_outputs: Vec<StateSet> = Vec::new();
-    for c in final_cover.iter() {
-        let group = StateSet::from_states(sc.present_states(c));
-        if group.len() < 2 || group.len() >= n {
-            continue;
-        }
-        let nexts = sc.next_states(c);
-        if nexts.is_empty() {
-            if !ic_outputs.contains(&group) {
-                ic_outputs.push(group);
-            }
-        } else {
-            for ns in nexts {
-                let entry = ic_clusters.entry(ns.0).or_default();
-                if !entry.contains(&group) {
-                    entry.push(group);
-                }
-            }
-        }
-    }
-
-    Ok(SymbolicMin {
-        sc,
-        final_cover,
-        ic,
-        ic_clusters,
-        ic_outputs,
-        oc_clusters,
-    })
+    Ok((sc, final_cover, oc_clusters))
 }
 
 /// Do two reduced-space cubes intersect on the input half (all variables but
@@ -376,12 +374,18 @@ mod tests {
 1 d a 0
 ";
 
+    fn final_cover_of(m: &Fsm) -> (Cover, Vec<OutputCluster>) {
+        let ctl = RunCtl::unlimited();
+        let (_, cover, clusters) = minimize_loop(m, SymbolicMinOptions::default(), &ctl).unwrap();
+        (cover, clusters)
+    }
+
     #[test]
     fn produces_a_cover_no_larger_than_input() {
         let m = Fsm::parse_kiss(COVER_FRIENDLY).unwrap();
-        let sym = symbolic_minimize(&m);
-        assert!(sym.final_cover.len() <= m.num_transitions());
-        assert!(!sym.final_cover.is_empty());
+        let (cover, _) = final_cover_of(&m);
+        assert!(cover.len() <= m.num_transitions());
+        assert!(!cover.is_empty());
     }
 
     #[test]
@@ -402,7 +406,9 @@ mod tests {
         let m = fsm::benchmarks::by_name("bbtas").unwrap().fsm;
         let sym = symbolic_minimize(&m);
         // Kahn-style check on the union of all covering edges.
-        let edges = sym.all_covers();
+        let edges: Vec<(StateId, StateId)> = (sym.oc_clusters.iter())
+            .flat_map(|c| c.covers.iter().copied())
+            .collect();
         let mut nodes: BTreeSet<usize> = BTreeSet::new();
         for (u, v) in &edges {
             nodes.insert(u.0);
@@ -460,9 +466,6 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let m = fsm::benchmarks::by_name("bbtas").unwrap().fsm;
-        let a = symbolic_minimize(&m);
-        let b = symbolic_minimize(&m);
-        assert_eq!(a.final_cover, b.final_cover);
-        assert_eq!(a.oc_clusters, b.oc_clusters);
+        assert_eq!(final_cover_of(&m), final_cover_of(&m));
     }
 }

@@ -1,4 +1,4 @@
-//! The paper's Example 6.2.2.1 posed directly as an [`IoProblem`]: the
+//! The paper's Example 6.2.2.1 posed directly as a [`SymbolicMin`]: the
 //! clustered input/output constraint sets over 8 states with `#bits = 3`,
 //! solved by `iohybrid_code` and `iovariant_code`.
 
@@ -6,10 +6,10 @@ use fsm::StateId;
 use nova_core::constraint::{InputConstraints, StateSet, WeightedConstraint};
 use nova_core::hybrid::HybridOptions;
 use nova_core::symbolic_min::OutputCluster;
-use nova_core::{iohybrid_code_problem, iovariant_code_problem, IoProblem};
+use nova_core::{iohybrid_code, iovariant_code, SymbolicMin};
 use std::collections::BTreeMap;
 
-fn example() -> IoProblem {
+fn example() -> SymbolicMin {
     // (IC_o; w_o) = (01010101; 1)
     // (IC_1; OC_1; w_1) = (∅; 2>1 … 8>1; 4)        [1-indexed in the paper]
     // (IC_2; OC_2; w_2) = (00110000; 6>2; 1)
@@ -55,7 +55,7 @@ fn example() -> IoProblem {
             weight: 2,
         }, // IC_4 + IC_8
     ];
-    IoProblem {
+    SymbolicMin {
         ic: InputConstraints {
             num_states: 8,
             constraints,
@@ -77,7 +77,7 @@ fn example() -> IoProblem {
     }
 }
 
-fn paper_solution_satisfies_everything() -> (Vec<u64>, IoProblem) {
+fn paper_solution_satisfies_everything() -> (Vec<u64>, SymbolicMin) {
     // ENC = (000, 010, 100, 110, 001, 011, 101, 111)
     (
         vec![0b000, 0b010, 0b100, 0b110, 0b001, 0b011, 0b101, 0b111],
@@ -110,7 +110,7 @@ fn paper_solution_is_valid() {
 #[test]
 fn iohybrid_solves_the_instance_in_three_bits() {
     let p = example();
-    let out = iohybrid_code_problem(&p, Some(3), HybridOptions::default());
+    let out = iohybrid_code(&p, Some(3), HybridOptions::default());
     assert_eq!(out.hybrid.encoding.bits(), 3);
     let codes = out.hybrid.encoding.codes();
     let mut sorted = codes.to_vec();
@@ -128,7 +128,7 @@ fn iohybrid_solves_the_instance_in_three_bits() {
 #[test]
 fn iovariant_solves_the_instance_too() {
     let p = example();
-    let out = iovariant_code_problem(&p, Some(3), HybridOptions::default());
+    let out = iovariant_code(&p, Some(3), HybridOptions::default());
     assert_eq!(out.hybrid.encoding.bits(), 3);
     // The paper reports both algorithms find a full solution here; ours must
     // at least satisfy some clusters and keep codes valid.
@@ -146,7 +146,7 @@ fn pure_output_instance_goes_through_out_encoder() {
     p.ic.constraints.clear();
     p.ic_outputs.clear();
     p.ic_clusters.clear();
-    let out = iohybrid_code_problem(&p, None, HybridOptions::default());
+    let out = iohybrid_code(&p, None, HybridOptions::default());
     // out_encoder gives one bit per state and satisfies the whole DAG.
     assert_eq!(out.hybrid.encoding.bits(), 8);
     assert!(out.unsatisfied_clusters.is_empty());
