@@ -6,7 +6,7 @@
 //! nova [-e ALG | --portfolio] [-b BITS] [-m] [-p | --json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [FILE.kiss2 | -]
 //! nova -s [-m] [--bench NAME] [FILE.kiss2 | -]
 //! nova --remote HOST:PORT [-e ALG | --portfolio] [-b BITS] [-m] [--json] [--timeout-ms N] [--budget N] [--fault-plan SPEC] [--bench NAME] [FILE.kiss2 | -]
-//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
+//! nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]
 //! nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]
 //! nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]
 //!
@@ -59,13 +59,13 @@
 //!                  family=random|kstage seed prefix)
 //!   --batch-jobs N worker threads sweeping machines (0 = one per core;
 //!                  default 1). Report content is identical at any count.
-//!   --stream F     write the sweep as nova-bench-stream/1 JSONL to F
-//!                  ("-" = stdout): a header line (corpus, machines,
-//!                  batch_jobs), one line per machine as it completes (with
-//!                  each run's metrics under --trace), and a throughput
-//!                  summary (tallies, wall_ms, machines_per_sec) — constant
-//!                  memory, use this for large corpora. BENCH_SCALE.jsonl
-//!                  is its first and last lines
+//!   --stream F     write the sweep's one report, nova-bench-stream/1
+//!                  JSONL, to F ("-" = stdout) in constant memory: a header
+//!                  (corpus, machines, batch_jobs), one line per machine as
+//!                  it completes (its nova-bench/1 machine object, with each
+//!                  run's metrics under --trace, plus a fingerprint), and a
+//!                  throughput summary (tallies, wall_ms, machines_per_sec).
+//!                  BENCH_SCALE.jsonl is its first and last lines
 //!   --resume       make the --stream file the sweep's crash-safe record:
 //!                  no wall-clock fields or metrics, a header bound to the
 //!                  corpus and the options, fsync'd every 16 lines. Run the
@@ -75,8 +75,6 @@
 //!                  --batch-jobs. A file written for another corpus, under
 //!                  other options or without --resume is refused (exit 2)
 //!                  and left unchanged
-//!   --bench-out F  write the whole sweep as one nova-bench/1 report to F
-//!                  (accumulated in memory, so prefer --stream at scale)
 //!   (--timeout-ms, --budget, --jobs, --fault-plan, --trace and
 //!    --trace-format as for --portfolio, applied to every machine's
 //!    portfolio; --timeout-ms is the only wall-clock limit. Each machine
@@ -98,9 +96,8 @@
 //!   trace-report   analyze a nova-trace/1 JSONL trace offline: span tree
 //!                  with total/self wall time, per-stage aggregation, and
 //!                  histogram quantiles
-//!   --diff FILE2   compare per-stage totals against FILE2 — either a
-//!                  second nova-trace/1 trace or a committed nova-bench/1
-//!                  report (BENCH_*.json); exits 1 when any stage slowed
+//!   --diff FILE2   compare per-stage totals against FILE2, a second
+//!                  nova-trace/1 trace; exits 1 when any stage slowed
 //!                  beyond the threshold
 //!   --threshold P  slowdown tolerance for --diff, in percent (default 25)
 //! ```
@@ -142,7 +139,7 @@ fn usage() -> ! {
         "usage: nova [-e ALG | --portfolio] [-b BITS] [-m] [-p | --json] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]] [--bench NAME] [FILE.kiss2 | -]\n\
          \u{20}      nova -s [-m] [--bench NAME] [FILE.kiss2 | -]\n\
          \u{20}      nova --remote ADDR [-e ALG | --portfolio] [-b BITS] [-m] [--json] [--timeout-ms N] [--budget N] [--fault-plan SPEC] [--bench NAME] [FILE.kiss2 | -]\n\
-         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--bench-out FILE] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
+         \u{20}      nova bench [--synthetic SPEC | --filter A,B] [--batch-jobs N] [--stream FILE|- [--resume]] [--timeout-ms N] [--budget N] [--jobs N] [--fault-plan SPEC] [--trace FILE [--trace-format chrome|jsonl]]\n\
          \u{20}      nova serve [--addr HOST:PORT] [--workers N] [--cache-entries N] [--cache-bytes N] [--queue-depth N] [--trace-dir DIR]\n\
          \u{20}      nova trace-report FILE.jsonl [--diff FILE2] [--threshold PCT]\n\
          -e and --portfolio print one text report (-p adds the winner's minimized PLA); -s takes no run flag and no other output flag\n\
@@ -485,16 +482,15 @@ fn read_machine(args: &Args) -> Result<Fsm, ExitCode> {
 
 /// `nova bench`, the one sweep entry point: sweep a corpus (embedded suite,
 /// optionally `--filter`ed, or a `--synthetic` scale spec) through the batch
-/// engine, optionally streaming JSONL (`nova-bench-stream/1`) so memory
-/// stays constant at any corpus size. With `--resume` the stream file is
-/// the sweep's crash-safe record, and rerunning the command after a crash
-/// continues it.
+/// engine, writing its one report, `nova-bench-stream/1` JSONL, line by
+/// line, so memory stays constant at any corpus size. With `--resume` the
+/// stream file is the sweep's crash-safe record, and rerunning the command
+/// after a crash continues it.
 fn bench_main(argv: &[String]) -> ExitCode {
     let mut synthetic: Option<fsm::ScaleSpec> = None;
     let mut filter: Vec<String> = Vec::new();
     let mut batch_jobs = 1usize;
     let mut stream: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut cfg = EngineConfig::default();
     let mut run = RunOpts::default();
     let mut resume = false;
@@ -518,7 +514,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
             "--batch-jobs" => batch_jobs = num(&mut it),
             "--stream" => stream = Some(value(&mut it)),
             "--resume" => resume = true,
-            "--bench-out" => bench_out = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -529,17 +524,11 @@ fn bench_main(argv: &[String]) -> ExitCode {
         eprintln!("nova: --synthetic and --filter are mutually exclusive");
         return ExitCode::from(EXIT_USAGE);
     }
-    if resume {
-        if stream.as_deref().is_none_or(|p| p == "-") {
-            eprintln!(
-                "nova: --resume requires --stream FILE: the stream file is the record it resumes"
-            );
-            return ExitCode::from(EXIT_USAGE);
-        }
-        if bench_out.is_some() {
-            eprintln!("nova: --resume cannot rebuild a full --bench-out document (resumed machines keep only their stream lines)");
-            return ExitCode::from(EXIT_USAGE);
-        }
+    if resume && stream.as_deref().is_none_or(|p| p == "-") {
+        eprintln!(
+            "nova: --resume requires --stream FILE: the stream file is the record it resumes"
+        );
+        return ExitCode::from(EXIT_USAGE);
     }
     for name in &filter {
         if fsm::benchmarks::by_name(name).is_none() {
@@ -571,17 +560,11 @@ fn bench_main(argv: &[String]) -> ExitCode {
             ExitCode::from(EXIT_IO)
         })
     };
-    let bench_out_file = match bench_out.as_deref().map(create) {
-        Some(Ok(f)) => Some(f),
-        Some(Err(code)) => return code,
-        None => None,
-    };
     let trace_file = match run.trace.as_deref().map(create) {
         Some(Ok(f)) => Some(f),
         Some(Err(code)) => return code,
         None => None,
     };
-    let keep = bench_out_file.is_some();
     let swept = match stream.as_deref() {
         Some(path) if resume => {
             // Every option that can change a machine line: a file written
@@ -604,7 +587,7 @@ fn bench_main(argv: &[String]) -> ExitCode {
                             src.len()
                         );
                     }
-                    sweep(src, &cfg, &bcfg, sw, keep)
+                    sweep(src, &cfg, &bcfg, sw)
                 }
                 Err(nova_engine::ResumeError::Io(e)) => {
                     eprintln!("nova: cannot write {path}: {e}");
@@ -629,7 +612,7 @@ fn bench_main(argv: &[String]) -> ExitCode {
             };
             let workers = nova_engine::effective_jobs(batch_jobs);
             nova_engine::StreamWriter::new(w, &src.describe(), src.len(), workers)
-                .and_then(|sw| sweep(src, &cfg, &bcfg, sw, keep))
+                .and_then(|sw| sweep(src, &cfg, &bcfg, sw))
         }
     };
     let swept = match swept {
@@ -639,16 +622,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
             return ExitCode::from(EXIT_IO);
         }
     };
-    if let Some(mut f) = bench_out_file {
-        let doc = nova_engine::suite_to_json_timed(&swept.kept, swept.wall);
-        if let Err(e) = f.write_all(doc.to_pretty().as_bytes()) {
-            eprintln!(
-                "nova: cannot write {}: {e}",
-                bench_out.as_deref().unwrap_or("?")
-            );
-            return ExitCode::from(EXIT_IO);
-        }
-    }
     if let Some(f) = trace_file {
         if let Err(e) = run.write_trace(&cfg.tracer, f) {
             eprintln!(
@@ -696,32 +669,23 @@ struct Swept {
     resumed: usize,
     /// Outcome tallies over every machine of the stream, resumed ones too.
     tally: nova_engine::StreamTally,
-    /// This run's reports, when `--bench-out` wants them.
-    kept: Vec<nova_engine::PortfolioReport>,
     wall: Duration,
 }
 
 /// Sweeps `src` from the first machine `sw` does not hold yet, writing
-/// every line to `sw`, and keeps the reports when `keep` is set (only the
-/// in-memory `nova-bench/1` document needs them; a streamed sweep stays
-/// O(window)).
+/// every line to `sw` as it is emitted, so the sweep stays O(window).
 fn sweep<W: std::io::Write + Send>(
     src: &dyn nova_engine::MachineSource,
     cfg: &EngineConfig,
     bcfg: &nova_engine::BatchConfig,
     mut sw: nova_engine::StreamWriter<W>,
-    keep: bool,
 ) -> std::io::Result<Swept> {
     let resumed = sw.resumed();
-    let mut kept = Vec::new();
     let mut line_err = None;
     let started = std::time::Instant::now();
     let report = nova_engine::run_batch_resumable(src, cfg, bcfg, resumed, &mut |_, rep, q| {
         if let Err(e) = sw.report(&rep, q) {
             line_err.get_or_insert(e);
-        }
-        if keep {
-            kept.push(rep);
         }
     });
     let wall = started.elapsed();
@@ -733,7 +697,6 @@ fn sweep<W: std::io::Write + Send>(
         machines: report.machines,
         resumed,
         tally,
-        kept,
         wall,
     })
 }
@@ -790,8 +753,8 @@ fn serve_main(args: &[String]) -> ExitCode {
 }
 
 /// `nova trace-report`: offline analysis of a `nova-trace/1` JSONL trace,
-/// with an optional `--diff` against a second trace or a committed
-/// `nova-bench/1` baseline. Exits 1 only when the diff finds a regression.
+/// with an optional `--diff` against a second trace. Exits 1 only when the
+/// diff finds a regression.
 fn trace_report_main(args: &[String]) -> ExitCode {
     use nova_trace::report;
     let mut file: Option<String> = None;
@@ -814,44 +777,29 @@ fn trace_report_main(args: &[String]) -> ExitCode {
         }
     }
     let Some(path) = file else { usage() };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
+    let read = |path: &str| -> Result<report::TraceDoc, ExitCode> {
+        let text = std::fs::read_to_string(path).map_err(|e| {
             eprintln!("nova: cannot read {path}: {e}");
-            return ExitCode::from(EXIT_IO);
-        }
-    };
-    let doc = match report::TraceDoc::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
+            ExitCode::from(EXIT_IO)
+        })?;
+        report::TraceDoc::parse(&text).map_err(|e| {
             eprintln!("nova: {path}: {e}");
-            return ExitCode::from(EXIT_PARSE);
-        }
+            ExitCode::from(EXIT_PARSE)
+        })
+    };
+    let doc = match read(&path) {
+        Ok(d) => d,
+        Err(code) => return code,
     };
     print!("{}", doc.render_report());
     let Some(diff_path) = diff_path else {
         return ExitCode::SUCCESS;
     };
-    let base_text = match std::fs::read_to_string(&diff_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("nova: cannot read {diff_path}: {e}");
-            return ExitCode::from(EXIT_IO);
-        }
+    let base = match read(&diff_path) {
+        Ok(d) => d,
+        Err(code) => return code,
     };
-    // The baseline is auto-detected: a nova-bench/1 report contributes its
-    // stages_ms totals, anything else must be a second nova-trace/1 trace.
-    let base_totals = match report::bench_baseline_totals(&base_text) {
-        Ok(totals) => totals,
-        Err(_) => match report::TraceDoc::parse(&base_text) {
-            Ok(d) => d.stage_totals(),
-            Err(e) => {
-                eprintln!("nova: {diff_path}: neither nova-bench/1 nor nova-trace/1: {e}");
-                return ExitCode::from(EXIT_PARSE);
-            }
-        },
-    };
-    let regressions = report::diff(&base_totals, &doc.stage_totals(), threshold);
+    let regressions = report::diff(&base.stage_totals(), &doc.stage_totals(), threshold);
     print!("{}", report::render_diff(&regressions, threshold));
     if regressions.is_empty() {
         ExitCode::SUCCESS

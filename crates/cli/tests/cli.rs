@@ -308,7 +308,7 @@ fn nova_bench_flag_loads_embedded_machine() {
 
 #[test]
 fn nova_bench_filter_writes_bench_report() {
-    let path = temp_path("bench.json");
+    let path = temp_path("bench.jsonl");
     let path_s = path.to_str().unwrap();
     let trace = temp_path("bench-trace.jsonl");
     let trace_s = trace.to_str().unwrap();
@@ -322,7 +322,7 @@ fn nova_bench_filter_writes_bench_report() {
             "shiftreg,lion",
             "--budget",
             "2000",
-            "--bench-out",
+            "--stream",
             path_s,
             "--trace",
             trace_s,
@@ -335,12 +335,27 @@ fn nova_bench_filter_writes_bench_report() {
     assert!(stderr.contains("swept 2 machines in"), "{stderr}");
     let text = std::fs::read_to_string(&path).expect("bench report written");
     std::fs::remove_file(&path).ok();
-    let doc = json::parse(&text).expect("bench report parses");
-    assert_eq!(doc.get("schema"), Some(&json::Json::str("nova-bench/1")));
-    let Some(json::Json::Arr(machines)) = doc.get("machines") else {
-        panic!("machines missing");
-    };
-    assert_eq!(machines.len(), 2, "--filter restricts the sweep");
+    let lines: Vec<json::Json> = text
+        .lines()
+        .map(|l| json::parse(l).expect("every report line parses"))
+        .collect();
+    assert_eq!(
+        lines[0].get("schema"),
+        Some(&json::Json::str("nova-bench-stream/1"))
+    );
+    assert_eq!(lines.len(), 1 + 2 + 1, "--filter restricts the sweep");
+    // Each machine line carries every run's stage times and counters, and
+    // under --trace its metrics; the summary carries the throughput.
+    for m in &lines[1..3] {
+        let Some(json::Json::Arr(runs)) = m.get("runs") else {
+            panic!("runs missing: {m:?}");
+        };
+        for key in ["stages_ms", "counters", "metrics"] {
+            assert!(runs.iter().all(|r| r.get(key).is_some()), "{key}: {m:?}");
+        }
+    }
+    let summary = lines[3].get("summary").expect("summary line");
+    assert!(summary.get("machines_per_sec").is_some(), "{summary:?}");
     // The sweep's trace covers every machine's portfolio.
     let text = std::fs::read_to_string(&trace).expect("trace written");
     std::fs::remove_file(&trace).ok();
@@ -761,27 +776,20 @@ fn nova_trace_report_diff_flags_a_slowed_stage() {
     assert_eq!(code, 0, "{stderr}");
     assert!(stdout.contains("no stage slowed"), "{stdout}");
 
-    // A committed nova-bench/1 report works as the baseline too.
+    // The baseline is a trace too: a nova-bench/1 report is malformed.
     let bench = temp_path("diff-bench.json");
     std::fs::write(
         &bench,
         "{\"schema\":\"nova-bench/1\",\"machines\":[{\"runs\":[{\"stages_ms\":{\"espresso\":1.0,\"embed\":1.0}}]}]}",
     )
     .unwrap();
-    let (stdout, stderr, code) = run_with_code(
+    let (_, stderr, code) = run_with_code(
         env!("CARGO_BIN_EXE_nova"),
-        &[
-            "trace-report",
-            new_s,
-            "--diff",
-            bench.to_str().unwrap(),
-            "--threshold",
-            "50",
-        ],
+        &["trace-report", new_s, "--diff", bench.to_str().unwrap()],
         "",
     );
-    assert_eq!(code, 1, "{stderr}");
-    assert!(stdout.contains("stage.espresso"), "{stdout}");
+    assert_eq!(code, 3, "{stderr}");
+    assert!(stderr.contains("not a nova-trace/1 trace"), "{stderr}");
 
     std::fs::remove_file(&base).ok();
     std::fs::remove_file(&new).ok();
@@ -962,7 +970,7 @@ fn nova_bench_synthetic_streams_jsonl_and_replays_across_batch_jobs() {
 fn nova_bench_unwritable_output_fails_fast_with_io_exit() {
     // The output files are opened before the sweep: a bad path must exit 4
     // immediately (no machines run), never panic at the finish line.
-    for flag in ["--bench-out", "--stream", "--trace"] {
+    for flag in ["--stream", "--trace"] {
         let (_, stderr, code) = run_with_code(
             env!("CARGO_BIN_EXE_nova"),
             &[
@@ -1194,8 +1202,13 @@ fn nova_bench_quarantines_always_crashing_machines_and_exits_zero() {
         );
     }
 
-    // The flags of the removed retry ladder are usage errors.
-    for gone in [["--retries", "1"], ["--watchdog-ms", "5"]] {
+    // The flags of the removed retry ladder and of the removed second
+    // report are usage errors.
+    for gone in [
+        ["--retries", "1"],
+        ["--watchdog-ms", "5"],
+        ["--bench-out", "x"],
+    ] {
         let (_, stderr, code) = run_with_code(
             env!("CARGO_BIN_EXE_nova"),
             &[
@@ -1243,21 +1256,6 @@ fn nova_bench_resume_refusals_exit_2_and_leave_the_file_unchanged() {
     assert!(stderr.contains("not a regular file"), "{stderr}");
     let stream = temp_path("refused.jsonl");
     let stream_s = stream.to_str().unwrap();
-    let (_, stderr, code) = run_with_code(
-        nova,
-        &[
-            "bench",
-            "--synthetic",
-            spec,
-            "--stream",
-            stream_s,
-            "--resume",
-            "--bench-out",
-            "x.json",
-        ],
-        "",
-    );
-    assert_eq!(code, 2, "{stderr}");
     // The removed second file's flag is unknown.
     let (_, stderr, code) = run_with_code(
         nova,

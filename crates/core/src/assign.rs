@@ -195,10 +195,12 @@ impl Assign<'_> {
                 break;
             }
             self.pop(s, c, trail_mark, prev_mask);
-            self.meter.backtrack();
+            // A stop unwinds every level; only a finished subtree is a
+            // backtrack, as in the strict search.
             if self.meter.stopped() {
                 break;
             }
+            self.meter.backtrack();
         }
         with_embed_scratch(|sc| sc.release_cands(cands));
         found

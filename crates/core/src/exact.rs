@@ -1230,6 +1230,9 @@ pub fn io_semiexact_code_ctl(
     max_work: u64,
     ctl: &RunCtl,
 ) -> Result<Option<Embedding>, Cancelled> {
+    if exceeds_cube(num_states, constraints, k) {
+        return Ok(None);
+    }
     let ig = InputGraph::build(num_states, constraints);
     let (outcome, _) = pos_equiv_run(&ig, k, covers, Some(max_work), true, ctl);
     match outcome {
@@ -1237,6 +1240,24 @@ pub fn io_semiexact_code_ctl(
         EmbedOutcome::Cancelled => Err(Cancelled),
         _ => Ok(None),
     }
+}
+
+/// True when no `k`-cube can embed these sets, decided without building
+/// anything. A `k`-cube has 2^k vertices and a proper face of it 2^(k−1),
+/// so this holds when the states outnumber the vertices, or when a given
+/// set other than the universe has more than 2^(k−1) states: the maximal
+/// given set holding it is then a primary whose minimum level reaches `k`.
+/// `pos_equiv_run` answers [`EmbedOutcome::Exhausted`] in both cases, but
+/// only after the input graph and its relation table are built, which for
+/// hundreds of sets costs seconds that no ctl is charged for.
+fn exceeds_cube(num_states: usize, constraints: &[StateSet], k: u32) -> bool {
+    let vertices = |dim: u32| 1u64.checked_shl(dim).unwrap_or(u64::MAX);
+    let universe = StateSet::universe(num_states);
+    num_states as u64 > vertices(k)
+        || k > 0
+            && constraints
+                .iter()
+                .any(|s| *s != universe && s.len() as u64 > vertices(k - 1))
 }
 
 /// Does `codes` satisfy constraint `set` (the spanned face contains no
@@ -1531,8 +1552,53 @@ mod tests {
                     .iter()
                     .find(|(name, _)| name == "embed.nodes_visited");
                 assert_eq!(visited.map(|&(_, v)| v), Some(spent), "{want}");
+                // Three candidates finish no subtree, and the levels a stop
+                // unwinds are not backtracks.
+                if cap.is_some() {
+                    assert_eq!(ctl.counters().backtracks, 0, "{want}, strict {strict}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn oversized_sets_decide_exhausted_before_any_build() {
+        // Uncapped searches over small machines: every answer is found or
+        // exhausted, and the early test may only ever answer the latter.
+        let mut rng = fsm::SplitMix64::new(31);
+        let mut decided = 0;
+        for _ in 0..300 {
+            let n = 2 + rng.below(7);
+            let mut sets: Vec<StateSet> = (0..1 + rng.below(5))
+                .map(|_| StateSet::from_states((0..n).filter(|_| rng.chance(1, 2)).map(StateId)))
+                .collect();
+            if rng.chance(1, 4) {
+                sets.push(StateSet::universe(n));
+            }
+            let covers: Vec<(usize, usize)> = (0..rng.below(3))
+                .map(|_| (rng.below(n), rng.below(n)))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let ig = InputGraph::build(n, &sets);
+            for k in 0..=4 {
+                let ctl = RunCtl::unlimited();
+                let built = match pos_equiv_run(&ig, k, &covers, None, true, &ctl).0 {
+                    EmbedOutcome::Found(e) => Some(e.codes),
+                    EmbedOutcome::Exhausted => None,
+                    other => panic!("an uncapped search ended {other:?}"),
+                };
+                if exceeds_cube(n, &sets, k) {
+                    decided += 1;
+                    assert_eq!(built, None, "n {n} k {k} sets {sets:?}");
+                }
+                let early = io_semiexact_code_ctl(n, &sets, &covers, k, u64::MAX, &ctl);
+                assert_eq!(early.expect("unlimited").map(|e| e.codes), built);
+            }
+        }
+        assert!(
+            decided > 100,
+            "the early test decided only {decided} queries"
+        );
     }
 
     #[test]

@@ -27,8 +27,7 @@
 //!   which the batch determinism tests pin via [`report_fingerprint`].
 //! * **A streamed report** ([`StreamWriter`], schema `nova-bench-stream/1`):
 //!   one JSONL line per machine as it is emitted plus a final throughput
-//!   summary, so the accumulated `nova-bench/1` document is only needed for
-//!   the small committed baselines.
+//!   summary, the one report of a sweep.
 //!
 //! * **Quarantine** (`nova-sentinel`): each machine runs once. One whose
 //!   portfolio crashes (panics, or fails every run with nothing usable) is

@@ -377,7 +377,7 @@ fn run_contained(
 
 /// The `nova-bench/1` machine object, the one JSON form of a
 /// [`PortfolioReport`]: what `nova --json` prints, what `nova serve`
-/// answers, and each entry of `--bench-out` and line of `--stream`. It names
+/// answers, and each line of `nova bench --stream`. It names
 /// the completed winner (`best`, with its area, cubes, bits and literals)
 /// or, when no run completed, the best degraded run under `degraded`; and
 /// per algorithm the outcome with all it produced: a done run's area, cubes,
@@ -479,20 +479,11 @@ pub fn machine_summary_json_with(rep: &PortfolioReport, timings: bool) -> Json {
     Json::Obj(pairs)
 }
 
-/// Machine-readable benchmark trajectory of a suite sweep (the document
-/// `nova bench --bench-out` writes): one [`machine_summary_json`] entry per
-/// machine plus a throughput summary — enough to diff both area and
-/// machines/sec between PRs. The summary's wall time is the sum of
-/// per-machine portfolio walls (the sequential equivalent); use
-/// [`suite_to_json_timed`] to record a measured elapsed wall instead
-/// (shorter under `--batch-jobs N`).
+/// The `nova-bench/1` document `nova --json` prints and `nova serve`
+/// answers: one [`machine_summary_json`] entry per report plus a summary
+/// whose wall time is the sum of the portfolio walls.
 pub fn suite_to_json(reports: &[PortfolioReport]) -> Json {
-    suite_to_json_timed(reports, reports.iter().map(|r| r.wall).sum())
-}
-
-/// [`suite_to_json`] with an explicitly measured total wall time for the
-/// throughput summary.
-pub fn suite_to_json_timed(reports: &[PortfolioReport], wall: Duration) -> Json {
+    let wall: Duration = reports.iter().map(|r| r.wall).sum();
     let machines = reports.iter().map(machine_summary_json).collect();
     let summary = Json::Obj(vec![
         ("machines".into(), Json::uint(reports.len() as u64)),
@@ -740,8 +731,8 @@ mod tests {
         assert!(with_metrics.count() > 0, "no run captured metrics");
         let j = suite_to_json(std::slice::from_ref(&report)).to_compact();
         assert!(j.contains("\"metrics\""), "report JSON lacks metrics: {j}");
-        // Timed machine summaries (stream lines, --bench-out entries) carry
-        // them too; resumable lines never do.
+        // Timed machine summaries (stream lines) carry them too; resumable
+        // lines never do.
         let timed = machine_summary_json(&report).to_compact();
         assert!(
             timed.contains("\"metrics\""),

@@ -14,37 +14,11 @@
 
 use crate::containment::{absorb_matrix, absorb_matrix_polled};
 use crate::cover::Cover;
-use crate::ctl::{Cancelled, RunCtl};
+use crate::ctl::{Cancelled, Poll, RunCtl};
 use crate::cube::Cube;
 use crate::matrix::{nonfull_counts, select_binate, CubeMatrix, SIG_EXACT_VARS};
 use crate::scratch::{with_scratch, Scratch};
 use crate::space::CubeSpace;
-
-/// Steps of a complement between two cancellation polls.
-const POLL_STEPS: u64 = 4096;
-
-/// Cancellation polling for one complement. A step is one input row of a
-/// recursion node, or one row compared by a sibling merge or by the final
-/// absorption; every [`POLL_STEPS`] steps [`RunCtl::cancelled`] is asked.
-/// Without a ctl the complement never cancels.
-struct Poll<'a> {
-    ctl: Option<&'a RunCtl>,
-    left: u64,
-}
-
-impl Poll<'_> {
-    fn step(&mut self, n: u64) -> Result<(), Cancelled> {
-        if n < self.left {
-            self.left -= n;
-            return Ok(());
-        }
-        self.left = POLL_STEPS;
-        match self.ctl {
-            Some(ctl) if ctl.cancelled() => Err(Cancelled),
-            _ => Ok(()),
-        }
-    }
-}
 
 /// Complement of a single cube: one result cube per non-full variable,
 /// full everywhere except that variable, where it admits exactly the parts
@@ -120,10 +94,9 @@ fn complement_into<'a>(
     s: &mut Scratch,
     ctl: Option<&RunCtl>,
 ) -> Result<(), Cancelled> {
-    let mut poll = Poll {
-        ctl,
-        left: POLL_STEPS,
-    };
+    // A step is one input row of a recursion node, or one row compared by
+    // a sibling merge or by the final absorption.
+    let mut poll = Poll::new(ctl);
     let mut m = s.acquire(space);
     m.extend_cubes(space, cubes);
     let done = comp_mat(space, &mut m, out, s, &mut poll);

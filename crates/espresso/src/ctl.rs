@@ -8,8 +8,9 @@
 //!   candidate face verification,
 //! * `project_code` charges per projection step,
 //! * the ESPRESSO EXPAND/IRREDUNDANT/REDUCE loop charges per iteration,
-//! * the complement behind ESPRESSO's off-set polls
-//!   [`RunCtl::cancelled`], which charges nothing.
+//! * inside a pass, ESPRESSO's kernels (the off-set's complement, REDUCE,
+//!   EXPAND, IRREDUNDANT, the essential-primes test and LAST_GASP) [`Poll`]
+//!   the handle, which charges nothing.
 //!
 //! When the handle is cancelled (by an expired wall-clock deadline, an
 //! exhausted node budget, or an injected fault) those loops unwind promptly
@@ -26,6 +27,41 @@ use std::time::Instant;
 /// A clock read is cheap but not free; the work between two checks is
 /// bounded by a handful of face verifications or cube operations.
 const DEADLINE_CHECK_PERIOD: u64 = 64;
+
+/// Cover rows a [`Poll`] lets pass between two looks at the ctl.
+const POLL_STEPS: u64 = 4096;
+
+/// Cancellation polling for a kernel that charges no work. A step is one
+/// cover row the kernel reads; every [`POLL_STEPS`] steps
+/// [`RunCtl::cancelled`] is asked. A poll neither charges work nor ticks
+/// the fault plan, so budgets and fault-plan replays never see it. Without
+/// a ctl it never cancels.
+pub(crate) struct Poll<'a> {
+    ctl: Option<&'a RunCtl>,
+    left: u64,
+}
+
+impl<'a> Poll<'a> {
+    pub(crate) fn new(ctl: Option<&'a RunCtl>) -> Self {
+        Poll {
+            ctl,
+            left: POLL_STEPS,
+        }
+    }
+
+    /// `n` more steps; `Err` once a look finds the run cancelled.
+    pub(crate) fn step(&mut self, n: u64) -> Result<(), Cancelled> {
+        if n < self.left {
+            self.left -= n;
+            return Ok(());
+        }
+        self.left = POLL_STEPS;
+        match self.ctl {
+            Some(ctl) if ctl.cancelled() => Err(Cancelled),
+            _ => Ok(()),
+        }
+    }
+}
 
 /// Error returned by ctl-aware entry points when the run was cancelled by a
 /// deadline, an exhausted budget, or a stop.

@@ -12,6 +12,7 @@
 //! prime.
 
 use crate::cover::Cover;
+use crate::ctl::{Cancelled, Poll, RunCtl};
 use crate::cube::Cube;
 use crate::matrix::{rows_disjoint, CubeMatrix};
 use crate::space::CubeSpace;
@@ -19,17 +20,18 @@ use crate::tautology::cube_in_cover;
 
 /// Expands every cube of `f` into a prime against the off-set `off`, which
 /// must denote `complement(F ∪ D)` for the don't-care cover `D`, removing
-/// cubes that become covered by an expanded one.
+/// cubes that become covered by an expanded one. Polls `ctl` per cube; on
+/// `Err` the pass stopped part way.
 ///
 /// Cubes are processed smallest-first (they benefit most), and parts are
 /// tried in descending column count over `f` (raising toward other cubes
 /// maximizes the chance of covering them).
-pub fn expand(f: &mut Cover, off: &CubeMatrix) {
+pub fn expand(f: &mut Cover, off: &CubeMatrix, ctl: &RunCtl) -> Result<(), Cancelled> {
     let space = f.space().clone();
     f.absorb();
     let n = f.len();
     if n == 0 {
-        return;
+        return Ok(());
     }
 
     // Column counts: how many cubes of f admit each part. One word pass per
@@ -51,10 +53,12 @@ pub fn expand(f: &mut Cover, off: &CubeMatrix) {
     order.sort_by_key(|&i| f.cubes()[i].count_ones());
 
     let mut covered = vec![false; n];
+    let mut poll = Poll::new(Some(ctl));
     for &i in &order {
         if covered[i] {
             continue;
         }
+        poll.step(off.len() as u64)?;
         let mut c = f.cubes()[i].clone();
 
         // Candidate parts: currently absent from c, in descending column
@@ -87,6 +91,7 @@ pub fn expand(f: &mut Cover, off: &CubeMatrix) {
         idx += 1;
         k
     });
+    Ok(())
 }
 
 /// Raises part `p` of variable `v` in `c` if the raised cube stays disjoint
@@ -139,7 +144,7 @@ mod tests {
         let orig = f.clone();
         let d = Cover::empty(sp.clone());
         let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
-        expand(&mut f, &off);
+        expand(&mut f, &off, &RunCtl::unlimited()).unwrap();
         assert_eq!(f.len(), 1);
         assert_eq!(f.cubes()[0].display(&sp).to_string(), "01 11 1");
         assert!(verify_minimized(&f, &orig, &d));
@@ -152,7 +157,7 @@ mod tests {
         let orig = f.clone();
         let d = cover(&sp, &["10 01 1", "01 10 1"]); // xy' and x'y are DC
         let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
-        expand(&mut f, &off);
+        expand(&mut f, &off, &RunCtl::unlimited()).unwrap();
         assert_eq!(f.len(), 1);
         // The prime may absorb either DC direction; it must be a prime and
         // stay within ON ∪ DC.
@@ -170,7 +175,7 @@ mod tests {
         let orig = f.clone();
         let d = Cover::empty(sp.clone());
         let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
-        expand(&mut f, &off);
+        expand(&mut f, &off, &RunCtl::unlimited()).unwrap();
         assert_eq!(f.len(), 2);
         assert!(verify_minimized(&f, &orig, &d));
     }
@@ -182,7 +187,7 @@ mod tests {
         let mut f = cover(&sp, &["10 10 10", "10 10 01"]);
         let d = Cover::empty(sp.clone());
         let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
-        expand(&mut f, &off);
+        expand(&mut f, &off, &RunCtl::unlimited()).unwrap();
         assert_eq!(f.len(), 1);
         assert_eq!(f.cubes()[0].display(&sp).to_string(), "10 10 11");
     }
@@ -197,7 +202,7 @@ mod tests {
         let orig = f.clone();
         let d = Cover::empty(sp.clone());
         let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
-        expand(&mut f, &off);
+        expand(&mut f, &off, &RunCtl::unlimited()).unwrap();
         let fd = orig.union(&d);
         for c in f.iter() {
             assert!(is_prime(&fd, c));

@@ -8,10 +8,13 @@
 //! from `F` into the augmented don't-care set, leaving the union unchanged.
 //! The complement polls the run's ctl, so a deadline or stop also ends an
 //! off-set that blows up (it can be exponentially larger than `F ∪ D`).
+//! REDUCE, EXPAND, IRREDUNDANT, the essential-primes test and LAST_GASP
+//! poll it per cube, so one pass over a wide cover does not run on past a
+//! deadline either.
 
 use crate::complement::complement_matrix;
 use crate::cover::{Cover, CoverCost};
-use crate::ctl::{Cancelled, RunCtl};
+use crate::ctl::{Cancelled, Poll, RunCtl};
 use crate::cube::Cube;
 use crate::expand::{expand, raise_within};
 use crate::irredundant::{irredundant, relatively_essential};
@@ -95,9 +98,10 @@ pub fn minimize_with(f: &Cover, d: &Cover, opts: MinimizeOptions) -> (Cover, Min
 /// charges the handle once per pass (weighted by the live cube count) and
 /// unwinds with [`Cancelled`] when the deadline or budget fires, so a
 /// portfolio deadline turns into a clean per-algorithm timeout instead of a
-/// long-running minimization. The off-set's complement also polls the
-/// handle's deadline and stop, without charging. Also feeds the
-/// espresso-iteration and cubes-in/out telemetry counters.
+/// long-running minimization. Inside a pass the off-set's complement and
+/// every kernel also poll the handle's deadline and stop, without
+/// charging. Also feeds the espresso-iteration and cubes-in/out telemetry
+/// counters.
 pub fn minimize_with_ctl(
     f: &Cover,
     d: &Cover,
@@ -136,15 +140,15 @@ pub fn minimize_with_ctl(
         complement_matrix(cur.space(), cur.iter().chain(d.iter()), ctl)
     })?;
     tracer.incr("espresso.offset_cubes", off.len() as u64);
-    tracer.scope("espresso.expand", || expand(&mut cur, &off));
-    tracer.scope("espresso.irredundant", || irredundant(&mut cur, d));
+    tracer.scope("espresso.expand", || expand(&mut cur, &off, ctl))?;
+    tracer.scope("espresso.irredundant", || irredundant(&mut cur, d, ctl))?;
 
     // Essential primes never leave any prime cover: peel them off into the
     // don't-care set so the improvement loop works on a smaller problem.
     let mut essentials = Cover::empty(cur.space().clone());
     let mut d_aug = d.clone();
     if !opts.single_pass {
-        let ess = relatively_essential(&cur, d);
+        let ess = relatively_essential(&cur, d, ctl)?;
         if !ess.is_empty() && ess.len() < cur.len() {
             let mut rest = Vec::new();
             for (i, c) in cur.iter().enumerate() {
@@ -179,9 +183,11 @@ pub fn minimize_with_ctl(
                 iterations += 1;
                 let _iter_span = tracer.span("espresso.iteration");
                 tracer.observe("espresso.cubes_per_iteration", cur.len() as u64);
-                tracer.scope("espresso.reduce", || reduce(&mut cur, &d_aug));
-                tracer.scope("espresso.expand", || expand(&mut cur, &off));
-                tracer.scope("espresso.irredundant", || irredundant(&mut cur, &d_aug));
+                tracer.scope("espresso.reduce", || reduce(&mut cur, &d_aug, ctl))?;
+                tracer.scope("espresso.expand", || expand(&mut cur, &off, ctl))?;
+                tracer.scope("espresso.irredundant", || {
+                    irredundant(&mut cur, &d_aug, ctl)
+                })?;
                 let full = with_essentials(&cur);
                 let cost = full.cost();
                 if cost < best_cost {
@@ -193,7 +199,9 @@ pub fn minimize_with_ctl(
                 }
             }
             ctl.charge(1 + cur.len() as u64)?;
-            let gasped = tracer.scope("espresso.last_gasp", || last_gasp(&mut cur, &d_aug, &off));
+            let gasped = tracer.scope("espresso.last_gasp", || {
+                last_gasp(&mut cur, &d_aug, &off, ctl)
+            })?;
             if !gasped {
                 break;
             }
@@ -233,22 +241,25 @@ pub fn minimize_with_ctl(
 /// LAST_GASP: reduce every cube *independently* (against the original
 /// cover), expand each reduced cube against the off-set `off`, and keep the
 /// new primes that cover at least two reduced cubes; returns whether the
-/// cover changed.
-fn last_gasp(f: &mut Cover, d: &Cover, off: &CubeMatrix) -> bool {
+/// cover changed. Polls `ctl` per cube.
+fn last_gasp(f: &mut Cover, d: &Cover, off: &CubeMatrix, ctl: &RunCtl) -> Result<bool, Cancelled> {
     let space = f.space().clone();
     let n = f.len();
     if n < 2 {
-        return false;
+        return Ok(false);
     }
+    let mut poll = Poll::new(Some(ctl));
     // Independent maximal reductions.
     let mut reduced: Vec<Cube> = Vec::with_capacity(n);
     for i in 0..n {
+        poll.step((n + d.len()) as u64)?;
         reduced.push(reduce_cube_against(f, d, i));
     }
     // Try to expand each reduced cube into a prime covering >= 2 reduced
     // cubes.
     let mut additions: Vec<Cube> = Vec::new();
     for g in &reduced {
+        poll.step(off.len() as u64)?;
         let mut c = g.clone();
         for v in space.vars() {
             for p in 0..space.parts(v) {
@@ -263,25 +274,27 @@ fn last_gasp(f: &mut Cover, d: &Cover, off: &CubeMatrix) -> bool {
         }
     }
     if additions.is_empty() {
-        return false;
+        return Ok(false);
     }
     let before = f.cost();
     let mut candidate = f.clone();
     for a in additions {
         candidate.push(a);
     }
-    irredundant(&mut candidate, d);
+    irredundant(&mut candidate, d, ctl)?;
     if candidate.cost() < before {
         *f = candidate;
-        true
+        Ok(true)
     } else {
-        false
+        Ok(false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctl::CancelReason;
+    use crate::fault::{FaultKind, FaultPlan};
     use crate::space::{CubeSpace, VarKind};
     use crate::tautology::covers_equivalent;
 
@@ -379,6 +392,35 @@ mod tests {
         let m = minimize(&f, &Cover::empty(sp));
         assert!(covers_equivalent(&m, &f));
         assert!(m.len() <= f.len());
+    }
+
+    #[test]
+    fn a_deadline_inside_a_pass_ends_it_at_the_kernels_poll() {
+        // 4,096 don't-care rows make REDUCE's first cube one full poll
+        // period. The injected deadline latches on the first iteration's
+        // count, after the pass's charge; no charge follows until the pass
+        // ends, so only the kernels' poll can notice it.
+        let sp = CubeSpace::binary_with_output(4, 1);
+        let f = cover(&sp, &["10 10 11 11 1", "11 10 10 11 1", "01 01 01 11 1"]);
+        let mut d = Cover::empty(sp.clone());
+        for _ in 0..4096 {
+            d.push_parsed("10 10 10 10 1").unwrap();
+        }
+        let ctl = RunCtl::new(None, None, nova_trace::Tracer::enabled());
+        ctl.arm_faults(&FaultPlan::single("*", 3, FaultKind::Deadline));
+        let result = minimize_with_ctl(&f, &d, MinimizeOptions::default(), &ctl);
+        assert!(matches!(result, Err(Cancelled)));
+        assert_eq!(ctl.cancel_reason(), Some(CancelReason::Deadline));
+        let events = ctl.tracer().collected_events();
+        let begun = |name: &str| {
+            let begins = events
+                .iter()
+                .filter(|e| e.phase == nova_trace::Phase::Begin);
+            begins.filter(|e| e.name == name).count()
+        };
+        assert_eq!(begun("espresso.iteration"), 1);
+        assert_eq!(begun("espresso.reduce"), 1);
+        assert_eq!(begun("espresso.expand"), 1, "the pass went on past REDUCE");
     }
 
     #[test]

@@ -22,23 +22,28 @@
 //! `espresso-legacy` crate).
 
 use crate::cover::Cover;
+use crate::ctl::{Cancelled, Poll, RunCtl};
 use crate::cube::Cube;
 use crate::matrix::{nonfull_counts, select_binate, CubeMatrix, SIG_EXACT_VARS};
 use crate::scratch::{with_scratch, Scratch};
 use crate::space::CubeSpace;
 
-/// Reduces every cube of `f` in place against don't-care cover `d`.
+/// Reduces every cube of `f` in place against don't-care cover `d`,
+/// polling `ctl` per cube; on `Err` the pass stopped part way.
 ///
 /// Cubes are processed largest-first (mirroring ESPRESSO, which gives large
 /// cubes the first chance to shed responsibility onto their neighbours).
-pub fn reduce(f: &mut Cover, d: &Cover) {
+pub fn reduce(f: &mut Cover, d: &Cover, ctl: &RunCtl) -> Result<(), Cancelled> {
     let mut order: Vec<usize> = (0..f.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(f.cubes()[i].count_ones()));
+    let mut poll = Poll::new(Some(ctl));
     with_scratch(|s| {
         for &i in &order {
+            poll.step((f.len() + d.len()) as u64)?;
             f.cubes_mut()[i] = max_reduce(f, d, i, s);
         }
-    });
+        Ok(())
+    })
 }
 
 /// Maximally reduces cube `i` of `f` against the *unchanged* rest of the
@@ -205,7 +210,7 @@ mod tests {
         let mut f = cover(&sp, &["10 11 1", "11 10 1"]);
         let orig = f.clone();
         let d = Cover::empty(sp.clone());
-        reduce(&mut f, &d);
+        reduce(&mut f, &d, &RunCtl::unlimited()).unwrap();
         assert!(verify_minimized(&f, &orig, &d));
         // One cube must have shrunk.
         let total: u32 = f.iter().map(|c| c.count_ones()).sum();
@@ -219,7 +224,7 @@ mod tests {
         let mut f = cover(&sp, &["10 01 1", "01 10 1"]);
         let orig = f.clone();
         let d = Cover::empty(sp.clone());
-        reduce(&mut f, &d);
+        reduce(&mut f, &d, &RunCtl::unlimited()).unwrap();
         assert_eq!(f, orig);
     }
 
@@ -229,10 +234,10 @@ mod tests {
         let mut f = cover(&sp, &["11 10 11 1", "10 11 10 1", "11 11 01 1"]);
         let orig = f.clone();
         let d = Cover::empty(sp.clone());
-        reduce(&mut f, &d);
+        reduce(&mut f, &d, &RunCtl::unlimited()).unwrap();
         assert!(verify_minimized(&f, &orig, &d));
         let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
-        expand(&mut f, &off);
+        expand(&mut f, &off, &RunCtl::unlimited()).unwrap();
         assert!(verify_minimized(&f, &orig, &d));
     }
 
@@ -243,7 +248,7 @@ mod tests {
         let mut f = cover(&sp, &["10 11 1"]);
         let on = cover(&sp, &["10 10 1"]);
         let d = cover(&sp, &["10 01 1"]);
-        reduce(&mut f, &d);
+        reduce(&mut f, &d, &RunCtl::unlimited()).unwrap();
         // With no other cubes, the cube may shed only slices covered by D.
         assert!(verify_minimized(&f, &on, &d));
         assert_eq!(f.cubes()[0].display(&sp).to_string(), "10 10 1");

@@ -9,7 +9,7 @@
 
 use espresso::{
     complement, containment, cube_in_cover, minimize_with, tautology, Cover, Cube, CubeMatrix,
-    CubeSpace, MinimizeOptions, VarKind,
+    CubeSpace, MinimizeOptions, RunCtl, VarKind,
 };
 use espresso_legacy as legacy;
 use fsm::SplitMix64;
@@ -180,15 +180,15 @@ fn fixed_cases_match_legacy() {
             }
             Expand => {
                 let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
-                espresso::expand::expand(&mut ours, &off);
+                espresso::expand::expand(&mut ours, &off, &RunCtl::unlimited()).unwrap();
                 legacy::expand(&mut theirs, &d);
             }
             Irredundant => {
-                espresso::irredundant::irredundant(&mut ours, &d);
+                espresso::irredundant::irredundant(&mut ours, &d, &RunCtl::unlimited()).unwrap();
                 legacy::irredundant(&mut theirs, &d);
             }
             Reduce => {
-                espresso::reduce::reduce(&mut ours, &d);
+                espresso::reduce::reduce(&mut ours, &d, &RunCtl::unlimited()).unwrap();
                 legacy::reduce(&mut theirs, &d);
             }
         }
@@ -268,19 +268,19 @@ fn expand_reduce_irredundant_match_legacy() {
             let mut a = f.clone();
             let mut b = f.clone();
             let off = CubeMatrix::from_cover(&complement(&f.union(&d)));
-            espresso::expand::expand(&mut a, &off);
+            espresso::expand::expand(&mut a, &off, &RunCtl::unlimited()).unwrap();
             legacy::expand(&mut b, &d);
             assert_eq!(a, b, "expand diverged on {f:?} / {d:?}");
 
             let mut a = f.clone();
             let mut b = f.clone();
-            espresso::reduce::reduce(&mut a, &d);
+            espresso::reduce::reduce(&mut a, &d, &RunCtl::unlimited()).unwrap();
             legacy::reduce(&mut b, &d);
             assert_eq!(a, b, "reduce diverged on {f:?} / {d:?}");
 
             let mut a = f.clone();
             let mut b = f.clone();
-            espresso::irredundant::irredundant(&mut a, &d);
+            espresso::irredundant::irredundant(&mut a, &d, &RunCtl::unlimited()).unwrap();
             legacy::irredundant(&mut b, &d);
             assert_eq!(a, b, "irredundant diverged on {f:?} / {d:?}");
         }
@@ -379,11 +379,11 @@ fn kernels_match_legacy_across_chunk_boundary_widths() {
                 );
                 let d = Cover::from_cubes(space.clone(), vec![c]);
                 let (mut ours, mut theirs) = (f.clone(), f.clone());
-                espresso::reduce::reduce(&mut ours, &d);
+                espresso::reduce::reduce(&mut ours, &d, &RunCtl::unlimited()).unwrap();
                 legacy::reduce(&mut theirs, &d);
                 assert_eq!(ours, theirs, "reduce diverged at stride {w}, round {round}");
                 let (mut ours, mut theirs) = (f.clone(), f.clone());
-                espresso::irredundant::irredundant(&mut ours, &d);
+                espresso::irredundant::irredundant(&mut ours, &d, &RunCtl::unlimited()).unwrap();
                 legacy::irredundant(&mut theirs, &d);
                 assert_eq!(
                     ours, theirs,
@@ -430,11 +430,11 @@ fn saturated_signature_window_stays_exact_beyond_127_vars() {
         d[1] = c;
         let d = Cover::from_cubes(space.clone(), d);
         let (mut ours, mut theirs) = (f.clone(), f.clone());
-        espresso::reduce::reduce(&mut ours, &d);
+        espresso::reduce::reduce(&mut ours, &d, &RunCtl::unlimited()).unwrap();
         legacy::reduce(&mut theirs, &d);
         assert_eq!(ours, theirs, "reduce, round {round}");
         let (mut ours, mut theirs) = (f.clone(), f.clone());
-        espresso::irredundant::irredundant(&mut ours, &d);
+        espresso::irredundant::irredundant(&mut ours, &d, &RunCtl::unlimited()).unwrap();
         legacy::irredundant(&mut theirs, &d);
         assert_eq!(ours, theirs, "irredundant, round {round}");
     }

@@ -9,8 +9,7 @@
 //!   and self wall time, a per-name aggregation table, and histogram
 //!   quantile estimates (p50/p90/p99 via [`crate::HistogramSnapshot`]);
 //! * [`TraceDoc::stage_totals`] reduces the trace to per-name total wall
-//!   times, the unit [`diff`] compares — against a second trace or against
-//!   a committed `nova-bench/1` baseline ([`bench_baseline_totals`]).
+//!   times, the unit [`diff`] compares against a second trace's.
 
 use crate::json::{self, Json};
 use crate::{HistogramSnapshot, MetricsSnapshot, JSONL_SCHEMA};
@@ -368,48 +367,6 @@ pub fn render_diff(regressions: &[Regression], threshold_pct: f64) -> String {
     out
 }
 
-/// Extracts per-stage totals from a committed `nova-bench/1` baseline
-/// (`BENCH_*.json`): `stages_ms` summed across machines and runs, renamed
-/// to the trace span names (`constraints` → `stage.constraints`, …).
-///
-/// # Errors
-///
-/// A message naming what is missing when the document is not a
-/// `nova-bench/1` report.
-pub fn bench_baseline_totals(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let doc = json::parse(text).map_err(|e| format!("bench baseline: {e}"))?;
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == "nova-bench/1" => {}
-        other => return Err(format!("bench baseline: not nova-bench/1 ({other:?})")),
-    }
-    let Some(Json::Arr(machines)) = doc.get("machines") else {
-        return Err("bench baseline: machines missing".into());
-    };
-    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-    for m in machines {
-        let Some(Json::Arr(runs)) = m.get("runs") else {
-            continue;
-        };
-        for r in runs {
-            let Some(Json::Obj(stages)) = r.get("stages_ms") else {
-                continue;
-            };
-            for (stage, v) in stages {
-                let ms = match v {
-                    Json::Float(f) => *f,
-                    Json::Int(n) => *n as f64,
-                    _ => continue,
-                };
-                *totals.entry(format!("stage.{stage}")).or_default() += (ms * 1e6) as u64;
-            }
-        }
-    }
-    if totals.is_empty() {
-        return Err("bench baseline: no stages_ms in any run".into());
-    }
-    Ok(totals.into_iter().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,24 +473,5 @@ mod tests {
         assert!(text.contains("stage.espresso"), "{text}");
         assert!(text.contains("2.50x"), "{text}");
         assert!(render_diff(&[], 25.0).contains("no stage slowed"));
-    }
-
-    #[test]
-    fn bench_baseline_maps_stages_to_span_names() {
-        let bench = r#"{
-            "schema": "nova-bench/1",
-            "machines": [{"runs": [
-                {"stages_ms": {"constraints": 1.5, "embed": 2.0,
-                               "encode": 0.25, "espresso": 4.0}},
-                {"stages_ms": {"constraints": 0.5, "embed": 1.0,
-                               "encode": 0.75, "espresso": 6.0}}
-            ]}]
-        }"#;
-        let totals = bench_baseline_totals(bench).unwrap();
-        let get = |n: &str| totals.iter().find(|(name, _)| name == n).unwrap().1;
-        assert_eq!(get("stage.constraints"), 2_000_000);
-        assert_eq!(get("stage.espresso"), 10_000_000);
-        assert!(bench_baseline_totals("{\"schema\":\"x\"}").is_err());
-        assert!(bench_baseline_totals("not json").is_err());
     }
 }
