@@ -87,8 +87,9 @@ fn bench_kernels(h: &mut Harness) {
     let min = minimize(&pla.on, &pla.dc);
     let expr = output_expr(&min, 0);
     g.bench("kernels_bbtas_f0", || expr.kernels());
+    let ctl = espresso::RunCtl::unlimited();
     g.bench("quick_factor_bbtas_f0", || {
-        espresso::factor::factored_literal_count(&expr)
+        espresso::factor::factored_literal_count(&expr, &ctl)
     });
 }
 

@@ -2,7 +2,7 @@
 //! MIS-II stand-in) on minimized encoded covers (std-only harness).
 
 use espresso::factor::cover_factored_literals;
-use espresso::minimize;
+use espresso::{minimize, RunCtl};
 use fsm::encode::encode;
 use nova_bench::microbench::Harness;
 use nova_core::driver::{run, Algorithm};
@@ -14,8 +14,9 @@ fn bench_factoring(h: &mut Harness) {
         let r = run(&b.fsm, Algorithm::IHybrid, None).expect("ihybrid");
         let pla = encode(&b.fsm, &r.encoding);
         let min = minimize(&pla.on, &pla.dc);
+        let ctl = RunCtl::unlimited();
         g.bench(&format!("quick_factor/{name}"), || {
-            cover_factored_literals(&min)
+            cover_factored_literals(&min, &ctl)
         });
     }
 }

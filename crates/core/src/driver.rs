@@ -10,7 +10,7 @@ use crate::mustang::{mustang_code, MustangMode};
 use crate::symbolic_min::{symbolic_minimize_ctl, SymbolicMin, SymbolicMinOptions};
 use crate::{exact, poset};
 use espresso::factor::cover_factored_literals;
-use espresso::{minimize, minimize_with_ctl, CancelReason, Cancelled, MinimizeOptions, RunCtl};
+use espresso::{minimize_with_ctl, CancelReason, Cancelled, MinimizeOptions, RunCtl};
 use fsm::encode::encode;
 use fsm::generator::SplitMix64;
 use fsm::{Encoding, Fsm};
@@ -116,7 +116,7 @@ impl std::str::FromStr for Algorithm {
 }
 
 /// The paper's per-run metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalResult {
     /// Code length used.
     pub bits: usize,
@@ -136,15 +136,8 @@ pub struct EvalResult {
 ///
 /// Panics if the encoding does not match the machine's state count.
 pub fn evaluate(fsm: &Fsm, enc: &Encoding) -> EvalResult {
-    let pla = encode(fsm, enc);
-    let min = minimize(&pla.on, &pla.dc);
-    EvalResult {
-        bits: enc.bits(),
-        cubes: min.len(),
-        area: pla.area_for(min.len()),
-        literals: cover_factored_literals(&min),
-        encoding: enc.clone(),
-    }
+    let (ctl, cell) = (RunCtl::unlimited(), StageCell::new());
+    evaluate_ctl(fsm, enc.clone(), &ctl, &cell).expect("an unlimited ctl never cancels")
 }
 
 /// Runs `algorithm` on `fsm` and evaluates the resulting encoding.
@@ -395,6 +388,15 @@ fn degrade(fsm: &Fsm, ctl: &RunCtl) -> Option<Degradation> {
     })
 }
 
+/// What an algorithm embeds: the shared front end it derived, or (MUSTANG
+/// and 1-hot) the machine itself.
+enum Front {
+    Inputs(Arc<InputConstraints>),
+    Symbolic(Arc<SymbolicMin>),
+    Machine,
+}
+
+/// One run as four timed stages; nothing but bookkeeping runs between them.
 fn run_traced_inner(
     fsm: &Fsm,
     algorithm: Algorithm,
@@ -403,166 +405,111 @@ fn run_traced_inner(
     cell: &StageCell,
     front: &FrontEnd,
 ) -> Result<Option<EvalResult>, Cancelled> {
-    let opts = HybridOptions::default();
-    let input_constraints = || {
-        stage(
-            ctl,
-            cell,
-            "stage.constraints",
-            |s| &mut s.constraints,
-            || {
-                front
-                    .inputs
-                    .get_or_derive(ctl, || extract_input_constraints_ctl(fsm, ctl))
-            },
-        )
+    use Algorithm::*;
+    let derive = |f: &dyn Fn() -> Result<Front, Cancelled>| {
+        stage(ctl, cell, "stage.constraints", |s| &mut s.constraints, f)
     };
-    let symbolic = || {
-        stage(
-            ctl,
-            cell,
-            "stage.constraints",
-            |s| &mut s.constraints,
-            || {
-                front.symbolic.get_or_derive(ctl, || {
-                    symbolic_minimize_ctl(fsm, SymbolicMinOptions::default(), ctl)
-                })
-            },
-        )
+    let derived = match algorithm {
+        IExact | IHybrid | IGreedy | Kiss => derive(&|| {
+            let ics = front
+                .inputs
+                .get_or_derive(ctl, || extract_input_constraints_ctl(fsm, ctl));
+            Ok(Front::Inputs(ics?))
+        })?,
+        IoHybrid | IoVariant => derive(&|| {
+            let sym = front.symbolic.get_or_derive(ctl, || {
+                symbolic_minimize_ctl(fsm, SymbolicMinOptions::default(), ctl)
+            });
+            Ok(Front::Symbolic(sym?))
+        })?,
+        MustangP | MustangN | OneHot => {
+            ctl.charge(1)?;
+            Front::Machine
+        }
     };
-    let enc = match algorithm {
-        Algorithm::IExact => {
-            let ics = input_constraints()?;
-            let sets: Vec<_> = ics.constraints.iter().map(|c| c.set).collect();
-            let ig = poset::InputGraph::build(ics.num_states, &sets);
-            let embedding = stage(
-                ctl,
-                cell,
-                "stage.embed",
-                |s| &mut s.embed,
-                || exact::iexact_code_ctl(&ig, exact::ExactOptions::default(), ctl),
-            )?;
-            let Some(embedding) = embedding else {
-                return Ok(None);
-            };
-            if embedding.bits > 63 {
-                return Ok(None);
-            }
-            match Encoding::new(embedding.bits as usize, embedding.codes) {
-                Ok(e) => e,
-                Err(_) => return Ok(None),
-            }
-        }
-        Algorithm::IHybrid => {
-            let ics = input_constraints()?;
-            stage(
-                ctl,
-                cell,
-                "stage.embed",
-                |s| &mut s.embed,
-                || ihybrid_code_ctl(&ics, target_bits, opts, ctl),
-            )?
-            .encoding
-        }
-        Algorithm::IGreedy => {
-            let ics = input_constraints()?;
-            stage(
-                ctl,
-                cell,
-                "stage.embed",
-                |s| &mut s.embed,
-                || igreedy_code_ctl(&ics, target_bits, ctl),
-            )?
-            .encoding
-        }
-        Algorithm::IoHybrid => {
-            let sym = symbolic()?;
-            stage(
-                ctl,
-                cell,
-                "stage.embed",
-                |s| &mut s.embed,
-                || iohybrid_code_ctl(&sym, target_bits, opts, ctl),
-            )?
-            .hybrid
-            .encoding
-        }
-        Algorithm::IoVariant => {
-            let sym = symbolic()?;
-            stage(
-                ctl,
-                cell,
-                "stage.embed",
-                |s| &mut s.embed,
-                || iovariant_code_ctl(&sym, target_bits, opts, ctl),
-            )?
-            .hybrid
-            .encoding
-        }
-        Algorithm::Kiss => {
-            let ics = input_constraints()?;
-            stage(
-                ctl,
-                cell,
-                "stage.embed",
-                |s| &mut s.embed,
-                || kiss_code_ctl(&ics, opts, ctl),
-            )?
-            .encoding
-        }
-        Algorithm::MustangP => {
-            ctl.charge(1)?;
-            stage(
-                ctl,
-                cell,
-                "stage.embed",
-                |s| &mut s.embed,
-                || mustang_code(fsm, MustangMode::Fanout),
-            )
-        }
-        Algorithm::MustangN => {
-            ctl.charge(1)?;
-            stage(
-                ctl,
-                cell,
-                "stage.embed",
-                |s| &mut s.embed,
-                || mustang_code(fsm, MustangMode::Fanin),
-            )
-        }
-        Algorithm::OneHot => {
-            ctl.charge(1)?;
-            if fsm.num_states() > 63 {
-                return Ok(None);
-            }
-            Encoding::one_hot(fsm.num_states())
-        }
+    let embedding = || embed(fsm, algorithm, derived, target_bits, ctl);
+    let Some(enc) = stage(ctl, cell, "stage.embed", |s| &mut s.embed, embedding)? else {
+        return Ok(None);
     };
     // The embedding stage produced a complete encoding: offer it as the
     // definitive anytime snapshot (score MAX beats every partial offer), so
     // a cancellation during encode/ESPRESSO still degrades to a full result.
     ctl.offer_best(enc.bits() as u32, enc.codes(), algorithm.name(), u64::MAX);
-    let pla = stage(
-        ctl,
-        cell,
-        "stage.encode",
-        |s| &mut s.encode,
-        || encode(fsm, &enc),
-    );
-    let (min, _) = stage(
+    evaluate_ctl(fsm, enc, ctl, cell).map(Some)
+}
+
+/// Paper step 4: the codes `algorithm` assigns from the front end derived
+/// for it, or `None` when it gives up within its own limits.
+fn embed(
+    fsm: &Fsm,
+    algorithm: Algorithm,
+    derived: Front,
+    target_bits: Option<u32>,
+    ctl: &RunCtl,
+) -> Result<Option<Encoding>, Cancelled> {
+    use Algorithm::*;
+    let opts = HybridOptions::default();
+    Ok(Some(match (algorithm, derived) {
+        (IExact, Front::Inputs(ics)) => {
+            let sets: Vec<_> = ics.constraints.iter().map(|c| c.set).collect();
+            let tracer = ctl.tracer();
+            let ig = tracer.scope("embed.build", || {
+                poset::InputGraph::build(ics.num_states, &sets)
+            });
+            tracer.incr("embed.graph_nodes", ig.len() as u64);
+            let found = exact::iexact_code_ctl(&ig, exact::ExactOptions::default(), ctl)?;
+            return Ok(found.and_then(|e| Encoding::new(e.bits as usize, e.codes).ok()));
+        }
+        (IHybrid, Front::Inputs(ics)) => ihybrid_code_ctl(&ics, target_bits, opts, ctl)?.encoding,
+        (IGreedy, Front::Inputs(ics)) => igreedy_code_ctl(&ics, target_bits, ctl)?.encoding,
+        (Kiss, Front::Inputs(ics)) => kiss_code_ctl(&ics, opts, ctl)?.encoding,
+        (IoHybrid, Front::Symbolic(sym)) => {
+            iohybrid_code_ctl(&sym, target_bits, opts, ctl)?
+                .hybrid
+                .encoding
+        }
+        (IoVariant, Front::Symbolic(sym)) => {
+            iovariant_code_ctl(&sym, target_bits, opts, ctl)?
+                .hybrid
+                .encoding
+        }
+        (MustangP, _) => mustang_code(fsm, MustangMode::Fanout),
+        (MustangN, _) => mustang_code(fsm, MustangMode::Fanin),
+        (OneHot, _) if fsm.num_states() > 63 => return Ok(None),
+        (OneHot, _) => Encoding::one_hot(fsm.num_states()),
+        _ => unreachable!("each algorithm embeds the front end derived for it"),
+    }))
+}
+
+/// The pipeline's tail (paper step 5) for one encoding: encode the machine,
+/// minimize the encoded cover with ESPRESSO, and count the paper's metrics.
+/// The literal count runs in the ESPRESSO stage, under its own span.
+fn evaluate_ctl(
+    fsm: &Fsm,
+    enc: Encoding,
+    ctl: &RunCtl,
+    cell: &StageCell,
+) -> Result<EvalResult, Cancelled> {
+    let encoding = || encode(fsm, &enc);
+    let pla = stage(ctl, cell, "stage.encode", |s| &mut s.encode, encoding);
+    let minimize_and_count = || {
+        let (min, _) = minimize_with_ctl(&pla.on, &pla.dc, MinimizeOptions::default(), ctl)?;
+        let factor = || cover_factored_literals(&min, ctl);
+        Ok(EvalResult {
+            bits: enc.bits(),
+            cubes: min.len(),
+            area: pla.area_for(min.len()),
+            literals: ctl.tracer().scope("espresso.factor", factor)?,
+            encoding: enc,
+        })
+    };
+    stage(
         ctl,
         cell,
         "stage.espresso",
         |s| &mut s.espresso,
-        || minimize_with_ctl(&pla.on, &pla.dc, MinimizeOptions::default(), ctl),
-    )?;
-    Ok(Some(EvalResult {
-        bits: enc.bits(),
-        cubes: min.len(),
-        area: pla.area_for(min.len()),
-        literals: cover_factored_literals(&min),
-        encoding: enc,
-    }))
+        minimize_and_count,
+    )
 }
 
 /// Statistics of the random-assignment baseline.

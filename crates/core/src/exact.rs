@@ -278,19 +278,30 @@ impl<'a> Meter<'a> {
     }
 
     /// Ends a search that returned `found`: flushes what is pending and
-    /// adds the work spent, clamped to the cap, to `embed.nodes_visited`.
-    /// Returns the outcome (with nothing found: `Capped` or `Cancelled` when
-    /// the search was stopped, else `Exhausted`) and that work.
+    /// adds the work spent, clamped to the cap, to `embed.nodes_visited`
+    /// and to its outcome's `embed.OUTCOME.nodes`, next to one
+    /// `embed.OUTCOME.calls`. Returns the outcome (with nothing found:
+    /// `Capped` or `Cancelled` when the search was stopped, else
+    /// `Exhausted`) and that work.
     pub(crate) fn finish(&mut self, found: Option<Embedding>) -> (EmbedOutcome, u64) {
         self.flush();
         let spent = self.work.min(self.cap.unwrap_or(u64::MAX));
-        self.ctl.tracer().incr("embed.nodes_visited", spent);
         let outcome = match found {
             Some(e) => EmbedOutcome::Found(e),
             None if !self.stopped => EmbedOutcome::Exhausted,
             None if self.ctl.cancelled() => EmbedOutcome::Cancelled,
             None => EmbedOutcome::Capped,
         };
+        let (calls, nodes) = match outcome {
+            EmbedOutcome::Found(_) => ("embed.found.calls", "embed.found.nodes"),
+            EmbedOutcome::Exhausted => ("embed.exhausted.calls", "embed.exhausted.nodes"),
+            EmbedOutcome::Capped => ("embed.capped.calls", "embed.capped.nodes"),
+            EmbedOutcome::Cancelled => ("embed.cancelled.calls", "embed.cancelled.nodes"),
+        };
+        let tracer = self.ctl.tracer();
+        tracer.incr("embed.nodes_visited", spent);
+        tracer.incr(calls, 1);
+        tracer.incr(nodes, spent);
         (outcome, spent)
     }
 }
@@ -1233,7 +1244,15 @@ pub fn io_semiexact_code_ctl(
     if exceeds_cube(num_states, constraints, k) {
         return Ok(None);
     }
-    let ig = InputGraph::build(num_states, constraints);
+    // Past that test the search reads both the graph and its relation table.
+    let tracer = ctl.tracer();
+    let ig = tracer.scope("embed.build", || {
+        let ig = InputGraph::build(num_states, constraints);
+        ig.relations();
+        ig
+    });
+    tracer.incr("embed.graph_nodes", ig.len() as u64);
+    tracer.incr("embed.relation_pairs", (ig.len() * ig.len()) as u64);
     let (outcome, _) = pos_equiv_run(&ig, k, covers, Some(max_work), true, ctl);
     match outcome {
         EmbedOutcome::Found(e) => Ok(Some(e)),

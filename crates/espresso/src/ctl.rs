@@ -10,7 +10,8 @@
 //! * the ESPRESSO EXPAND/IRREDUNDANT/REDUCE loop charges per iteration,
 //! * inside a pass, ESPRESSO's kernels (the off-set's complement, REDUCE,
 //!   EXPAND, IRREDUNDANT, the essential-primes test and LAST_GASP) [`Poll`]
-//!   the handle, which charges nothing.
+//!   the handle, which charges nothing, and so does the factored-literal
+//!   count that follows minimization.
 //!
 //! When the handle is cancelled (by an expired wall-clock deadline, an
 //! exhausted node budget, or an injected fault) those loops unwind promptly
@@ -32,13 +33,16 @@ const DEADLINE_CHECK_PERIOD: u64 = 64;
 const POLL_STEPS: u64 = 4096;
 
 /// Cancellation polling for a kernel that charges no work. A step is one
-/// cover row the kernel reads; every [`POLL_STEPS`] steps
-/// [`RunCtl::cancelled`] is asked. A poll neither charges work nor ticks
-/// the fault plan, so budgets and fault-plan replays never see it. Without
-/// a ctl it never cancels.
+/// cover row the kernel reads (one literal, for the factored-literal
+/// count); every [`POLL_STEPS`] steps [`RunCtl::cancelled`] is asked (or,
+/// by [`Poll::deadline`], the deadline alone). A poll neither charges work
+/// nor ticks the fault plan, so budgets and fault-plan replays never see
+/// it. Without a ctl it never cancels.
 pub(crate) struct Poll<'a> {
     ctl: Option<&'a RunCtl>,
     left: u64,
+    /// Look at the deadline alone (see [`Poll::deadline`]).
+    deadline_only: bool,
 }
 
 impl<'a> Poll<'a> {
@@ -46,6 +50,18 @@ impl<'a> Poll<'a> {
         Poll {
             ctl,
             left: POLL_STEPS,
+            deadline_only: false,
+        }
+    }
+
+    /// A poll that looks at the deadline alone, for work that follows the
+    /// run's last ctl operation: only the clock can stop the run there, and
+    /// a stop that operation's fault tick latched ends no such work, so a
+    /// fault plan ends the run where it would without the poll.
+    pub(crate) fn deadline(ctl: &'a RunCtl) -> Self {
+        Poll {
+            deadline_only: true,
+            ..Poll::new(Some(ctl))
         }
     }
 
@@ -57,7 +73,8 @@ impl<'a> Poll<'a> {
         }
         self.left = POLL_STEPS;
         match self.ctl {
-            Some(ctl) if ctl.cancelled() => Err(Cancelled),
+            Some(ctl) if self.deadline_only && ctl.past_deadline() => Err(Cancelled),
+            Some(ctl) if !self.deadline_only && ctl.cancelled() => Err(Cancelled),
             _ => Ok(()),
         }
     }
@@ -234,16 +251,17 @@ impl RunCtl {
     /// Has the run been cancelled (latched stop, expired deadline, or
     /// exhausted budget)?
     pub fn cancelled(&self) -> bool {
-        if self.inner.reason.load(Ordering::Relaxed) != 0 {
-            return true;
+        self.inner.reason.load(Ordering::Relaxed) != 0 || self.past_deadline()
+    }
+
+    /// Has the wall-clock deadline passed? Latches it when it has, but
+    /// looks at no stop latched before.
+    fn past_deadline(&self) -> bool {
+        let passed = self.inner.deadline.is_some_and(|d| Instant::now() >= d);
+        if passed {
+            self.cancel_with(CancelReason::Deadline);
         }
-        if let Some(d) = self.inner.deadline {
-            if Instant::now() >= d {
-                self.cancel_with(CancelReason::Deadline);
-                return true;
-            }
-        }
-        false
+        passed
     }
 
     /// One operation observed by the armed fault plan, if any. Kept to a

@@ -6,8 +6,10 @@
 //! factored form by recursive kernel extraction (the QUICK_FACTOR scheme) and
 //! the number of literals of the factored form is reported. Logic sharing
 //! *across* outputs is not modeled; each output is factored separately.
+//! Counting [`Poll`]s the run's [`RunCtl`] deadline, which ends it.
 
 use crate::cover::Cover;
+use crate::ctl::{Cancelled, Poll, RunCtl};
 use std::collections::BTreeSet;
 
 /// A literal of an algebraic expression: `2*var + polarity`
@@ -211,12 +213,14 @@ fn most_frequent_literal(f: &Expr) -> Option<(Literal, usize)> {
         .max_by_key(|&(l, n)| (n, std::cmp::Reverse(l)))
 }
 
-/// Number of literals of the QUICK_FACTOR factored form of the expression.
+/// Number of literals of the QUICK_FACTOR factored form of the expression,
+/// or `Err(Cancelled)` once a [`Poll`] of `ctl` finds its deadline passed.
 ///
 /// # Examples
 ///
 /// ```
 /// use espresso::factor::{literal, Expr};
+/// use espresso::RunCtl;
 /// use std::collections::BTreeSet;
 ///
 /// // f = ab + ac  →  a(b + c): 3 literals instead of 4.
@@ -227,33 +231,41 @@ fn most_frequent_literal(f: &Expr) -> Option<(Literal, usize)> {
 ///     BTreeSet::from([a, b]),
 ///     BTreeSet::from([a, c]),
 /// ]);
-/// assert_eq!(espresso::factor::factored_literal_count(&f), 3);
+/// assert_eq!(espresso::factor::factored_literal_count(&f, &RunCtl::unlimited()), Ok(3));
 /// ```
-pub fn factored_literal_count(f: &Expr) -> usize {
+pub fn factored_literal_count(f: &Expr, ctl: &RunCtl) -> Result<usize, Cancelled> {
+    count_literals(f, &mut Poll::deadline(ctl))
+}
+
+/// The QUICK_FACTOR recursion. Each call steps `poll` by the literals of
+/// `f`, which every pass over its cubes reads: a cube of a 1-hot cover
+/// carries dozens, so a step per cube would let a look wait too long.
+fn count_literals(f: &Expr, poll: &mut Poll) -> Result<usize, Cancelled> {
+    poll.step(f.literal_count() as u64)?;
     if f.is_empty() {
-        return 0;
+        return Ok(0);
     }
     if f.len() == 1 {
-        return f.cubes[0].len();
+        return Ok(f.cubes[0].len());
     }
     // Factor out the common cube first.
     let common = f.common_cube();
     if !common.is_empty() {
-        return common.len() + factored_literal_count(&f.divide_by_cube(&common));
+        return Ok(common.len() + count_literals(&f.divide_by_cube(&common), poll)?);
     }
     let Some((best_l, count)) = most_frequent_literal(f) else {
-        return 0;
+        return Ok(0);
     };
     if count < 2 {
-        return f.literal_count(); // nothing algebraic to share
+        return Ok(f.literal_count()); // nothing algebraic to share
     }
     if let Some(k) = f.quick_kernel() {
         if k != *f {
             let (q, r) = f.divide(&k);
             if !q.is_empty() {
-                return factored_literal_count(&q)
-                    + factored_literal_count(&k)
-                    + factored_literal_count(&r);
+                return Ok(count_literals(&q, poll)?
+                    + count_literals(&k, poll)?
+                    + count_literals(&r, poll)?);
             }
         }
     }
@@ -262,7 +274,7 @@ pub fn factored_literal_count(f: &Expr) -> usize {
     d.insert(best_l);
     let q = f.divide_by_cube(&d);
     let r = Expr::from_cubes(f.cubes.iter().filter(|c| !c.contains(&best_l)).cloned());
-    1 + factored_literal_count(&q) + factored_literal_count(&r)
+    Ok(1 + count_literals(&q, poll)? + count_literals(&r, poll)?)
 }
 
 /// Extracts the single-output algebraic expression of output `o` from a
@@ -298,21 +310,28 @@ pub fn output_expr(cover: &Cover, o: u32) -> Expr {
 }
 
 /// Total factored-form literal count of a binary multi-output cover: each
-/// output factored independently (no inter-output sharing), summed.
-pub fn cover_factored_literals(cover: &Cover) -> usize {
+/// output factored independently (no inter-output sharing), summed, under
+/// one [`Poll`] of `ctl` (see [`factored_literal_count`]).
+pub fn cover_factored_literals(cover: &Cover, ctl: &RunCtl) -> Result<usize, Cancelled> {
     let space = cover.space();
-    let ov = match space.output_var() {
-        Some(v) => v,
-        None => return 0,
+    let Some(ov) = space.output_var() else {
+        return Ok(0);
     };
+    let mut poll = Poll::deadline(ctl);
     (0..space.parts(ov))
-        .map(|o| factored_literal_count(&output_expr(cover, o)))
+        .map(|o| count_literals(&output_expr(cover, o), &mut poll))
         .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
+    /// The factored literal count under a ctl that never cancels.
+    fn literals(f: &Expr) -> usize {
+        factored_literal_count(f, &RunCtl::unlimited()).expect("an unlimited ctl never cancels")
+    }
 
     fn expr(cubes: &[&[Literal]]) -> Expr {
         Expr::from_cubes(cubes.iter().map(|c| c.iter().copied().collect()))
@@ -323,6 +342,10 @@ mod tests {
     const C: Literal = 5;
     const D: Literal = 7;
     const E: Literal = 9;
+
+    /// The literal count of the two ten-input parity outputs, the same
+    /// with or without a poll.
+    const PARITY_LITERALS: usize = 368;
 
     #[test]
     fn division_basics() {
@@ -360,7 +383,7 @@ mod tests {
     fn factoring_shares_common_factor() {
         // f = ab + ac → a(b+c): 3 literals
         let f = expr(&[&[A, B], &[A, C]]);
-        assert_eq!(factored_literal_count(&f), 3);
+        assert_eq!(literals(&f), 3);
     }
 
     #[test]
@@ -368,19 +391,19 @@ mod tests {
         // f = ace + bce + de + g → e(c(a+b) + d) + g : 7 literals
         let g = 11;
         let f = expr(&[&[A, C, E], &[B, C, E], &[D, E], &[g]]);
-        assert_eq!(factored_literal_count(&f), 7);
+        assert_eq!(literals(&f), 7);
     }
 
     #[test]
     fn factoring_cannot_beat_flat_when_nothing_shared() {
         let f = expr(&[&[A, B], &[C, D]]);
-        assert_eq!(factored_literal_count(&f), 4);
+        assert_eq!(literals(&f), 4);
     }
 
     #[test]
     fn single_cube_counts_its_literals() {
         let f = expr(&[&[A, B, C]]);
-        assert_eq!(factored_literal_count(&f), 3);
+        assert_eq!(literals(&f), 3);
     }
 
     #[test]
@@ -406,6 +429,36 @@ mod tests {
         cov.push_parsed("10 11 10 10").unwrap(); // ac -> f0
         cov.push_parsed("01 11 11 01").unwrap(); // a' -> f1
                                                  // f0 = ab + ac → a(b+c): 3; f1 = a': 1
-        assert_eq!(cover_factored_literals(&cov), 4);
+        assert_eq!(cover_factored_literals(&cov, &RunCtl::unlimited()), Ok(4));
+    }
+
+    #[test]
+    fn a_passed_deadline_ends_the_count() {
+        use crate::fault::{FaultKind, FaultPlan};
+        use crate::space::CubeSpace;
+        use nova_trace::Tracer;
+        // Odd parity of ten inputs on f0 and even parity on f1: 1,024
+        // minterms whose count reads more literals than one poll lets pass.
+        let sp = CubeSpace::binary_with_output(10, 2);
+        let mut cov = Cover::empty(sp.clone());
+        for m in 0..1u32 << 10 {
+            let mut row: String = (0..10)
+                .map(|b| if m >> b & 1 == 1 { "01 " } else { "10 " })
+                .collect();
+            row.push_str(if m.count_ones() % 2 == 1 { "10" } else { "01" });
+            cov.push_parsed(&row).unwrap();
+        }
+        let expired = RunCtl::new(None, Some(Instant::now()), Tracer::disabled());
+        assert_eq!(cover_factored_literals(&cov, &expired), Err(Cancelled));
+        assert_eq!(
+            cover_factored_literals(&cov, &RunCtl::unlimited()),
+            Ok(PARITY_LITERALS)
+        );
+        // A stop latched before the count, as a fault on ESPRESSO's last
+        // operation latches one, does not end it.
+        let stopped = RunCtl::unlimited();
+        stopped.arm_faults(&FaultPlan::single("*", 1, FaultKind::Cancel));
+        assert!(stopped.charge(1).is_err());
+        assert_eq!(cover_factored_literals(&cov, &stopped), Ok(PARITY_LITERALS));
     }
 }

@@ -176,6 +176,27 @@ fn traced_pipeline_matches_untraced_runs() {
     }
 }
 
+/// `evaluate` shares a run's encode → minimize → count tail, so it scores
+/// each run's codes exactly as that run did.
+#[test]
+fn evaluate_matches_the_run_that_produced_the_encoding() {
+    for name in ["lion", "bbtas", "dk27", "shiftreg"] {
+        let m = machine(name);
+        for run in run_portfolio(&m, name, &EngineConfig::default()).runs {
+            let alg = run.algorithm.name();
+            let done = run
+                .outcome
+                .result()
+                .unwrap_or_else(|| panic!("{name} {alg}: {}", run.outcome.tag()));
+            assert_eq!(
+                nova_core::evaluate(&m, &done.encoding),
+                *done,
+                "{name} {alg}"
+            );
+        }
+    }
+}
+
 /// Each run of a portfolio ends exactly as that algorithm run alone under
 /// the same limits: same outcome, codes and degradation (the fingerprint),
 /// and the same `work`, whichever run derived the shared front end. Budgets

@@ -281,3 +281,57 @@ fn each_minimization_computes_its_off_set_once() {
         );
     }
 }
+
+#[test]
+fn every_span_of_a_run_lies_inside_one_of_its_stages() {
+    // The four stages cover a run: each span under an `algo.*` span has a
+    // `stage.*` span between them. The literal count is ESPRESSO's, and
+    // iexact's input-graph build is the embedding's.
+    let tracer = Tracer::enabled();
+    let report = run_portfolio(&lion(), "lion", &traced_config(&tracer));
+    let events = tracer.collected_events();
+    let spans: std::collections::HashMap<u64, (&str, u64)> = events
+        .iter()
+        .filter(|e| e.phase == nova_trace::Phase::Begin)
+        .map(|e| (e.id, (e.name.as_ref(), e.parent)))
+        .collect();
+    // The nearest enclosing stage or algorithm span, if any.
+    let owner = |mut id: u64| loop {
+        id = spans.get(&id)?.1;
+        match spans.get(&id) {
+            Some((name, _)) if name.starts_with("stage.") || name.starts_with("algo.") => {
+                return Some(*name)
+            }
+            Some(_) => {}
+            None => return None,
+        }
+    };
+    let (mut factored, mut built) = (0, 0);
+    for (&id, &(name, _)) in &spans {
+        let at = owner(id);
+        if name.starts_with("stage.") {
+            assert!(
+                at.is_some_and(|a| a.starts_with("algo.")),
+                "{name} in {at:?}"
+            );
+            continue;
+        }
+        if let Some(run) = at.filter(|a| a.starts_with("algo.")) {
+            panic!("{name} runs in {run} outside its stages");
+        }
+        match name {
+            "espresso.factor" => {
+                factored += 1;
+                assert_eq!(at, Some("stage.espresso"), "espresso.factor");
+            }
+            "embed.build" => {
+                built += 1;
+                assert_eq!(at, Some("stage.embed"), "embed.build");
+            }
+            _ => {}
+        }
+    }
+    let done = report.runs.iter().filter(|r| r.outcome.tag() == "done");
+    assert_eq!(factored, done.count(), "one espresso.factor span per run");
+    assert!(built > 0, "input graphs are built in embed.build spans");
+}
